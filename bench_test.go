@@ -8,6 +8,7 @@ package repro_test
 import (
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -398,7 +399,8 @@ func BenchmarkAblationFlashLatency(b *testing.B) {
 			}
 			return res.Signature, res.OK
 		}
-		rep := fault.Simulate(sites, run, 0)
+		// Without a journal Simulate has no error to report.
+		rep, _ := fault.Simulate(sites, slices.Repeat([]fault.RunFunc{run}, fault.Workers(0, len(sites))), fault.SimOptions{})
 		return rep.Coverage()
 	}
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -59,7 +60,10 @@ func main() {
 	// keep this demo fast).
 	sites := fault.ForwardingLogic(fault.ListOptions{DataBits: 32, BitStep: 4})
 	fault.SortSites(sites)
-	rep := fault.Simulate(sites, runOnce, 0)
+	rep, err := fault.Simulate(sites, slices.Repeat([]fault.RunFunc{runOnce}, fault.Workers(0, len(sites))), fault.SimOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("campaign:", rep.String())
 	fmt.Println("per-signal breakdown:")
 	for _, st := range rep.BySignal() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -20,9 +19,6 @@ import (
 // the *full* universe — no site cap — which is affordable precisely
 // because both sides are arenas. CampaignEnv/CompareEngines are also the
 // building blocks the fixed mode-equivalence tests use.
-
-// maxCampaignCycles bounds the golden full-system run.
-const maxCampaignCycles = 6_000_000
 
 // CampaignEnv is one replayed fault-campaign environment: a multi-core
 // golden configuration and the core under test.
@@ -89,41 +85,35 @@ func NewCampaignEnv(module string, underTest, active int, pos, pad uint32, cache
 // once; both modes then fault-simulate against the same replayed
 // environment.
 func (e *CampaignEnv) CompareEngines(sites []fault.Site) (string, error) {
-	replayCfg, budget, err := e.record()
+	c, err := e.record(sites)
 	if err != nil {
 		return "", err
 	}
-	return e.compareOn(replayCfg, budget, sites)
+	return e.compareOn(c, sites)
 }
 
-// record performs the golden run and returns the replay configuration and
-// per-fault cycle budget.
-func (e *CampaignEnv) record() (soc.Config, int64, error) {
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(e.Cfg, e.Jobs, maxCampaignCycles, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(e.UnderTest)
-	})
+// record performs the golden run and derives the replayed campaign
+// (core.Record).
+func (e *CampaignEnv) record(sites []fault.Site) (*core.Campaign, error) {
+	c, err := core.Record(e.Cfg, e.Jobs, e.UnderTest, sites)
 	if err != nil {
-		return soc.Config{}, 0, err
+		return nil, fmt.Errorf("conform: %w", err)
 	}
-	golden := results[e.UnderTest]
-	if !golden.OK {
-		return soc.Config{}, 0, fmt.Errorf("conform: golden run failed on core %d", e.UnderTest)
-	}
-	replayCfg := e.Cfg
-	replayCfg.Replay = rec.EventsByMaster()
-	return replayCfg, golden.Cycles*8 + 20_000, nil
+	return c, nil
 }
 
-// compareOn runs both arena modes on an already-recorded environment.
-func (e *CampaignEnv) compareOn(replayCfg soc.Config, budget int64, sites []fault.Site) (string, error) {
-	ref, err := core.RunCampaign(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, e.Workers, true)
+// compareOn runs both arena modes over sites — the recorded universe or a
+// subset of it — in the recorded environment.
+func (e *CampaignEnv) compareOn(c *core.Campaign, sites []fault.Site) (string, error) {
+	run := func(reference bool) (fault.Report, error) {
+		return core.RunCampaignOpts(c.Cfg, c.Core, c.Job, sites, c.Budget,
+			core.CampaignOptions{Workers: e.Workers, Reference: reference})
+	}
+	ref, err := run(true)
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
-	opt, err := core.RunCampaign(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, e.Workers, false)
+	opt, err := run(false)
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
@@ -200,12 +190,12 @@ func runCampaignSeed(seed int64) *Mismatch {
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := env.record()
+	c, err := env.record(sites)
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}
 	recheck := func(sub []fault.Site) string {
-		detail, err := env.compareOn(replayCfg, budget, sub)
+		detail, err := env.compareOn(c, sub)
 		if err != nil {
 			return err.Error()
 		}

@@ -78,13 +78,12 @@ func runGroups(ar *core.Arena, groups [][]fault.Site) []groupVerdict {
 // compareGroups runs the group universe under both arena modes (fresh
 // arenas, same interrupt plan) and describes any divergence — golden run
 // included ("" when bit-identical).
-func compareGroups(env *CampaignEnv, replayCfg soc.Config, budget int64, plan archint.Plan, groups [][]fault.Site) (string, error) {
-	job := env.Jobs[env.UnderTest]
-	opt, err := core.NewArena(replayCfg, env.UnderTest, job, budget, core.ArenaOptions{Plan: plan})
+func compareGroups(c *core.Campaign, plan archint.Plan, groups [][]fault.Site) (string, error) {
+	opt, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Plan: plan})
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
-	ref, err := core.NewArena(replayCfg, env.UnderTest, job, budget, core.ArenaOptions{NoEarlyExit: true, Plan: plan})
+	ref, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true, Plan: plan})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
@@ -149,12 +148,12 @@ func runMultifaultSeed(seed int64) *Mismatch {
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := env.record()
+	c, err := env.record(sites)
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
 
-	steer, err := core.NewArena(replayCfg, underTest, env.Jobs[underTest], budget, core.ArenaOptions{})
+	steer, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{})
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: "steer arena: " + err.Error()}
 	}
@@ -169,14 +168,14 @@ func runMultifaultSeed(seed int64) *Mismatch {
 	var plan archint.Plan
 	if rng.Intn(2) == 0 {
 		plan = archint.RandomPlan(rng)
-		gate, err := core.NewArena(replayCfg, underTest, env.Jobs[underTest], budget, core.ArenaOptions{Plan: plan})
-		if err != nil || !gate.GoldenOK() {
+		gate, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Plan: plan})
+		if err != nil || !gate.Stats().GoldenOK {
 			plan = archint.Plan{}
 		}
 	}
 
 	recheck := func(sub [][]fault.Site) string {
-		detail, err := compareGroups(env, replayCfg, budget, plan, sub)
+		detail, err := compareGroups(c, plan, sub)
 		if err != nil {
 			return err.Error()
 		}

@@ -21,16 +21,16 @@ func TestMultifaultSteeringReachesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayCfg, budget, err := env.record()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sites := fault.ForwardingLogic(fault.ListOptions{DataBits: 32, BitStep: 4})
 	fault.SortSites(sites)
 	if len(sites) > maxSteerCandidates {
 		sites = fault.Sample(sites, (len(sites)+maxSteerCandidates-1)/maxSteerCandidates)
 	}
-	ar, err := core.NewArena(replayCfg, 0, env.Jobs[0], budget, core.ArenaOptions{})
+	c, err := env.record(sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func (sp progSpec) checkStrategies(p *progen.Program, cov *coverage.Map) string 
 func runWrapped(r *sbst.Routine, coreID int, strat core.Strategy, cached bool, cov *coverage.Map) (*core.RunResult, error) {
 	var jobs [soc.NumCores]*core.CoreJob
 	jobs[coreID] = &core.CoreJob{Routine: r, Strategy: strat, CodeBase: codeBase}
-	results, _, err := core.RunJobsSetup(socConfig(coreID, cached, false), jobs, socBudget, nil,
+	results, _, err := core.RunJobsSetup(socConfig(coreID, cached, false), jobs, socBudget,
 		func(s *soc.SoC) {
 			if cov != nil {
 				s.SetCoverage(cov)
@@ -328,7 +328,7 @@ func runPlan(plan sched.Plan, strat func(int) core.Strategy, cached bool, nTasks
 		cfg.Cores[id].CachesOn = cached
 		cfg.Cores[id].WriteAlloc = true
 	}
-	results, s, err := core.RunJobsSetup(cfg, jobs, socBudget, nil, func(s *soc.SoC) {
+	results, s, err := core.RunJobsSetup(cfg, jobs, socBudget, func(s *soc.SoC) {
 		if cov != nil {
 			s.SetCoverage(cov)
 		}

@@ -34,11 +34,11 @@ import (
 //   - flood: a run that has observably diverged keeps storing past 8x the
 //     golden store count (plus slack) — the runaway-loop class.
 //
-// The margins apply the same 8x stall-factor assumption the campaign cycle
-// budget (golden cycles x 8 + 20_000) embodies, at store-gap rather than
-// whole-run granularity, so both modes misclassify only runs slowed by
-// more than 8x — and the mode-equivalence tests pin that they agree on
-// every site of the shipped universes. ArenaOptions.NoEarlyExit restores
+// The margins apply the same stallFactor the campaign cycle budget (see
+// Record) embodies, at store-gap rather than whole-run granularity, so
+// both modes misclassify only runs slowed by more than 8x — and the
+// mode-equivalence tests pin that they agree on every site of the shipped
+// universes. ArenaOptions.NoEarlyExit restores
 // the exact full-budget reference semantics. Runs that halt (cleanly or
 // wedged) are never cut short, so their signatures are exact.
 type Arena struct {
@@ -110,10 +110,9 @@ type Arena struct {
 	met  arenaMetrics
 }
 
-// ArenaStats is one arena's lifetime counters as a plain snapshot —
-// the unified form of the per-counter getters, which now delegate to it.
-// Campaign code folds the per-worker snapshots into campaign totals
-// (fault.Report.Dispatch) and the run-summary JSON.
+// ArenaStats is one arena's lifetime counters as a plain snapshot (see
+// Arena.Stats). Campaign code folds the per-worker snapshots into campaign
+// totals (fault.Report.Dispatch) and the run-summary JSON.
 type ArenaStats struct {
 	// Runs counts plane-swap runs served by the long-lived SoC, golden
 	// capture included.
@@ -249,10 +248,6 @@ type ArenaOptions struct {
 	Events *telemetry.EventLog
 }
 
-// earlySlack mirrors the constant term of the campaign watchdog budget
-// (golden cycles x 8 + 20_000).
-const earlySlack = 20_000
-
 // NewArena assembles the SoC once and runs the fault-free golden once to
 // capture the observable trace. cfg should carry the replayed background
 // traffic; only core id is activated regardless of cfg's Active flags.
@@ -370,7 +365,7 @@ func (a *Arena) calibrate() {
 	if g := a.last.Cycles - prev; g > maxGap {
 		maxGap = g
 	}
-	a.hangLimit = maxGap * 8
+	a.hangLimit = maxGap * stallFactor
 	if a.hangLimit < a.last.Cycles {
 		// Never call a run hung for a silence shorter than one entire
 		// golden run: routines with dense stores would otherwise get an
@@ -379,7 +374,7 @@ func (a *Arena) calibrate() {
 		a.hangLimit = a.last.Cycles
 	}
 	a.hangLimit += earlySlack
-	a.floodCap = len(a.golden)*8 + 1_000
+	a.floodCap = len(a.golden)*stallFactor + 1_000
 }
 
 // observe receives every completed store of the core under test.
@@ -752,7 +747,7 @@ func (a *Arena) fallbackRun(p fault.Plane) (sig uint32, ok bool) {
 		plan := a.opt.Plan
 		setup = func(s *soc.SoC) { s.SetInjector(a.id, archint.NewInjector(plan)) }
 	}
-	res, _, err := RunJobsSetup(c, jobs, a.budget, nil, setup)
+	res, _, err := RunJobsSetup(c, jobs, a.budget, setup)
 	if err != nil {
 		panic(fmt.Sprintf("arena core%d: fallback run failed: %v", a.id, err))
 	}
@@ -768,59 +763,6 @@ func (a *Arena) SoC() *soc.SoC { return a.s }
 
 // Last returns the full result of the most recent Run.
 func (a *Arena) Last() RunResult { return a.last }
-
-// GoldenEvents returns the length of the captured observable trace.
-func (a *Arena) GoldenEvents() int { return len(a.golden) }
-
-// Runs returns how many runs this arena has served (including the golden
-// capture run).
-func (a *Arena) Runs() int64 { return a.st.Runs }
-
-// EarlyExits returns how many runs the divergence watchdogs terminated
-// before the full budget.
-func (a *Arena) EarlyExits() int64 { return a.st.EarlyExits }
-
-// HealthChecks returns how many golden-replay health probes this arena ran.
-func (a *Arena) HealthChecks() int64 { return a.st.HealthChecks }
-
-// Quarantines returns how many times this arena was rebuilt after a failed
-// health check.
-func (a *Arena) Quarantines() int64 { return a.st.Quarantines }
-
-// FallbackRuns returns how many sites were served by fresh-SoC
-// rebuild-per-fault runs (quarantined sites, plus everything after the
-// arena died).
-func (a *Arena) FallbackRuns() int64 { return a.st.FallbackRuns }
-
-// Dead reports whether the arena gave up on reuse entirely (rebuild
-// failed) and now serves every site via fallback runs.
-func (a *Arena) Dead() bool { return a.dead }
-
-// Checkpoints returns how many golden-run restore points this arena holds.
-func (a *Arena) Checkpoints() int { return len(a.ckpts) }
-
-// CheckpointRuns returns how many runs started from a golden checkpoint
-// instead of replaying the full prefix.
-func (a *Arena) CheckpointRuns() int64 { return a.st.CheckpointRuns }
-
-// GoldenOK reports whether the construction-time golden capture run
-// completed cleanly. Scenario harnesses gate optional environment
-// perturbations (e.g. an interrupt plan) on it: a perturbation under which
-// even the fault-free run fails would fault every verdict.
-func (a *Arena) GoldenOK() bool { return a.goldenOK }
-
-// GoldenServed returns how many sites were served the golden verdict
-// outright because their fault never activates.
-func (a *Arena) GoldenServed() int64 { return a.st.GoldenServed }
-
-// ConvergedRuns returns how many runs were cut short because the faulty
-// SoC provably re-converged with the golden run past the site's last
-// activating edge.
-func (a *Arena) ConvergedRuns() int64 { return a.st.ConvergedRuns }
-
-// Jumps returns how many provably-golden mid-run windows were skipped by
-// restoring a later checkpoint after exact re-convergence.
-func (a *Arena) Jumps() int64 { return a.st.Jumps }
 
 // CampaignOptions tunes RunCampaignOpts beyond the engine mode.
 type CampaignOptions struct {
@@ -876,10 +818,11 @@ type CampaignOptions struct {
 
 // resolveCheckpointInterval maps the CampaignOptions knob to the
 // ArenaOptions value. The automatic interval targets a restore point
-// roughly every 1/8 of a golden run (the budget is 8x golden plus slack,
-// so budget/64 approximates goldenCycles/8), clamped below so snapshot
-// traffic stays negligible next to stepping on long runs and above so
-// short campaigns still get useful prefix-skip granularity.
+// roughly every 1/8 of a golden run (the budget is stallFactor = 8 times
+// the golden run plus slack, so budget/64 approximates goldenCycles/8),
+// clamped below so snapshot traffic stays negligible next to stepping on
+// long runs and above so short campaigns still get useful prefix-skip
+// granularity.
 func resolveCheckpointInterval(opt int64, budget int64) int64 {
 	switch {
 	case opt < 0:
@@ -935,20 +878,15 @@ func CampaignFingerprint(cfg soc.Config, id int, job *CoreJob, sites []fault.Sit
 	}, nil
 }
 
-// RunCampaign fault-simulates job on core id for every site, in the replay
-// environment cfg with the given per-run cycle budget — the shared engine
-// dispatch behind experiments campaigns and cmd/faultsim. Each worker
-// drives one reusable Arena; reference selects the full-budget reference
-// mode (no early exit, no checkpointing, no golden-verdict shortcut).
-// Both modes produce identical reports. workers <= 0 uses GOMAXPROCS.
-func RunCampaign(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, workers int, reference bool) (fault.Report, error) {
-	return RunCampaignOpts(cfg, id, job, sites, budget, CampaignOptions{Workers: workers, Reference: reference})
-}
-
-// RunCampaignOpts is RunCampaign with journaling: verdicts stream to an
-// append-only journal as they settle, and a resumed campaign skips the
-// sites the journal already settles — producing a report bit-identical to
-// the uninterrupted run.
+// RunCampaignOpts fault-simulates job on core id for every site, in the
+// replay environment cfg with the given per-run cycle budget — the one
+// engine entry point behind experiments campaigns, conformance checks,
+// cmd/faultsim and the campaign service (Record supplies the environment
+// and budget). Each worker drives one reusable Arena; opt.Reference
+// selects the full-budget reference mode, and both modes produce identical
+// reports. With a journal, verdicts stream to an append-only file as they
+// settle, and a resumed campaign skips the sites the journal already
+// settles — producing a report bit-identical to the uninterrupted run.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
 	reg := opt.Telemetry
 	if reg == nil && opt.Progress > 0 {
@@ -1019,7 +957,7 @@ func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, b
 	}
 	start := time.Now()
 	prog := campaignProgress(reg, opt, len(sites), start)
-	rep, err := fault.SimulateOpts(sites, runners, simOpt)
+	rep, err := fault.Simulate(sites, runners, simOpt)
 	prog.Stop()
 	if err != nil {
 		return rep, err

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/soc"
@@ -21,20 +20,11 @@ func arenaEnv(t *testing.T, active int, cached bool) (replayCfg soc.Config, job 
 		}
 		return Plain{}
 	}
-	jobs := jobsSameRoutine(active, fwdRoutine, strat)
-	var rec *bus.Recorder
-	results, _, err := RunJobsSetup(c, jobs, maxRun, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(0)
-	})
+	rc, err := Record(c, jobsSameRoutine(active, fwdRoutine, strat), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !results[0].OK {
-		t.Fatal("full golden run failed")
-	}
-	replayCfg = c
-	replayCfg.Replay = rec.EventsByMaster()
-	return replayCfg, jobs[0], results[0].Cycles*8 + 20_000
+	return rc.Cfg, rc.Job, rc.Budget
 }
 
 // freshRun runs job once on a freshly built SoC in the replay environment

@@ -27,7 +27,7 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Checkpoints() == 0 {
+			if a.Stats().Checkpoints == 0 {
 				t.Fatalf("cached=%v active=%d: no checkpoints captured", cached, active)
 			}
 			s := a.SoC()
@@ -89,7 +89,7 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Checkpoints() == 0 {
+	if a.Stats().Checkpoints == 0 {
 		t.Fatal("no checkpoints captured")
 	}
 	for _, site := range sites {
@@ -103,7 +103,7 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 			t.Errorf("%v: arena signature %08x, fresh %08x", site, sig, fresh.Signature)
 		}
 	}
-	if a.CheckpointRuns()+a.GoldenServed() == 0 {
+	if a.Stats().CheckpointRuns+a.Stats().GoldenServed == 0 {
 		t.Error("checkpoint fast path never engaged across the sample")
 	}
 
@@ -111,14 +111,14 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	// must serve them exactly as the plain arena tests pin.
 	stuck := fault.Site{Unit: fault.UnitFwd, Signal: fault.SigMuxData,
 		Lane: 0, Operand: 0, Path: fault.PathEXL0, Bit: 31, Stuck: 1}
-	before := a.CheckpointRuns() + a.GoldenServed()
+	before := a.Stats().CheckpointRuns + a.Stats().GoldenServed
 	fresh, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(stuck))
 	sig, ok := a.Run(fault.PlaneFor(stuck))
 	if ok != fresh.OK || (ok && sig != fresh.Signature) {
 		t.Errorf("stuck-at on checkpointed arena (%08x, %v) != fresh (%08x, %v)",
 			sig, ok, fresh.Signature, fresh.OK)
 	}
-	if a.CheckpointRuns()+a.GoldenServed() != before {
+	if a.Stats().CheckpointRuns+a.Stats().GoldenServed != before {
 		t.Error("stuck-at site took the checkpoint fast path")
 	}
 }

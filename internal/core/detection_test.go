@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -193,7 +194,9 @@ func TestDualIssueAlgorithmBeatsSingleIssueBaseline(t *testing.T) {
 			}
 			return res.Signature, res.OK
 		}
-		return fault.Simulate(sites, run, 0).Coverage()
+		// Without a journal Simulate has no error to report.
+		rep, _ := fault.Simulate(sites, slices.Repeat([]fault.RunFunc{run}, fault.Workers(0, len(sites))), fault.SimOptions{})
+		return rep.Coverage()
 	}
 
 	dual := coverage(fwdRoutine)

@@ -50,23 +50,23 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 		t.Fatalf("healthy arena hang verdict (%08x, %v) != fresh (%08x, %v)",
 			sig, ok, freshHang.Signature, freshHang.OK)
 	}
-	if a.HealthChecks() != 1 || a.Quarantines() != 0 {
+	if a.Stats().HealthChecks != 1 || a.Stats().Quarantines != 0 {
 		t.Fatalf("healthy cut run: checks=%d quarantines=%d, want 1/0",
-			a.HealthChecks(), a.Quarantines())
+			a.Stats().HealthChecks, a.Stats().Quarantines)
 	}
 
 	// Poison the arena. The next cut run must fail its health check,
 	// quarantine the arena, and settle the site on a fresh SoC.
 	a.testPoison = poisonData(job)
 	sig, ok = a.Run(fault.PlaneFor(hangSite))
-	if a.Quarantines() != 1 {
-		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", a.Quarantines())
+	if a.Stats().Quarantines != 1 {
+		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", a.Stats().Quarantines)
 	}
-	if a.Dead() {
+	if a.Stats().Dead {
 		t.Fatal("rebuild failed")
 	}
-	if a.FallbackRuns() != 1 {
-		t.Errorf("suspect site not served by fallback (fallbacks=%d)", a.FallbackRuns())
+	if a.Stats().FallbackRuns != 1 {
+		t.Errorf("suspect site not served by fallback (fallbacks=%d)", a.Stats().FallbackRuns)
 	}
 	if ok != freshHang.OK || (ok && sig != freshHang.Signature) {
 		t.Errorf("quarantined site verdict (%08x, %v) != fresh-SoC (%08x, %v)",
@@ -122,11 +122,11 @@ func TestArenaPanickedRunHealthCheck(t *testing.T) {
 	}()
 
 	sig, ok := a.Run(fault.None)
-	if a.HealthChecks() == 0 {
+	if a.Stats().HealthChecks == 0 {
 		t.Error("no health check after a panicked run")
 	}
-	if a.Quarantines() != 1 {
-		t.Fatalf("poisoned arena not quarantined after panic (quarantines=%d)", a.Quarantines())
+	if a.Stats().Quarantines != 1 {
+		t.Fatalf("poisoned arena not quarantined after panic (quarantines=%d)", a.Stats().Quarantines)
 	}
 	if sig != wantRes.Signature || !ok {
 		t.Errorf("post-quarantine golden %08x ok=%v, want %08x", sig, ok, wantRes.Signature)

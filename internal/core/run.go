@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
-	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -53,27 +52,18 @@ type RunResult struct {
 // must match the non-nil jobs. The returned SoC allows callers to inspect
 // bus statistics and cache state.
 func RunJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64) ([soc.NumCores]*RunResult, *soc.SoC, error) {
-	return RunJobsTraced(cfg, jobs, maxCycles, nil)
-}
-
-// RunJobsTraced is RunJobs with a pipeline tracer attached to core 0 (used
-// by the Figure 1 reproduction and debugging tools).
-func RunJobsTraced(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, trace cpu.TraceFn) ([soc.NumCores]*RunResult, *soc.SoC, error) {
-	return RunJobsSetup(cfg, jobs, maxCycles, trace, nil)
+	return RunJobsSetup(cfg, jobs, maxCycles, nil)
 }
 
 // RunJobsSetup additionally invokes setup on the assembled SoC before the
-// cores start — the hook the fault campaigns use to attach bus-traffic
-// recorders.
-func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, trace cpu.TraceFn, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
+// cores start — the hook Record uses to attach the bus-traffic recorder
+// and the Figure 1 reproduction uses to attach a pipeline tracer.
+func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
 	var results [soc.NumCores]*RunResult
 	for id, job := range jobs {
 		cfg.Cores[id].Active = job != nil
 	}
 	s := soc.New(cfg)
-	if trace != nil {
-		s.Cores[0].Core.SetTracer(trace)
-	}
 	if setup != nil {
 		setup(s)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -210,26 +209,10 @@ func newCampaign(o Options, underTest int, cfg soc.Config, jobs [soc.NumCores]*c
 }
 
 func (c campaign) run(sites []fault.Site) (fault.Report, error) {
-	// Golden full-system run with traffic recording.
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(c.cfg, c.jobs, maxRunCycles, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(c.underTest)
-	})
+	rc, err := core.Record(c.cfg, c.jobs, c.underTest, sites)
 	if err != nil {
-		return fault.Report{}, err
+		return fault.Report{}, fmt.Errorf("experiments: %w", err)
 	}
-	golden := results[c.underTest]
-	if !golden.OK {
-		return fault.Report{}, fmt.Errorf("experiments: golden run failed on core %d", c.underTest)
-	}
-	traffic := rec.EventsByMaster()
-	budget := golden.Cycles*8 + 20_000
-
-	// Per-fault environment: only the core under test simulated, the other
-	// cores' bus pressure replayed.
-	cfg := c.cfg
-	cfg.Replay = traffic
-
 	opt := core.CampaignOptions{Workers: c.opts.Workers, Reference: c.opts.Reference,
 		CheckpointInterval: c.opts.CheckpointInterval,
 		Telemetry:          c.opts.Telemetry, Events: c.opts.Events,
@@ -237,14 +220,10 @@ func (c campaign) run(sites []fault.Site) (fault.Report, error) {
 	if c.opts.JournalDir != "" {
 		// One content-addressed journal per campaign: resuming an
 		// interrupted sweep settles finished campaigns entirely from disk.
-		header, err := core.CampaignFingerprint(cfg, c.underTest, c.jobs[c.underTest], sites, budget)
-		if err != nil {
-			return fault.Report{}, err
-		}
-		opt.Journal = filepath.Join(c.opts.JournalDir, "campaign-"+header.Key()+".journal")
+		opt.Journal = filepath.Join(c.opts.JournalDir, "campaign-"+rc.Header.Key()+".journal")
 		opt.Resume = true
 	}
-	rep, err := core.RunCampaignOpts(cfg, c.underTest, c.jobs[c.underTest], sites, budget, opt)
+	rep, err := core.RunCampaignOpts(rc.Cfg, rc.Core, rc.Job, rc.Sites, rc.Budget, opt)
 	if err != nil {
 		return fault.Report{}, err
 	}

@@ -90,7 +90,9 @@ func Figure1(o Options) (*Figure1Result, error) {
 			return nil, err
 		}
 		rec := trace.NewRecorder(lo, hi)
-		results, _, err := core.RunJobsTraced(cfg, jobs, maxRunCycles, rec.Fn())
+		results, _, err := core.RunJobsSetup(cfg, jobs, maxRunCycles, func(s *soc.SoC) {
+			s.Cores[0].Core.SetTracer(rec.Fn())
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,7 @@ func TestReplayPreservesDataflowSignature(t *testing.T) {
 	jobs := forwardingJobs(0, spec, func(int) core.Strategy { return core.Plain{} }, false)
 
 	var rec *bus.Recorder
-	full, _, err := core.RunJobsSetup(baseConfig(3, false), jobs, maxRunCycles, nil,
+	full, _, err := core.RunJobsSetup(baseConfig(3, false), jobs, maxRunCycles,
 		func(s *soc.SoC) { rec = s.AttachRecorder(0) })
 	if err != nil {
 		t.Fatal(err)

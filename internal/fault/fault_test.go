@@ -1,9 +1,18 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// simulateShared runs a campaign with one stateless runner shared by the
+// given number of worker goroutines (<= 0 uses GOMAXPROCS).
+func simulateShared(sites []Site, run RunFunc, workers int) Report {
+	// Without a journal Simulate has no error to report.
+	rep, _ := Simulate(sites, slices.Repeat([]RunFunc{run}, Workers(workers, len(sites))), SimOptions{})
+	return rep
+}
 
 func TestNonePlaneIsIdentity(t *testing.T) {
 	if v := None.MuxData(1, 0, PathEXL0, 0xDEAD); v != 0xDEAD {
@@ -170,7 +179,7 @@ func TestSimulateSyntheticCampaign(t *testing.T) {
 		v = p.MuxData(0, 0, PathMEML1, v)
 		return uint32(v), true
 	}
-	rep := Simulate(sites, run, 4)
+	rep := simulateShared(sites, run, 4)
 	if rep.Golden != 0x1234 {
 		t.Errorf("golden = %#x", rep.Golden)
 	}
@@ -209,7 +218,7 @@ func TestSimulateCrashCountsAsDetected(t *testing.T) {
 		}
 		return 99, true
 	}
-	rep := Simulate(sites, run, 1)
+	rep := simulateShared(sites, run, 1)
 	if rep.Detected != 1 || !rep.Results[0].Crashed {
 		t.Errorf("crash not detected: %+v", rep.Results[0])
 	}

@@ -6,7 +6,7 @@ package fault
 // with a content-addressed header (program image hash, fault-universe
 // hash, environment hash), so resuming against a different program,
 // universe or SoC configuration is refused instead of silently merged.
-// SimulateOpts consumes a Journal: settled sites are skipped and their
+// Simulate consumes a Journal: settled sites are skipped and their
 // recorded verdicts folded into the Report verbatim, which is what makes a
 // resumed campaign bit-identical to an uninterrupted one. This is the
 // shard-checkpoint primitive the ROADMAP's campaign service consumes.
@@ -91,7 +91,7 @@ type journalLine struct {
 	Stack    string `json:"stack,omitempty"`
 }
 
-// settledEntry is one loaded verdict (Site left zero; SimulateOpts fills
+// settledEntry is one loaded verdict (Site left zero; Simulate fills
 // it from the universe the indices are authenticated against).
 type settledEntry struct {
 	res        SiteResult

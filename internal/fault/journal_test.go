@@ -44,8 +44,8 @@ func TestSimulatePanicIsolation(t *testing.T) {
 		}
 		return syntheticRun(p)
 	}
-	rep := Simulate(sites, run, 4)
-	clean := Simulate(sites, syntheticRun, 4)
+	rep := simulateShared(sites, run, 4)
+	clean := simulateShared(sites, syntheticRun, 4)
 
 	if rep.Panics != 1 {
 		t.Fatalf("Panics = %d, want 1", rep.Panics)
@@ -85,7 +85,7 @@ func TestSimulateGoldenPanicSurvives(t *testing.T) {
 		}
 		return syntheticRun(p)
 	}
-	rep := Simulate(sites, run, 2)
+	rep := simulateShared(sites, run, 2)
 	if rep.GoldenOK {
 		t.Error("panicked golden run reported OK")
 	}
@@ -130,7 +130,7 @@ func journalCampaign(t *testing.T, path string, sites []Site) (Report, map[int]b
 		}
 		return syntheticRun(p)
 	}
-	rep, err := SimulateOpts(sites, []RunFunc{run, run}, SimOptions{Journal: j})
+	rep, err := Simulate(sites, []RunFunc{run, run}, SimOptions{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestJournalPanickedVerdictRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SimulateOpts(sites, []RunFunc{run}, SimOptions{Journal: j})
+	first, err := Simulate(sites, []RunFunc{run}, SimOptions{Journal: j})
 	j.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,9 @@ import (
 // RunFunc executes the self-test procedure in a fixed environment with the
 // given injection plane and reports the final test signature plus whether
 // the run completed cleanly (halted without wedging or timing out).
-// Implementations passed to Simulate must be safe for concurrent calls: the
-// campaign fans out over worker goroutines. SimulateWith instead gives each
-// worker its own RunFunc, so a runner may own mutable state (a reusable
-// simulator arena).
+// Simulate gives each worker goroutine its own RunFunc, so a runner may own
+// mutable state (a reusable simulator arena); a stateless RunFunc may fill
+// every slot, in which case it must be safe for concurrent calls.
 type RunFunc func(p Plane) (sig uint32, ok bool)
 
 // SiteResult records one fault's outcome. Crashed runs record signature 0:
@@ -143,33 +142,7 @@ func Workers(n, sites int) int {
 	return n
 }
 
-// Simulate runs the full campaign: one golden run, then one run per fault
-// site, comparing signatures. A fault is detected when the signature
-// differs from the golden one or the run does not complete (a wedged or
-// deadlocked core fails its test by construction: the watchdog expires).
-// run must be safe for concurrent calls. workers <= 0 uses GOMAXPROCS.
-func Simulate(sites []Site, run RunFunc, workers int) Report {
-	runners := make([]RunFunc, Workers(workers, len(sites)))
-	for i := range runners {
-		runners[i] = run
-	}
-	return SimulateWith(sites, runners)
-}
-
-// SimulateWith is Simulate with one runner per worker goroutine: runner w
-// serves every site that worker claims, so a runner may own heavyweight
-// mutable state (one long-lived SoC arena per worker). The golden reference
-// comes from runners[0](None) on the calling goroutine before the workers
-// start. Sites are claimed through a shared atomic cursor — there is no
-// producer goroutine to serialise with — and each worker writes only its
-// claimed slots of Results, with the WaitGroup providing the final
-// happens-before edge to the caller.
-func SimulateWith(sites []Site, runners []RunFunc) Report {
-	rep, _ := SimulateOpts(sites, runners, SimOptions{})
-	return rep
-}
-
-// SimOptions tunes SimulateOpts beyond the defaults.
+// SimOptions tunes Simulate beyond the defaults.
 type SimOptions struct {
 	// Journal, when non-nil, supplies already-settled verdicts (those
 	// sites are not re-run) and records every newly settled one. The
@@ -272,13 +245,26 @@ func safeRun(run RunFunc, p Plane) (sig uint32, ok, panicked bool, msg, stack st
 	return
 }
 
-// SimulateOpts is the full-control campaign dispatcher behind Simulate and
-// SimulateWith. Every run — golden included — executes behind a recover
-// boundary: a panicking fault run settles the canonical Panicked verdict
-// for its site and the pool moves on; a panicking golden run yields
-// GoldenOK=false. The only errors are journal I/O or consistency failures,
-// reported after the campaign state they interrupt is already in rep.
-func SimulateOpts(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
+// Simulate runs the full campaign: one golden run, then one run per fault
+// site, comparing signatures. A fault is detected when the signature
+// differs from the golden one or the run does not complete (a wedged or
+// deadlocked core fails its test by construction: the watchdog expires).
+//
+// There is one worker goroutine per runner (size the slice with Workers):
+// runner w serves every site that worker claims, so a runner may own
+// heavyweight mutable state (one long-lived SoC arena per worker). The
+// golden reference comes from runners[0](None) on the calling goroutine
+// before the workers start. Sites are claimed through a shared atomic
+// cursor — there is no producer goroutine to serialise with — and each
+// worker writes only its claimed slots of Results, with the WaitGroup
+// providing the final happens-before edge to the caller.
+//
+// Every run — golden included — executes behind a recover boundary: a
+// panicking fault run settles the canonical Panicked verdict for its site
+// and the pool moves on; a panicking golden run yields GoldenOK=false. The
+// only errors are journal I/O or consistency failures, reported after the
+// campaign state they interrupt is already in rep.
+func Simulate(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 	j := opt.Journal
 	met := newSimMetrics(opt.Telemetry, len(runners))
 	golden, goldenOK, gpan, gmsg, gstack := safeRun(runners[0], None)

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"strings"
 	"testing"
+
+	"repro/internal/doccheck"
 )
 
 // TestExportedIdentifiersDocumented fails on any exported identifier in
@@ -14,50 +11,11 @@ import (
 // and internal/telemetry run, applied here because the serve package's
 // exported surface doubles as the service's wire-format documentation.
 func TestExportedIdentifiersDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	missing, err := doccheck.Undocumented(".")
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				checkDecl(t, fset, decl)
-			}
-		}
+	for _, m := range missing {
+		t.Error(m)
 	}
-}
-
-func checkDecl(t *testing.T, fset *token.FileSet, decl ast.Decl) {
-	t.Helper()
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if d.Name.IsExported() && d.Doc == nil {
-			t.Errorf("%s: exported func %s has no doc comment", fset.Position(d.Pos()), d.Name.Name)
-		}
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
-					t.Errorf("%s: exported type %s has no doc comment", fset.Position(s.Pos()), s.Name.Name)
-				}
-			case *ast.ValueSpec:
-				for _, name := range s.Names {
-					if name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
-						t.Errorf("%s: exported %s %s has no doc comment", fset.Position(name.Pos()), declKind(d.Tok), name.Name)
-					}
-				}
-			}
-		}
-	}
-}
-
-func declKind(tok token.Token) string {
-	if tok == token.CONST {
-		return "const"
-	}
-	return "var"
 }

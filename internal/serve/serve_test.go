@@ -126,6 +126,35 @@ func TestSpecBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpecContentAddressPinned pins the built universe size, cycle budget
+// and content key of a spread of specs to constants, so a change in how
+// campaigns are built — universe order, golden recording, budget formula,
+// fingerprint encoding — cannot silently orphan existing journals and
+// service stores. TestSpecBuildDeterministic only proves two builds in one
+// process agree.
+func TestSpecContentAddressPinned(t *testing.T) {
+	cases := []struct {
+		spec   Spec
+		sites  int
+		budget int64
+		key    string
+	}{
+		{Spec{Routine: "forwarding", Core: 0, Strategy: "plain", BitStep: 8}, 168, 31480, "36731c1f34f204df"},
+		{Spec{Routine: "forwarding", Core: 2, Strategy: "cache", Multicore: true, BitStep: 8, Faults: "transition"}, 288, 55160, "b58b7979e9de6ad8"},
+		{Spec{Routine: "icu", Core: 1, Strategy: "tcm", Multicore: true}, 48, 215592, "3755ca32a6cbd8fa"},
+	}
+	for _, tc := range cases {
+		c, err := tc.spec.Build()
+		if err != nil {
+			t.Fatalf("%+v: Build: %v", tc.spec, err)
+		}
+		if len(c.Sites) != tc.sites || c.Budget != tc.budget || c.Header.Key() != tc.key {
+			t.Errorf("%+v: %d sites, budget %d, key %s; want %d sites, budget %d, key %s",
+				tc.spec, len(c.Sites), c.Budget, c.Header.Key(), tc.sites, tc.budget, tc.key)
+		}
+	}
+}
+
 func TestSpecNormalizeRejects(t *testing.T) {
 	cases := []Spec{
 		{Core: 7},

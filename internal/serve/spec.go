@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -72,38 +71,25 @@ func (s Spec) Normalized() (Spec, error) {
 	return s, nil
 }
 
-// Campaign is one fully built campaign: the replay environment, the job
-// under test, the ordered fault universe, the per-run cycle budget and the
-// content-addressed identity. It is what the server fingerprints at
-// submission and what a worker simulates shards of — both sides build it
-// from the same Spec, so they agree bit for bit.
+// Campaign is one fully built campaign: the normalized spec plus the
+// recorded core.Campaign — replay environment, job under test, ordered
+// fault universe, per-run cycle budget and content address. It is what the
+// server fingerprints at submission and what a worker simulates shards of
+// — both sides build it from the same Spec, so they agree bit for bit.
 type Campaign struct {
 	// Spec is the normalized request this campaign was built from.
 	Spec Spec
-	// Cfg is the replay SoC configuration (recorded golden bus traffic
-	// feeding dedicated replay masters).
-	Cfg soc.Config
-	// Core is the core under test.
-	Core int
-	// Job is the core under test's routine + strategy job.
-	Job *core.CoreJob
-	// Sites is the ordered fault universe.
-	Sites []fault.Site
-	// Budget is the per-run cycle budget (8x the golden run plus slack).
-	Budget int64
-	// Header is the campaign's content address
-	// (core.CampaignFingerprint over program, universe and environment).
-	Header fault.JournalHeader
+	*core.Campaign
 }
 
 // Build constructs the campaign: routines and strategy for every active
-// core, the fault universe, one golden full-system run recording the other
-// cores' bus traffic, and the replay environment and budget derived from
-// it. Construction is deterministic — two Builds of one normalized Spec
-// (in any process) produce identical programs, universes, traffic and
-// fingerprints. This is the exact construction cmd/faultsim performs, so
-// a service job and a local faultsim run of the same spec are the same
-// pure function.
+// core and the fault universe, then core.Record's golden full-system run
+// recording the other cores' bus traffic, and the replay environment,
+// budget and fingerprint derived from it. Construction is deterministic —
+// two Builds of one normalized Spec (in any process) produce identical
+// programs, universes, traffic and fingerprints. This is the exact
+// construction cmd/faultsim performs, so a service job and a local
+// faultsim run of the same spec are the same pure function.
 func (s Spec) Build() (*Campaign, error) {
 	spec, err := s.Normalized()
 	if err != nil {
@@ -134,17 +120,15 @@ func (s Spec) Build() (*Campaign, error) {
 	}
 	opts := fault.ListOptions{DataBits: bits, BitStep: spec.BitStep}
 	var sites []fault.Site
-	switch spec.Routine {
-	case "forwarding":
-		sites = fault.ForwardingLogic(opts)
-	case "hdcu":
-		sites = fault.HDCU(opts)
-		sites = append(sites, fault.PerfCounters(opts)...)
-	case "icu":
-		sites = fault.ICU(opts)
-	}
-	if spec.Faults == "transition" {
+	switch {
+	case spec.Faults == "transition": // Normalized: forwarding only
 		sites = fault.TransitionFaults(opts)
+	case spec.Routine == "forwarding":
+		sites = fault.ForwardingLogic(opts)
+	case spec.Routine == "hdcu":
+		sites = append(fault.HDCU(opts), fault.PerfCounters(opts)...)
+	case spec.Routine == "icu":
+		sites = fault.ICU(opts)
 	}
 	fault.SortSites(sites)
 	if len(sites) == 0 {
@@ -178,33 +162,9 @@ func (s Spec) Build() (*Campaign, error) {
 		}
 	}
 
-	// Golden run with traffic recording.
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(cfg, jobs, 10_000_000, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(spec.Core)
-	})
+	c, err := core.Record(cfg, jobs, spec.Core, sites)
 	if err != nil {
-		return nil, fmt.Errorf("serve: golden run: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	golden := results[spec.Core]
-	if !golden.OK {
-		return nil, fmt.Errorf("serve: golden run failed on core %d", spec.Core)
-	}
-	budget := golden.Cycles*8 + 20_000
-	replayCfg := cfg
-	replayCfg.Replay = rec.EventsByMaster()
-
-	header, err := core.CampaignFingerprint(replayCfg, spec.Core, jobs[spec.Core], sites, budget)
-	if err != nil {
-		return nil, fmt.Errorf("serve: fingerprint: %w", err)
-	}
-	return &Campaign{
-		Spec:   spec,
-		Cfg:    replayCfg,
-		Core:   spec.Core,
-		Job:    jobs[spec.Core],
-		Sites:  sites,
-		Budget: budget,
-		Header: header,
-	}, nil
+	return &Campaign{Spec: spec, Campaign: c}, nil
 }
