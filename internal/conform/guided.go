@@ -34,17 +34,6 @@ type FuzzOptions struct {
 	// program found while fuzzing.
 	CorpusDir string
 
-	// FreshFrac floors the adaptive fresh fraction: guided runs start fully
-	// fresh (pure exploration) and decay towards this floor as fresh
-	// programs stop producing new coverage, shifting the budget to
-	// mutation; 0 means the default 0.35.
-	FreshFrac float64
-
-	// PerturbFrac is the fraction of fresh programs generated with
-	// rng-perturbed distribution knobs instead of the deterministic
-	// seed-sweep config; 0 means the default 0.5.
-	PerturbFrac float64
-
 	// Random disables guidance: every iteration generates a fresh seed-swept
 	// program and nothing is kept or mutated. Coverage is still collected,
 	// which makes Random the baseline the guided mode is measured against.
@@ -96,15 +85,15 @@ func newFuzzMetrics(reg *telemetry.Registry) fuzzMetrics {
 	}
 }
 
-func (o FuzzOptions) withDefaults() FuzzOptions {
-	if o.FreshFrac <= 0 {
-		o.FreshFrac = 0.35
-	}
-	if o.PerturbFrac <= 0 {
-		o.PerturbFrac = 0.5
-	}
-	return o
-}
+// freshFrac floors the adaptive fresh fraction: guided runs start fully
+// fresh (pure exploration) and decay towards this floor as fresh programs
+// stop producing new coverage, shifting the budget to mutation.
+const freshFrac = 0.35
+
+// perturbFrac is the fraction of fresh programs generated with
+// rng-perturbed distribution knobs instead of the deterministic seed-sweep
+// config.
+const perturbFrac = 0.5
 
 // frontierWindow is how many of the newest corpus entries the biased
 // parent pick draws from: fresh discoveries get mutated while they are
@@ -165,7 +154,6 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 	if !s.Guidable() {
 		panic("conform: Fuzz on a non-program scenario")
 	}
-	opts = opts.withDefaults()
 	// The mutation stream is seeded from the base seed, so a guided run is
 	// fully reproducible from its command line.
 	rng := rand.New(rand.NewSource(seed ^ 0x636f7665726167)) // "coverag"
@@ -255,7 +243,7 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 			sd := nextSeed
 			nextSeed++
 			cfg := s.spec.cfgFor(sd)
-			if !opts.Random && rng.Float64() < opts.PerturbFrac {
+			if !opts.Random && rng.Float64() < perturbFrac {
 				cfg = progen.PerturbKnobs(rng, cfg)
 			}
 			p = progen.Generate(sd, cfg)
@@ -286,8 +274,8 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 		if fresh && !opts.Random {
 			if gained {
 				freshP = 1.0
-			} else if freshP *= 0.85; freshP < opts.FreshFrac {
-				freshP = opts.FreshFrac
+			} else if freshP *= 0.85; freshP < freshFrac {
+				freshP = freshFrac
 			}
 		}
 		if gained && !opts.Random {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/soc"
 )
 
 // Delay-fault extension — the paper's future-work note made concrete:
@@ -15,62 +13,17 @@ import (
 // to issue-packet reshuffling than stuck-at coverage. This experiment runs
 // the Table II sweep with the transition-fault universe.
 
-// DelayRow is one core's delay-fault results.
-type DelayRow struct {
-	Core      string
-	Faults    int
-	MinFC     float64 // plain multi-core execution, across scenarios
-	MaxFC     float64
-	CacheFC   float64 // cache-based strategy
-	Scenarios int
-}
+// DelayRow is one core's delay-fault results: MinFC/MaxFC span the plain
+// multi-core scenarios, CacheFC is the cache-based strategy.
+type DelayRow = TableIIRow
 
 // DelayFaults runs the transition-fault campaigns.
 func DelayFaults(o Options) ([]DelayRow, error) {
 	defer o.span("delay")()
-	var rows []DelayRow
-	for id := 0; id < soc.NumCores; id++ {
-		bits := 32
-		if id == 2 {
-			bits = 64
-		}
+	return forwardingSweep(o, "delay ", func(bits int) []fault.Site {
 		step := o.bitStep() * 2 // transition campaigns run two kinds per line
-		sites := fault.TransitionFaults(fault.ListOptions{DataBits: bits, BitStep: step})
-		fault.SortSites(sites)
-
-		var reports []fault.Report
-		for _, spec := range tableIIScenarios(o.Quick) {
-			if id >= spec.active {
-				continue
-			}
-			c := newCampaign(o, id, baseConfig(spec.active, false),
-				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false))
-			rep, err := c.run(sites)
-			if err != nil {
-				return nil, fmt.Errorf("delay core %s: %w", coreName(id), err)
-			}
-			reports = append(reports, rep)
-		}
-		mm := fault.NewMinMax(reports)
-
-		spec := scenarioSpec{active: 3, pos: soc.CodeLow, pad: 0}
-		c := newCampaign(o, id, baseConfig(3, true),
-			forwardingJobs(id, spec,
-				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false))
-		cacheRep, err := c.run(sites)
-		if err != nil {
-			return nil, fmt.Errorf("delay core %s cached: %w", coreName(id), err)
-		}
-		rows = append(rows, DelayRow{
-			Core:      coreName(id),
-			Faults:    len(sites),
-			MinFC:     mm.Min,
-			MaxFC:     mm.Max,
-			CacheFC:   cacheRep.Coverage(),
-			Scenarios: len(reports),
-		})
-	}
-	return rows, nil
+		return fault.TransitionFaults(fault.ListOptions{DataBits: bits, BitStep: step})
+	})
 }
 
 // RenderDelay formats the extension results.

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -27,11 +25,6 @@ type Options struct {
 	// instead of the optimized default. Reports are bit-identical across
 	// modes; see core.CampaignOptions.Reference.
 	Reference bool
-	// JournalDir, when non-empty, journals every campaign's verdicts to a
-	// content-addressed file in this directory and resumes from whatever
-	// those files already settle — an interrupted table sweep re-runs only
-	// unsettled sites (see internal/fault's Journal).
-	JournalDir string
 	// CheckpointInterval controls golden-run checkpointing in the
 	// optimized campaign mode: 0 = automatic (derived from the cycle
 	// budget), negative = off, positive = interval in cycles. Reports are
@@ -47,8 +40,6 @@ type Options struct {
 	// Progress > 0 forwards a progress-line interval to every campaign;
 	// see core.CampaignOptions.Progress.
 	Progress time.Duration
-	// ProgressWriter receives the progress lines; nil means os.Stderr.
-	ProgressWriter io.Writer
 }
 
 // span times one table sweep: started on entry, the returned func records
@@ -215,14 +206,7 @@ func (c campaign) run(sites []fault.Site) (fault.Report, error) {
 	}
 	opt := core.CampaignOptions{Workers: c.opts.Workers, Reference: c.opts.Reference,
 		CheckpointInterval: c.opts.CheckpointInterval,
-		Telemetry:          c.opts.Telemetry, Events: c.opts.Events,
-		Progress: c.opts.Progress, ProgressWriter: c.opts.ProgressWriter}
-	if c.opts.JournalDir != "" {
-		// One content-addressed journal per campaign: resuming an
-		// interrupted sweep settles finished campaigns entirely from disk.
-		opt.Journal = filepath.Join(c.opts.JournalDir, "campaign-"+rc.Header.Key()+".journal")
-		opt.Resume = true
-	}
+		Telemetry:          c.opts.Telemetry, Events: c.opts.Events, Progress: c.opts.Progress}
 	rep, err := core.RunCampaignOpts(rc.Cfg, rc.Core, rc.Job, rc.Sites, rc.Budget, opt)
 	if err != nil {
 		return fault.Report{}, err
@@ -287,13 +271,23 @@ type TableIIRow struct {
 // TableII fault-grades the forwarding logic of each core.
 func TableII(o Options) ([]TableIIRow, error) {
 	defer o.span("table2")()
+	return forwardingSweep(o, "", func(bits int) []fault.Site {
+		return fault.ForwardingLogic(fault.ListOptions{DataBits: bits, BitStep: o.bitStep()})
+	})
+}
+
+// forwardingSweep fault-grades each core's forwarding logic over the
+// universe that universe(dataBits) lists: min-max coverage across the
+// plain multi-core scenarios plus one cache-based scenario. Errors carry
+// prefix ahead of the core label.
+func forwardingSweep(o Options, prefix string, universe func(bits int) []fault.Site) ([]TableIIRow, error) {
 	var rows []TableIIRow
 	for id := 0; id < soc.NumCores; id++ {
 		bits := 32
 		if id == 2 {
 			bits = 64
 		}
-		sites := fault.ForwardingLogic(fault.ListOptions{DataBits: bits, BitStep: o.bitStep()})
+		sites := universe(bits)
 		fault.SortSites(sites)
 
 		// Without caches, without performance counters: coverage per
@@ -307,7 +301,7 @@ func TableII(o Options) ([]TableIIRow, error) {
 				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false))
 			rep, err := c.run(sites)
 			if err != nil {
-				return nil, fmt.Errorf("core %s: %w", coreName(id), err)
+				return nil, fmt.Errorf("%score %s: %w", prefix, coreName(id), err)
 			}
 			reports = append(reports, rep)
 		}
@@ -321,7 +315,7 @@ func TableII(o Options) ([]TableIIRow, error) {
 				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false))
 		cacheRep, err := c.run(sites)
 		if err != nil {
-			return nil, fmt.Errorf("core %s cached: %w", coreName(id), err)
+			return nil, fmt.Errorf("%score %s cached: %w", prefix, coreName(id), err)
 		}
 
 		rows = append(rows, TableIIRow{

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -91,15 +90,18 @@ type journalLine struct {
 	Stack    string `json:"stack,omitempty"`
 }
 
-// settledEntry is one loaded verdict (Site left zero; Simulate fills
-// it from the universe the indices are authenticated against).
+// settledEntry is one settled verdict, loaded or recorded (Site left zero;
+// the caller fills it from the universe the indices are authenticated
+// against).
 type settledEntry struct {
 	res        SiteResult
 	msg, stack string
 }
 
-// Journal is an open verdict journal. Record is safe for concurrent use
-// (the campaign's worker pool appends from many goroutines).
+// Journal is an open verdict journal and the campaign's one verdict table:
+// it holds every verdict it loaded or recorded. Its methods are safe for
+// concurrent use (the campaign's worker pool reads and appends from many
+// goroutines).
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -273,29 +275,25 @@ func (j *Journal) BindGolden(sig uint32, ok bool) error {
 // SiteResult carries a zero Site; the caller owns the universe and fills
 // it in.
 func (j *Journal) Settled(i int) (res SiteResult, msg, stack string, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	e, ok := j.settled[i]
 	return e.res, e.msg, e.stack, ok
 }
 
-// SettledCount returns how many sites the journal already settles.
-func (j *Journal) SettledCount() int { return len(j.settled) }
-
-// SettledIndices returns the sorted site indices the journal already
-// settles — the shard-completion state a campaign service derives its
-// cache hits from.
-func (j *Journal) SettledIndices() []int {
-	out := make([]int, 0, len(j.settled))
-	for i := range j.settled {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+// SettledCount returns how many sites the journal settles.
+func (j *Journal) SettledCount() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.settled)
 }
 
 // Unsettled returns the sorted site indices within [lo, hi) that the
 // journal does not yet settle. A shard is complete exactly when this is
 // empty.
 func (j *Journal) Unsettled(lo, hi int) []int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var out []int
 	for i := lo; i < hi; i++ {
 		if _, ok := j.settled[i]; !ok {
@@ -323,11 +321,11 @@ func (j *Journal) Header() JournalHeader { return j.header }
 // Dropped returns how many torn trailing lines were discarded on load.
 func (j *Journal) Dropped() int { return j.dropped }
 
-// Record appends site i's verdict. Safe for concurrent use.
+// Record appends site i's verdict and adds it to the journal's table.
 func (j *Journal) Record(i int, r SiteResult, msg, stack string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.append(journalLine{
+	err := j.append(journalLine{
 		Kind:     "site",
 		Index:    i,
 		Site:     r.Site.String(),
@@ -338,6 +336,12 @@ func (j *Journal) Record(i int, r SiteResult, msg, stack string) error {
 		Msg:      msg,
 		Stack:    stack,
 	})
+	if err != nil {
+		return err
+	}
+	r.Site = Site{}
+	j.settled[i] = settledEntry{res: r, msg: msg, stack: stack}
+	return nil
 }
 
 // Close releases the journal file. The journal remains resumable.

@@ -58,6 +58,10 @@ func TestJournalShardState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The writer's own table reflects its records without a reload.
+	if got, want := j.Unsettled(0, 10), []int{0, 2, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("writer Unsettled(0,10) = %v, want %v", got, want)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +71,8 @@ func TestJournalShardState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got, want := r.SettledIndices(), []int{1, 3, 4, 9}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SettledIndices = %v, want %v", got, want)
+	if got, want := r.Unsettled(0, 10), []int{0, 2, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Unsettled(0,10) = %v, want %v", got, want)
 	}
 	if got, want := r.Unsettled(0, 5), []int{0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Unsettled(0,5) = %v, want %v", got, want)

@@ -11,7 +11,8 @@
 // them over the wire: the Spec is the wire format.
 //
 // The server folds previously settled verdicts in from a content-addressed
-// Store (one fault.Journal per campaign fingerprint), shards the remainder
+// store directory (one fault.Journal per campaign fingerprint, which is
+// also the job's verdict table while it runs), shards the remainder
 // of the universe (fault.ShardRanges), and leases shards to workers over
 // the shard protocol (protocol.go). Workers stream verdict batches as
 // sites settle; every verdict is journaled before it is counted, so a

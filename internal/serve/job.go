@@ -72,9 +72,10 @@ func newJobMetrics(reg *telemetry.Registry) jobMetrics {
 }
 
 // job is one submitted campaign: the built campaign, the store journal
-// backing its settled state, the shard table, and the job-scoped telemetry
-// surface (event buffer + registry). All mutable fields are guarded by the
-// owning Server's mutex.
+// that is its verdict table (settled set, verdicts and golden), the shard
+// table, and the job-scoped telemetry surface (event buffer + registry,
+// whose counters are the job's from-cache/simulated/detected tallies). All
+// mutable fields are guarded by the owning Server's mutex.
 type job struct {
 	id      string
 	key     string
@@ -84,18 +85,6 @@ type job struct {
 
 	state jobState
 	err   string
-
-	settled   []bool // per-site settled flags (journal + streamed)
-	results   []fault.SiteResult
-	nSettled  int
-	fromCache int
-	simulated int
-	detected  int
-	panics    int
-
-	goldenSig   uint32
-	goldenOK    bool
-	goldenBound bool
 
 	report []byte // final report JSON, rendered at completion
 
@@ -132,39 +121,26 @@ func (j *job) status(now time.Time) JobStatus {
 		State:      j.state.String(),
 		Error:      j.err,
 		Sites:      len(j.c.Sites),
-		Settled:    j.nSettled,
-		FromCache:  j.fromCache,
-		Simulated:  j.simulated,
-		Detected:   j.detected,
+		Settled:    j.journal.SettledCount(),
+		FromCache:  int(j.met.fromCache.Value()),
+		Simulated:  int(j.met.simulated.Value()),
+		Detected:   int(j.met.detected.Value()),
 		Shards:     len(j.shards),
 		ShardsDone: j.shardsDone(),
 		ElapsedNs:  elapsed.Nanoseconds(),
 	}
 }
 
-// settle folds one verdict into the job state (idempotent per site) and
-// emits its site event. Caller holds the server mutex and has already
-// journaled the verdict when it came from a worker.
+// settle counts one newly settled verdict and emits its site event. Caller
+// holds the server mutex; the verdict is already in the journal.
 func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
-	if j.settled[i] {
-		return
-	}
-	j.settled[i] = true
-	j.results[i] = res
-	j.nSettled++
 	if fromCache {
-		j.fromCache++
 		j.met.fromCache.Inc()
 	} else {
-		j.simulated++
 		j.met.simulated.Inc()
 	}
 	if res.Detected {
-		j.detected++
 		j.met.detected.Inc()
-	}
-	if res.Panicked {
-		j.panics++
 	}
 	j.events.Emit(telemetry.Event{
 		Kind:        telemetry.EventSite,
@@ -178,19 +154,21 @@ func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 	})
 }
 
-// assembleReport builds the final fault.Report from the settled verdicts.
-// Anomaly stacks are not reassembled — like `faultsim -report`, the
-// service report carries the verdict set, which is the byte-comparable
-// part.
+// assembleReport builds the final fault.Report from the journal. Anomaly
+// stacks are not reassembled — like `faultsim -report`, the service report
+// carries the verdict set, which is the byte-comparable part.
 func (j *job) assembleReport() fault.Report {
+	sig, ok, _ := j.journal.Golden()
 	rep := fault.Report{
-		Golden:   j.goldenSig,
-		GoldenOK: j.goldenOK,
+		Golden:   sig,
+		GoldenOK: ok,
 		Total:    len(j.c.Sites),
 		Results:  make([]fault.SiteResult, len(j.c.Sites)),
 	}
-	copy(rep.Results, j.results)
-	for _, res := range rep.Results {
+	for i, site := range j.c.Sites {
+		res, _, _, _ := j.journal.Settled(i)
+		res.Site = site
+		rep.Results[i] = res
 		if res.Detected {
 			rep.Detected++
 		}

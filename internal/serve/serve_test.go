@@ -340,6 +340,85 @@ func TestMidShardResume(t *testing.T) {
 	}
 }
 
+// postPartialShard plays a worker that dies mid-shard: it leases a shard,
+// simulates it locally for honest verdicts, and posts only the first n.
+func postPartialShard(t *testing.T, base string, spec Spec, n int) {
+	t.Helper()
+	var lease Lease
+	body, _ := json.Marshal(LeaseRequest{Worker: "doomed"})
+	resp, err := http.Post(base+"/v1/lease", "application/json", bytes.NewReader(body))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease: %v %v", err, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+		t.Fatalf("lease decode: %v", err)
+	}
+	resp.Body.Close()
+	c, err := spec.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	sub := c.Sites[lease.Shard.Lo:lease.Shard.Hi]
+	rep, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, sub, c.Budget, core.CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("RunCampaignOpts: %v", err)
+	}
+	batch := VerdictBatch{Worker: "doomed", Golden: rep.Golden, GoldenOK: rep.GoldenOK}
+	for k, r := range rep.Results[:n] {
+		batch.Verdicts = append(batch.Verdicts, Verdict{
+			I: lease.Shard.Lo + k, Sig: r.Signature,
+			Detected: r.Detected, Crashed: r.Crashed, Panicked: r.Panicked,
+		})
+	}
+	body, _ = json.Marshal(batch)
+	resp, err = http.Post(fmt.Sprintf("%s/v1/jobs/%s/shards/%s/verdicts", base, lease.Job, lease.Shard),
+		"application/json", bytes.NewReader(body))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("partial batch: %v %v", err, resp.Status)
+	}
+	resp.Body.Close()
+}
+
+// TestServerRestartResumes pins the "Server SIGKILL" contract of
+// docs/SERVICE.md: verdicts journaled before the server goes away are
+// cache hits when the same spec is resubmitted to a new server on the same
+// store, and the resumed job converges on the direct run's report.
+func TestServerRestartResumes(t *testing.T) {
+	spec := quickSpec()
+	want := directReport(t, spec)
+	dir := t.TempDir()
+	const posted = 3
+
+	first, hs := startServer(t, Config{StoreDir: dir, ShardSize: 7})
+	submit(t, hs.URL, spec, "")
+	postPartialShard(t, hs.URL, spec, posted)
+	hs.Close()
+	if err := first.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	_, hs2 := startServer(t, Config{StoreDir: dir, ShardSize: 7})
+	st := submit(t, hs2.URL, spec, "")
+	if st.State != "running" || st.FromCache != posted || st.Simulated != 0 {
+		t.Fatalf("resubmitted after restart: state %q fromCache %d simulated %d, want running/%d/0",
+			st.State, st.FromCache, st.Simulated, posted)
+	}
+	w := &Worker{Server: hs2.URL, Name: "healthy", Workers: 2, Drain: true}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	var done JobStatus
+	getJSON(t, hs2.URL, "/v1/jobs/"+st.ID, &done)
+	if done.State != "done" || done.Simulated != done.Sites-posted {
+		t.Fatalf("job state %q (error %q) simulated %d of %d, want done with %d simulated",
+			done.State, done.Error, done.Simulated, done.Sites, done.Sites-posted)
+	}
+	code, got := getRaw(t, hs2.URL, "/v1/jobs/"+st.ID+"/report")
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("report after restart differs from direct run (code %d)", code)
+	}
+}
+
 // TestGoldenMismatchFailsJob pins the determinism contract: a worker whose
 // golden does not reproduce the already-bound one fails the job loudly
 // instead of mixing verdicts from two environments.

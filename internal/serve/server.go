@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +17,15 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// StoreDir is the content-addressed store directory (required).
+	// StoreDir is the content-addressed store directory (required): one
+	// verdict journal per campaign, named <key>.journal after
+	// fault.JournalHeader.Key(). The key hashes program image, fault
+	// universe, environment and universe size together, so two requests
+	// share a journal exactly when they are the same pure function, and
+	// ResumeJournal re-verifies the full header on open. A job's settled
+	// state is its journal, which is what makes completed shards — and
+	// whole campaigns — cache hits across jobs, server restarts and worker
+	// losses.
 	StoreDir string
 	// ShardSize is the shard width in sites; <= 0 means DefaultShardSize.
 	ShardSize int
@@ -78,11 +88,10 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 // faultsim run. All job state is guarded by one mutex; simulation happens
 // only in workers, so the critical sections are bookkeeping-sized.
 type Server struct {
-	cfg   Config
-	store *Store
-	reg   *telemetry.Registry
-	met   poolMetrics
-	mux   *http.ServeMux
+	cfg Config
+	reg *telemetry.Registry
+	met poolMetrics
+	mux *http.ServeMux
 
 	mu    sync.Mutex
 	seq   int
@@ -100,9 +109,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultLease
 	}
-	store, err := OpenStore(cfg.StoreDir)
-	if err != nil {
-		return nil, err
+	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: store: %w", err)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -110,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		store: store,
 		reg:   reg,
 		met:   newPoolMetrics(reg),
 		jobs:  map[string]*job{},
@@ -231,7 +238,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // journaled verdicts in as cache hits; a fully settled store completes the
 // job before it ever reaches a worker. Caller holds the server mutex.
 func (s *Server) newJob(c *Campaign, key string) (*job, error) {
-	journal, err := s.store.Open(c.Header)
+	journal, err := fault.ResumeJournal(filepath.Join(s.cfg.StoreDir, key+".journal"), c.Header)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +249,6 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 		key:     key,
 		c:       c,
 		journal: journal,
-		settled: make([]bool, len(c.Sites)),
-		results: make([]fault.SiteResult, len(c.Sites)),
 		events:  telemetry.NewEventBuffer(),
 		reg:     reg,
 		met:     newJobMetrics(reg),
@@ -257,15 +262,13 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 	j.met.shards.Set(int64(len(j.shards)))
 	j.events.Emit(telemetry.Event{Kind: telemetry.EventStart, Sites: len(c.Sites)})
 
-	if sig, ok, bound := journal.Golden(); bound {
-		j.goldenSig, j.goldenOK, j.goldenBound = sig, ok, true
+	for i, site := range c.Sites {
+		if res, _, _, ok := journal.Settled(i); ok {
+			res.Site = site
+			j.settle(i, res, true)
+		}
 	}
-	for _, i := range journal.SettledIndices() {
-		res, _, _, _ := journal.Settled(i)
-		res.Site = c.Sites[i]
-		j.settle(i, res, true)
-	}
-	s.met.sitesFromCache.Add(int64(j.fromCache))
+	s.met.sitesFromCache.Add(j.met.fromCache.Value())
 	for _, sh := range j.shards {
 		if len(journal.Unsettled(sh.r.Lo, sh.r.Hi)) == 0 {
 			sh.state = shardDone
@@ -279,10 +282,10 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 	s.byKey[key] = j
 	s.met.jobsRunning.Set(int64(len(s.byKey)))
 
-	if j.nSettled == len(c.Sites) {
+	if journal.SettledCount() == len(c.Sites) {
 		// Full cache hit: every site is already journaled, so the job
 		// completes at submission without a single simulated run.
-		if !j.goldenBound {
+		if _, _, bound := journal.Golden(); !bound {
 			s.failJob(j, "store journal settles every site but binds no golden")
 		} else {
 			s.finishJob(j)
@@ -306,15 +309,15 @@ func (s *Server) finishJob(j *job) {
 	j.events.Emit(telemetry.Event{
 		Kind:          telemetry.EventFinish,
 		Sites:         len(j.c.Sites),
-		Settled:       int64(j.nSettled),
-		DetectedTotal: int64(j.detected),
+		Settled:       int64(j.journal.SettledCount()),
+		DetectedTotal: j.met.detected.Value(),
 		ElapsedNs:     j.finished.Sub(j.created).Nanoseconds(),
 	})
 	j.events.Close()
 	_ = j.journal.Close()
 	s.retireJob(j)
 	s.met.jobsCompleted.Inc()
-	if j.simulated == 0 {
+	if j.met.simulated.Value() == 0 {
 		s.met.jobsFullyCached.Inc()
 	}
 }
@@ -500,7 +503,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			s.met.shardsLeased.Inc()
 			var settled []int
 			for i := sh.r.Lo; i < sh.r.Hi; i++ {
-				if j.settled[i] {
+				if _, _, _, ok := j.journal.Settled(i); ok {
 					settled = append(settled, i)
 				}
 			}
@@ -587,16 +590,8 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	// first worker's golden is journaled; any later golden must reproduce
 	// it, or the campaign's determinism contract is broken and the job
 	// fails loudly rather than mixing verdicts from two environments.
-	if !j.goldenBound {
-		if err := j.journal.BindGolden(batch.Golden, batch.GoldenOK); err != nil {
-			s.failJob(j, "binding golden: %v", err)
-			httpError(w, http.StatusConflict, "%s", j.err)
-			return
-		}
-		j.goldenSig, j.goldenOK, j.goldenBound = batch.Golden, batch.GoldenOK, true
-	} else if batch.Golden != j.goldenSig || batch.GoldenOK != j.goldenOK {
-		s.failJob(j, "worker %q golden %08x/%v does not reproduce the journaled %08x/%v",
-			batch.Worker, batch.Golden, batch.GoldenOK, j.goldenSig, j.goldenOK)
+	if err := j.journal.BindGolden(batch.Golden, batch.GoldenOK); err != nil {
+		s.failJob(j, "worker %q: %v", batch.Worker, err)
 		httpError(w, http.StatusConflict, "%s", j.err)
 		return
 	}
@@ -606,13 +601,13 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "verdict %d outside shard %s", v.I, sh.r)
 			return
 		}
-		if v.Detected != (v.Crashed || v.Sig != j.goldenSig) {
+		if v.Detected != (v.Crashed || v.Sig != batch.Golden) {
 			httpError(w, http.StatusBadRequest,
 				"verdict %d inconsistent: detected=%v with sig %08x, crashed=%v against golden %08x",
-				v.I, v.Detected, v.Sig, v.Crashed, j.goldenSig)
+				v.I, v.Detected, v.Sig, v.Crashed, batch.Golden)
 			return
 		}
-		if j.settled[v.I] {
+		if _, _, _, ok := j.journal.Settled(v.I); ok {
 			continue
 		}
 		res := fault.SiteResult{
@@ -643,19 +638,14 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 // finishes the job when it was the last shard. Caller holds the server
 // mutex; j is running.
 func (s *Server) completeShard(j *job, sh *shard) {
-	if sh.state == shardDone {
+	if sh.state == shardDone || len(j.journal.Unsettled(sh.r.Lo, sh.r.Hi)) > 0 {
 		return
-	}
-	for i := sh.r.Lo; i < sh.r.Hi; i++ {
-		if !j.settled[i] {
-			return
-		}
 	}
 	sh.state = shardDone
 	sh.worker = ""
 	s.met.shardsCompleted.Inc()
 	j.met.shardsDone.Set(int64(j.shardsDone()))
-	if j.nSettled == len(j.c.Sites) {
+	if j.journal.SettledCount() == len(j.c.Sites) {
 		s.finishJob(j)
 	}
 }
@@ -686,13 +676,8 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sh.state != shardDone {
-		n := 0
-		for i := sh.r.Lo; i < sh.r.Hi; i++ {
-			if !j.settled[i] {
-				n++
-			}
-		}
-		httpError(w, http.StatusConflict, "shard %s has %d unsettled sites", sh.r, n)
+		httpError(w, http.StatusConflict, "shard %s has %d unsettled sites",
+			sh.r, len(j.journal.Unsettled(sh.r.Lo, sh.r.Hi)))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status(time.Now()))

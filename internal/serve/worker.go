@@ -33,12 +33,6 @@ type Worker struct {
 	// Drain exits Run successfully on the first idle poll instead of
 	// waiting for more work — the batch-mode switch CI uses.
 	Drain bool
-	// BatchSize flushes a verdict batch when it reaches this many
-	// verdicts; <= 0 means DefaultBatchSize.
-	BatchSize int
-	// FlushInterval flushes a non-empty verdict batch at least this
-	// often; <= 0 means DefaultFlushInterval.
-	FlushInterval time.Duration
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
 	// Telemetry, when non-nil, receives the worker-side metrics and is
@@ -53,11 +47,12 @@ type Worker struct {
 // DefaultPoll is the default idle re-poll interval.
 const DefaultPoll = 500 * time.Millisecond
 
-// DefaultBatchSize is the default verdict-batch flush threshold.
-const DefaultBatchSize = 64
-
-// DefaultFlushInterval is the default verdict-batch flush interval.
-const DefaultFlushInterval = 200 * time.Millisecond
+// A verdict batch is flushed when it reaches batchSize verdicts, and a
+// non-empty one at least every flushInterval.
+const (
+	batchSize     = 64
+	flushInterval = 200 * time.Millisecond
+)
 
 // client returns the configured HTTP client.
 func (w *Worker) client() *http.Client {
@@ -181,7 +176,7 @@ type verdictPoster struct {
 
 // add queues one verdict and wakes the poster when the batch threshold is
 // reached. Safe for concurrent use from arena workers.
-func (p *verdictPoster) add(v Verdict, batchSize int) {
+func (p *verdictPoster) add(v Verdict) {
 	p.mu.Lock()
 	p.buf = append(p.buf, v)
 	full := len(p.buf) >= batchSize
@@ -221,9 +216,9 @@ func (p *verdictPoster) flush() {
 
 // loop is the poster goroutine: flush on wake (batch full), on the flush
 // interval, and once more on quit.
-func (p *verdictPoster) loop(interval time.Duration) {
+func (p *verdictPoster) loop() {
 	defer close(p.done)
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(flushInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -273,14 +268,6 @@ func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
 		}
 	}
 
-	batchSize := w.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	flushInterval := w.FlushInterval
-	if flushInterval <= 0 {
-		flushInterval = DefaultFlushInterval
-	}
 	p := &verdictPoster{
 		w:      w,
 		ctx:    ctx,
@@ -290,7 +277,7 @@ func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	go p.loop(flushInterval)
+	go p.loop()
 
 	simulated := w.Telemetry.Counter("worker_sites_simulated_total")
 	var runErr error
@@ -311,7 +298,7 @@ func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
 					Detected: res.Detected,
 					Crashed:  res.Crashed,
 					Panicked: res.Panicked,
-				}, batchSize)
+				})
 			},
 		})
 	}
