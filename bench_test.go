@@ -127,9 +127,8 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkDelayFaultExtension regenerates the transition-fault campaign
 // (the paper's future-work note implemented). Campaigns run with golden-run
 // checkpointing on by default: Transition runs skip the golden prefix
-// before their site's first activating edge, never-activating sites are
-// served the golden verdict outright, and exactly-re-converged runs jump
-// over provably-golden windows.
+// before their site's first activating edge, and never-activating sites
+// are served the golden verdict outright.
 func BenchmarkDelayFaultExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.DelayFaults(quick)

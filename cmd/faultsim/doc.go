@@ -13,8 +13,8 @@
 // Both modes keep one long-lived SoC per worker (program loaded once, each
 // fault run is reset + plane-swap). The default "arena" mode terminates
 // runs early once they observably diverge from the golden trace and stop
-// making progress, and fast-forwards transition runs over golden
-// checkpoints; "reference" simulates every run to the full watchdog budget
+// making progress, and starts transition runs from golden checkpoints;
+// "reference" simulates every run to the full watchdog budget
 // with no shortcuts — the semantics the optimized mode is differentially
 // pinned against. Both modes produce identical reports.
 package main

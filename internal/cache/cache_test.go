@@ -266,6 +266,21 @@ func TestTCMClientSingleCycle(t *testing.T) {
 	}
 }
 
+// TestTCMClientAllocationFree pins that a TCM access completes without a
+// heap allocation: the client's access buffer lives on its stack.
+func TestTCMClientAllocationFree(t *testing.T) {
+	cl := NewTCMClient(mem.NewTCM(1024), 0x3000_0000)
+	allocs := testing.AllocsPerRun(100, func() {
+		cl.Start(0x3000_0010, true, 0x55AA, 4)
+		cl.Tick()
+		cl.Start(0x3000_0010, false, 0, 4)
+		cl.Tick()
+	})
+	if allocs != 0 {
+		t.Errorf("TCM write + read allocated %v times, want 0", allocs)
+	}
+}
+
 func TestClientAlignment(t *testing.T) {
 	tcm := mem.NewTCM(1024)
 	cl := NewTCMClient(tcm, 0)

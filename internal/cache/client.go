@@ -339,7 +339,7 @@ func (b *Bypass) Reset() {
 // TCMClient serves a core-private tightly-coupled memory in a single cycle
 // without touching the bus.
 type TCMClient struct {
-	dev  mem.Device
+	dev  *mem.RAM
 	base uint32
 
 	pending bool
@@ -356,7 +356,7 @@ type TCMClient struct {
 }
 
 // NewTCMClient builds a client for dev mapped at base.
-func NewTCMClient(dev mem.Device, base uint32) *TCMClient {
+func NewTCMClient(dev *mem.RAM, base uint32) *TCMClient {
 	return &TCMClient{dev: dev, base: base}
 }
 
@@ -397,15 +397,14 @@ func (t *TCMClient) Tick() (bool, uint64) {
 	if t.addr+uint32(t.size) > t.dev.Size() {
 		return true, 0xFFFFFFFFFFFFFFFF // off the end: open bus
 	}
+	var buf [8]byte
 	if t.write {
-		var buf [8]byte
 		writeLE(buf[:], t.wdata, t.size)
 		t.dev.Write(t.addr, buf[:t.size])
 		return true, 0
 	}
-	buf := make([]byte, t.size)
-	t.dev.Read(t.addr, buf)
-	return true, readLE(buf, t.size)
+	t.dev.Read(t.addr, buf[:t.size])
+	return true, readLE(buf[:], t.size)
 }
 
 // TryAbort implements Client: a TCM access never reaches the bus.

@@ -5,21 +5,21 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"reflect"
 	"sync"
 	"time"
 
 	"repro/internal/archint"
 	"repro/internal/fault"
-	"repro/internal/isa"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
 
 // Arena is a reusable fault-simulation worker: one long-lived SoC with the
 // program assembled and loaded exactly once, serving thousands of fault runs
-// as reset + plane-swap instead of soc.New + reassemble + reload. The
-// per-run hot path is allocation-free.
+// as reset + plane-swap instead of soc.New + reassemble + reload. Reset,
+// Start and TCM accesses allocate nothing (TestResetStartAllocationFree,
+// TestTCMClientAllocationFree); what a run still allocates is the formatted
+// error isa.Decode builds for every undecodable word the run decodes.
 //
 // An Arena additionally supports early exit on observable divergence: during
 // construction it captures the golden run's observable trace (every
@@ -79,13 +79,6 @@ type Arena struct {
 	diverged  bool
 	lastObs   int64
 
-	// Per-run fast-forward state: the checkpoints past the running
-	// Transition site's last activating edge, against which stepRun
-	// compares the live SoC for exact re-convergence with the golden run
-	// (empty when the run is not eligible).
-	ffCks   []checkpoint
-	ffPlane *fault.Transition
-
 	// Failure-domain state. inRun is true while runOnce executes; finding
 	// it still set on the next Run means the previous run panicked out
 	// through the campaign's recover boundary. dead marks an arena whose
@@ -131,12 +124,6 @@ type ArenaStats struct {
 	CheckpointRuns int64
 	// GoldenServed counts sites served the golden verdict outright.
 	GoldenServed int64
-	// ConvergedRuns counts runs cut short by exact re-convergence with
-	// the golden run past the site's last activating edge.
-	ConvergedRuns int64
-	// Jumps counts provably-golden mid-run windows skipped by restoring
-	// a later checkpoint.
-	Jumps int64
 	// Dispatch classifies every site served through Run by the path that
 	// served it (fallback runs included).
 	Dispatch fault.DispatchStats
@@ -170,8 +157,6 @@ type arenaMetrics struct {
 	earlyExits   *telemetry.Counter
 	healthChecks *telemetry.Counter
 	quarantines  *telemetry.Counter
-	converged    *telemetry.Counter
-	jumps        *telemetry.Counter
 }
 
 // newArenaMetrics resolves the arena metric names once. Worker arenas
@@ -189,8 +174,6 @@ func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 	m.earlyExits = reg.Counter("arena_early_exits_total")
 	m.healthChecks = reg.Counter("arena_health_checks_total")
 	m.quarantines = reg.Counter("arena_quarantines_total")
-	m.converged = reg.Counter("arena_converged_runs_total")
-	m.jumps = reg.Counter("arena_jumps_total")
 	return m
 }
 
@@ -220,7 +203,7 @@ type obsEvent struct {
 type ArenaOptions struct {
 	// NoEarlyExit disables the divergence watchdogs; every run then uses
 	// the full cycle budget. Together with checkpointing off this is the
-	// reference mode: no early exit, no checkpoint fast-forward, no
+	// reference mode: no early exit, no checkpoint restore, no
 	// golden-verdict shortcut — the semantics every arena optimization is
 	// differentially pinned against.
 	NoEarlyExit bool
@@ -262,25 +245,9 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 		// stale cursor; plans force the full-replay path.
 		opt.CheckpointInterval = 0
 	}
-	prog, err := buildProgram(job)
+	a, err := newArenaSoC(cfg, id, job, budget, opt)
 	if err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	s := soc.New(cfg)
-	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	for _, r := range job.routines() {
-		loadRoutineData(s, r)
-	}
-	s.SealBaseline()
-
-	a := &Arena{s: s, id: id, entry: prog.Base, budget: budget, cfg: cfg, job: job, opt: opt,
-		met: newArenaMetrics(opt.Telemetry)}
-	s.Cores[id].Core.SetStoreObserver(a.observe)
-	if opt.Plan.Enabled() {
-		// The attachment survives Reset; the cursor rewinds with the core.
-		s.SetInjector(id, archint.NewInjector(opt.Plan))
+		return nil, err
 	}
 
 	// Golden capture run: records the observable trace and calibrates the
@@ -294,7 +261,7 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 	// reference to be equivalent to.
 	capturePlane := fault.Plane(fault.None)
 	if opt.CheckpointInterval > 0 {
-		a.probe = fault.NewMuxProbe(s.Cycle)
+		a.probe = fault.NewMuxProbe(a.s.Cycle)
 		capturePlane = a.probe
 	}
 	a.capturing = true
@@ -318,30 +285,39 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 // restorable into any identically-built SoC, so sharing ckpts across
 // workers is safe.
 func newArenaClone(proto *Arena) (*Arena, error) {
-	prog, err := buildProgram(proto.job)
+	a, err := newArenaSoC(proto.cfg, proto.id, proto.job, proto.budget, proto.opt)
 	if err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", proto.id, err)
+		return nil, err
 	}
-	s := soc.New(proto.cfg)
+	a.early, a.golden, a.hangLimit, a.floodCap = proto.early, proto.golden, proto.hangLimit, proto.floodCap
+	a.goldenRes, a.goldenOK, a.probe, a.ckpts = proto.goldenRes, proto.goldenOK, proto.probe, proto.ckpts
+	return a, nil
+}
+
+// newArenaSoC builds an arena without its golden-run state: a fresh SoC
+// over cfg with job's program and routine data loaded and the baseline
+// sealed, the store observer attached, any interrupt plan injected and the
+// metric handles resolved.
+func newArenaSoC(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions) (*Arena, error) {
+	prog, err := buildProgram(job)
+	if err != nil {
+		return nil, fmt.Errorf("arena core%d: %w", id, err)
+	}
+	s := soc.New(cfg)
 	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", proto.id, err)
+		return nil, fmt.Errorf("arena core%d: %w", id, err)
 	}
-	for _, r := range proto.job.routines() {
+	for _, r := range job.routines() {
 		loadRoutineData(s, r)
 	}
 	s.SealBaseline()
 
-	a := &Arena{
-		s: s, id: proto.id, entry: prog.Base, budget: proto.budget,
-		early: proto.early, cfg: proto.cfg, job: proto.job, opt: proto.opt,
-		golden: proto.golden, hangLimit: proto.hangLimit,
-		floodCap: proto.floodCap, goldenRes: proto.goldenRes,
-		goldenOK: proto.goldenOK, probe: proto.probe, ckpts: proto.ckpts,
-		met: newArenaMetrics(proto.opt.Telemetry),
-	}
-	s.Cores[a.id].Core.SetStoreObserver(a.observe)
-	if a.opt.Plan.Enabled() {
-		s.SetInjector(a.id, archint.NewInjector(a.opt.Plan))
+	a := &Arena{s: s, id: id, entry: prog.Base, budget: budget, cfg: cfg, job: job, opt: opt,
+		met: newArenaMetrics(opt.Telemetry)}
+	s.Cores[id].Core.SetStoreObserver(a.observe)
+	if opt.Plan.Enabled() {
+		// The attachment survives Reset; the cursor rewinds with the core.
+		s.SetInjector(id, archint.NewInjector(opt.Plan))
 	}
 	return a, nil
 }
@@ -512,53 +488,11 @@ func (a *Arena) runFrom(ck *checkpoint, t *fault.Transition) (sig uint32, ok, cu
 	}
 	t.SeedHistory(ck.hist.For(t.S))
 	s.SetPlane(a.id, t)
-	a.setupFastForward(t)
 	a.idx, a.count, a.diverged, a.lastObs = ck.obsIdx, ck.obsIdx, false, ck.lastObs
 	a.st.Runs++
 	a.st.CheckpointRuns++
 	a.path = fault.DispatchCheckpoint
 	return a.stepRun()
-}
-
-// setupFastForward arms re-convergence detection for a Transition run: at
-// every golden checkpoint the run passes, stepRun checks whether the
-// faulty SoC has exactly re-converged with the golden run — in which case
-// the run is provably golden-identical until the site's next activating
-// edge and can jump over the gap (or straight to the golden verdict when
-// no edge remains).
-func (a *Arena) setupFastForward(p fault.Plane) {
-	a.ffCks, a.ffPlane = nil, nil
-	t, isTransition := p.(*fault.Transition)
-	if !isTransition || a.probe == nil || !a.goldenOK {
-		return
-	}
-	cur := a.s.Cycle()
-	for i := range a.ckpts {
-		if a.ckpts[i].cycle > cur {
-			a.ffCks, a.ffPlane = a.ckpts[i:], t
-			return
-		}
-	}
-}
-
-// converged reports whether, at golden checkpoint ck (which the run has
-// just reached), the faulty run has exactly re-converged with the golden
-// run: divergence monitor in the golden position, plane edge history
-// matching the golden history on the faulty bit, and the full SoC state
-// bit-identical to the checkpoint. All three are required for the
-// continuation to be provably golden-identical up to the next activating
-// edge — the monitor condition also guarantees the skipped window cannot
-// trip a watchdog the full replay would have tripped differently.
-func (a *Arena) convergedAt(ck *checkpoint) bool {
-	if a.diverged || a.idx != ck.obsIdx || a.count != ck.obsIdx || a.lastObs != ck.lastObs {
-		return false
-	}
-	prev, seen := a.ffPlane.History()
-	hPrev, hSeen := ck.hist.For(a.ffPlane.S)
-	if seen != hSeen || (seen && (prev^hPrev)>>(a.ffPlane.S.Bit&63)&1 != 0) {
-		return false
-	}
-	return reflect.DeepEqual(a.s.Snapshot(), ck.state)
 }
 
 // runOnce executes one reset + plane-swap run from cycle 0. cut reports an
@@ -576,7 +510,6 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 	fault.ResetPlaneState(p)
 	s.SetPlane(a.id, p)
 	s.Start(a.id, a.entry)
-	a.setupFastForward(p)
 	a.idx, a.count, a.diverged, a.lastObs = 0, 0, false, 0
 	a.st.Runs++
 	return a.stepRun()
@@ -609,38 +542,6 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 			}
 			continue
 		}
-		if len(a.ffCks) > 0 && cycles >= a.ffCks[0].cycle {
-			ck := &a.ffCks[0]
-			a.ffCks = a.ffCks[1:]
-			if cycles == ck.cycle && a.convergedAt(ck) {
-				next := a.probe.NextActivation(a.ffPlane.S, cycles)
-				if next < 0 {
-					// No further activating edge: the rest of the run is
-					// the rest of the golden run.
-					a.ffCks = nil
-					a.st.ConvergedRuns++
-					a.met.converged.Inc()
-					a.path = fault.DispatchFastForward
-					a.last = a.goldenRes
-					return a.goldenRes.Signature, a.goldenRes.OK, false
-				}
-				if ck2 := a.checkpointBefore(next); ck2 != nil && ck2.cycle > cycles {
-					// Jump over the provably-golden window up to the last
-					// checkpoint before the next injection.
-					s.Restore(ck2.state)
-					a.ffPlane.SeedHistory(ck2.hist.For(a.ffPlane.S))
-					a.idx, a.count, a.diverged, a.lastObs =
-						ck2.obsIdx, ck2.obsIdx, false, ck2.lastObs
-					a.st.Jumps++
-					a.met.jumps.Inc()
-					a.path = fault.DispatchFastForward
-					cycles = s.Cycle()
-					for len(a.ffCks) > 0 && a.ffCks[0].cycle <= cycles {
-						a.ffCks = a.ffCks[1:]
-					}
-				}
-			}
-		}
 		if a.early {
 			if cycles-a.lastObs > a.hangLimit || (a.diverged && a.count > a.floodCap) {
 				aborted = true
@@ -651,19 +552,8 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 		}
 	}
 
-	u := s.Cores[a.id]
 	done := s.Done() && !aborted
-	a.last = RunResult{
-		Signature: u.Core.Reg(isa.RegSig),
-		OK:        done && !u.Core.Wedged(),
-		Wedged:    u.Core.Wedged(),
-		Cycles:    u.Core.Cycle(),
-		IFStall:   u.Core.Counter(fault.CntIFStall),
-		MemStall:  u.Core.Counter(fault.CntMemStall),
-		HazStall:  u.Core.Counter(fault.CntHazStall),
-		Issued2:   u.Core.Counter(fault.CntIssued2),
-		Instret:   u.Core.Counter(fault.CntInstret),
-	}
+	a.last = coreResult(s.Cores[a.id], done)
 	return a.last.Signature, a.last.OK, !done
 }
 
@@ -769,7 +659,7 @@ type CampaignOptions struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Reference runs the arenas in reference mode: full cycle budget per
-	// run (no early exit), no checkpoint fast-forward, no golden-verdict
+	// run (no early exit), no checkpoint restore, no golden-verdict
 	// shortcut. Reports are bit-identical to the optimized mode — that
 	// equivalence is what the conformance oracle checks over full
 	// universes. (The reference mode inherited its own pin from the
@@ -990,7 +880,6 @@ func campaignProgress(reg *telemetry.Registry, opt CampaignOptions, total int, s
 	settled := reg.Counter("campaign_sites_settled_total")
 	detected := reg.Counter("campaign_verdict_detected_total")
 	ckpt := reg.Counter("arena_dispatch_" + fault.DispatchCheckpoint.String() + "_total")
-	ff := reg.Counter("arena_dispatch_" + fault.DispatchFastForward.String() + "_total")
 	golden := reg.Counter("arena_dispatch_" + fault.DispatchGolden.String() + "_total")
 	return telemetry.StartTicker(opt.Progress, func() {
 		s := settled.Value()
@@ -1002,7 +891,7 @@ func campaignProgress(reg *telemetry.Registry, opt CampaignOptions, total int, s
 		}
 		hit := 0.0
 		if s > 0 {
-			hit = 100 * float64(ckpt.Value()+ff.Value()+golden.Value()) / float64(s)
+			hit = 100 * float64(ckpt.Value()+golden.Value()) / float64(s)
 		}
 		fmt.Fprintf(w, "progress: %d/%d sites, %.1f sites/s, ETA %s, %.0f%% checkpoint-hit\n",
 			s, total, rate, eta.Round(time.Second), hit)

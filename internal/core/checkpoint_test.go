@@ -76,9 +76,9 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 
 // TestArenaCheckpointedTransitionRunsMatchFreshSoC pins the checkpointed
 // fast path against rebuild-per-fault semantics: for a sample of transition sites, a
-// checkpointed arena run (golden-served, checkpoint-restored or
-// fast-forwarded) must reproduce the verdict of a freshly built SoC
-// simulating the same fault with the full budget.
+// checkpointed arena run (golden-served or checkpoint-restored) must
+// reproduce the verdict of a freshly built SoC simulating the same fault
+// with the full budget.
 func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	replayCfg, job, budget := arenaEnv(t, 2, false)
 	sites := fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 4})

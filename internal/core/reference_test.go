@@ -47,7 +47,7 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 				t.Fatalf("optimized arena report differs from reference:\nref %+v\nopt %+v", ref, plain)
 			}
 
-			// Checkpointed leg: golden-run checkpoints, fast-forward and the
+			// Checkpointed leg: golden-run checkpoint restores and the
 			// golden-verdict shortcut are pure execution strategy.
 			ck, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
 				CampaignOptions{Workers: 2, CheckpointInterval: 512})

@@ -95,19 +95,26 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 			continue
 		}
 		u := s.Cores[id]
-		results[id] = &RunResult{
-			Signature: u.Core.Reg(isa.RegSig),
-			OK:        u.Core.Done() && !u.Core.Wedged() && !res.TimedOut,
-			Wedged:    u.Core.Wedged(),
-			Cycles:    u.Core.Cycle(),
-			IFStall:   u.Core.Counter(fault.CntIFStall),
-			MemStall:  u.Core.Counter(fault.CntMemStall),
-			HazStall:  u.Core.Counter(fault.CntHazStall),
-			Issued2:   u.Core.Counter(fault.CntIssued2),
-			Instret:   u.Core.Counter(fault.CntInstret),
-		}
+		r := coreResult(u, u.Core.Done() && !res.TimedOut)
+		results[id] = &r
 	}
 	return results, s, nil
+}
+
+// coreResult extracts core unit u's RunResult at the end of a run; done
+// reports that the run drained within its cycle budget.
+func coreResult(u *soc.CoreUnit, done bool) RunResult {
+	return RunResult{
+		Signature: u.Core.Reg(isa.RegSig),
+		OK:        done && !u.Core.Wedged(),
+		Wedged:    u.Core.Wedged(),
+		Cycles:    u.Core.Cycle(),
+		IFStall:   u.Core.Counter(fault.CntIFStall),
+		MemStall:  u.Core.Counter(fault.CntMemStall),
+		HazStall:  u.Core.Counter(fault.CntHazStall),
+		Issued2:   u.Core.Counter(fault.CntIssued2),
+		Instret:   u.Core.Counter(fault.CntInstret),
+	}
 }
 
 // RunSingle is the single-job convenience form: the job runs on core id

@@ -39,7 +39,8 @@ func (k Kind) String() string {
 // value) but fully deterministic; like all planes it must only be used by
 // one core.
 type Transition struct {
-	S Site // Site.Kind selects slow-rise or slow-fall; Stuck is unused
+	noFault      // every hook but MuxData is identity
+	S       Site // Site.Kind selects slow-rise or slow-fall; Stuck is unused
 
 	prev     uint64
 	prevSeen bool
@@ -71,8 +72,7 @@ func (f *Transition) SeedHistory(prev uint64, seen bool) {
 
 // History returns the plane's current edge history (the line value it last
 // observed, and whether it observed one at all) — the counterpart of
-// SeedHistory, used to compare a run's plane state against a golden
-// checkpoint's recorded history.
+// SeedHistory.
 func (f *Transition) History() (prev uint64, seen bool) {
 	return f.prev, f.prevSeen
 }
@@ -106,20 +106,6 @@ func (f *Transition) MuxData(lane, operand, path uint8, v uint64) uint64 {
 	f.prevSeen = true
 	return out
 }
-
-// The remaining hooks are identity: transition faults are modelled on the
-// forwarding data lines only.
-
-func (f *Transition) MuxSel(_, _, sel uint8) uint8         { return sel }
-func (f *Transition) CmpEq(_ uint8, a, b uint8) bool       { return a == b }
-func (f *Transition) Ctl(_ uint8, v bool) bool             { return v }
-func (f *Transition) EvLine(_ uint8, v bool) bool          { return v }
-func (f *Transition) Cause(v uint32) uint32                { return v }
-func (f *Transition) Dist(v uint32) uint32                 { return v }
-func (f *Transition) Enable(v uint32) uint32               { return v }
-func (f *Transition) EPC(v uint32) uint32                  { return v }
-func (f *Transition) CounterRead(_ uint8, v uint32) uint32 { return v }
-func (f *Transition) CounterInc(_ uint8, inc bool) bool    { return inc }
 
 var _ Plane = (*Transition)(nil)
 

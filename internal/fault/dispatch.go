@@ -18,8 +18,9 @@ const (
 	// DispatchCheckpoint is a run started from a golden checkpoint before
 	// the site's first activating edge.
 	DispatchCheckpoint
-	// DispatchFastForward is a run cut short (or jumped forward) by exact
-	// re-convergence with the golden run.
+	// DispatchFastForward is produced by no serving path: the arena no
+	// longer cuts runs short on re-convergence with the golden run. The
+	// slot stays so per-path arrays and metric names keep their layout.
 	DispatchFastForward
 	// DispatchGolden is a site served the golden verdict outright because
 	// its fault never activates.

@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Golden-run activation probing. A Transition fault is transparent until
 // its first activating edge: the run of a slow-rise (slow-fall) fault at
@@ -24,25 +21,14 @@ func muxLineIndex(lane, operand, path uint8) int {
 }
 
 // muxLine is one line's probe state: the last delivered value (the edge
-// history a Transition plane keeps), per bit the first and last edge
-// cycles (-1 = no such edge in the run), and the full edge schedule as
-// per-cycle rise/fall masks.
+// history a Transition plane keeps) and per bit the first edge cycles
+// (-1 = no such edge in the run).
 type muxLine struct {
 	prev uint64
 	seen bool
 
 	firstRise [64]int64
 	firstFall [64]int64
-	lastRise  [64]int64
-	lastFall  [64]int64
-	edges     []edgeEvent
-}
-
-// edgeEvent records which bits of a line rose and fell during one cycle
-// (consecutive uses within the cycle are merged).
-type edgeEvent struct {
-	cycle      int64
-	rise, fall uint64
 }
 
 // MuxHistory is a point-in-time copy of every line's (prev, seen) edge
@@ -66,8 +52,9 @@ func (h *MuxHistory) For(s Site) (prev uint64, seen bool) {
 // capture run finishes the recorded data is read-only and may be shared
 // across arenas.
 type MuxProbe struct {
-	now   func() int64
-	lines [numMuxLines]muxLine
+	noFault // every hook but MuxData is identity
+	now     func() int64
+	lines   [numMuxLines]muxLine
 }
 
 // NewMuxProbe builds a probe reading the capture run's clock through now.
@@ -78,15 +65,13 @@ func NewMuxProbe(now func() int64) *MuxProbe {
 		for b := range l.firstRise {
 			l.firstRise[b] = -1
 			l.firstFall[b] = -1
-			l.lastRise[b] = -1
-			l.lastFall[b] = -1
 		}
 	}
 	return p
 }
 
-// MuxData implements Plane: identity on the value, recording first and
-// last edges per bit.
+// MuxData implements Plane: identity on the value, recording the first
+// edges per bit.
 func (p *MuxProbe) MuxData(lane, operand, path uint8, v uint64) uint64 {
 	l := &p.lines[muxLineIndex(lane, operand, path)]
 	if l.seen {
@@ -94,19 +79,12 @@ func (p *MuxProbe) MuxData(lane, operand, path uint8, v uint64) uint64 {
 		fall := l.prev & ^v
 		if rise|fall != 0 {
 			now := p.now()
-			if n := len(l.edges); n > 0 && l.edges[n-1].cycle == now {
-				l.edges[n-1].rise |= rise
-				l.edges[n-1].fall |= fall
-			} else {
-				l.edges = append(l.edges, edgeEvent{cycle: now, rise: rise, fall: fall})
-			}
 			for rise != 0 {
 				b := bits.TrailingZeros64(rise)
 				rise &= rise - 1
 				if l.firstRise[b] < 0 {
 					l.firstRise[b] = now
 				}
-				l.lastRise[b] = now
 			}
 			for fall != 0 {
 				b := bits.TrailingZeros64(fall)
@@ -114,7 +92,6 @@ func (p *MuxProbe) MuxData(lane, operand, path uint8, v uint64) uint64 {
 				if l.firstFall[b] < 0 {
 					l.firstFall[b] = now
 				}
-				l.lastFall[b] = now
 			}
 		}
 	}
@@ -149,57 +126,6 @@ func (p *MuxProbe) FirstActivation(s Site) int64 {
 	return 0
 }
 
-// LastActivation returns the golden-run cycle of the last edge that
-// injects a Transition fault at site s, with the same conventions as
-// FirstActivation (-1 = never, 0 = not modelled / always live). After
-// this cycle the golden trajectory presents no further activating edges,
-// which is what makes re-convergence fast-forward sound (see
-// core.Arena): a faulty run whose state coincides with a golden
-// checkpoint past this cycle provably finishes as the golden run.
-func (p *MuxProbe) LastActivation(s Site) int64 {
-	if s.Unit != UnitFwd || s.Signal != SigMuxData ||
-		s.Lane >= 2 || s.Operand >= 2 || s.Path >= NumPaths || s.Bit >= 64 {
-		if s.Kind == KindStuckAt {
-			return 0
-		}
-		return -1
-	}
-	l := &p.lines[muxLineIndex(s.Lane, s.Operand, s.Path)]
-	switch s.Kind {
-	case KindSlowRise:
-		return l.lastRise[s.Bit]
-	case KindSlowFall:
-		return l.lastFall[s.Bit]
-	}
-	return 0
-}
-
-// NextActivation returns the first golden-run cycle strictly after
-// "after" at which a Transition fault at site s injects, or -1 when no
-// further activating edge exists. Same site conventions as
-// FirstActivation (unmodelled sites report 0, "always live").
-func (p *MuxProbe) NextActivation(s Site, after int64) int64 {
-	if s.Unit != UnitFwd || s.Signal != SigMuxData ||
-		s.Lane >= 2 || s.Operand >= 2 || s.Path >= NumPaths || s.Bit >= 64 {
-		if s.Kind == KindStuckAt {
-			return 0
-		}
-		return -1
-	}
-	l := &p.lines[muxLineIndex(s.Lane, s.Operand, s.Path)]
-	i := sort.Search(len(l.edges), func(i int) bool { return l.edges[i].cycle > after })
-	for ; i < len(l.edges); i++ {
-		m := l.edges[i].rise
-		if s.Kind == KindSlowFall {
-			m = l.edges[i].fall
-		}
-		if m>>(s.Bit&63)&1 == 1 {
-			return l.edges[i].cycle
-		}
-	}
-	return -1
-}
-
 // History snapshots every line's edge history at the current point of the
 // capture run.
 func (p *MuxProbe) History() MuxHistory {
@@ -210,19 +136,5 @@ func (p *MuxProbe) History() MuxHistory {
 	}
 	return h
 }
-
-// The remaining hooks are identity: the probe only watches the forwarding
-// data lines.
-
-func (p *MuxProbe) MuxSel(_, _, sel uint8) uint8         { return sel }
-func (p *MuxProbe) CmpEq(_ uint8, a, b uint8) bool       { return a == b }
-func (p *MuxProbe) Ctl(_ uint8, v bool) bool             { return v }
-func (p *MuxProbe) EvLine(_ uint8, v bool) bool          { return v }
-func (p *MuxProbe) Cause(v uint32) uint32                { return v }
-func (p *MuxProbe) Dist(v uint32) uint32                 { return v }
-func (p *MuxProbe) Enable(v uint32) uint32               { return v }
-func (p *MuxProbe) EPC(v uint32) uint32                  { return v }
-func (p *MuxProbe) CounterRead(_ uint8, v uint32) uint32 { return v }
-func (p *MuxProbe) CounterInc(_ uint8, inc bool) bool    { return inc }
 
 var _ Plane = (*MuxProbe)(nil)

@@ -106,40 +106,16 @@ func (d dirtyMap) pages(size uint32, fn func(lo, hi uint32)) {
 // PageDelta is the set of pages a run has written since the device's last
 // Reset/Restore sweep, with their contents — exactly the difference between
 // the current contents and the swept-to state, because sweeps are the only
-// operations that clear the dirty map. Captured by RAM.CaptureDelta /
-// TCM.CaptureDelta and reapplied by ApplyDelta (checkpoint machinery).
+// operations that clear the dirty map. Captured by RAM.CaptureDelta and
+// reapplied by RAM.ApplyDelta (checkpoint machinery).
 type PageDelta struct {
 	offs []uint32 // page range start offsets, ascending
 	ends []uint32 // matching page range end offsets (exclusive)
 	data []byte   // page contents, concatenated in offs order
 }
 
-// captureDelta copies every dirty page of data into a PageDelta without
-// clearing the dirty map (the run keeps going after the snapshot).
-func captureDelta(data []byte, dirty dirtyMap, size uint32) *PageDelta {
-	d := &PageDelta{}
-	dirty.pages(size, func(lo, hi uint32) {
-		d.offs = append(d.offs, lo)
-		d.ends = append(d.ends, hi)
-		d.data = append(d.data, data[lo:hi]...)
-	})
-	return d
-}
-
-// applyDelta copies the delta's pages back into data, marking them dirty so
-// the next Reset/Restore sweep rewinds them again.
-func applyDelta(data []byte, dirty dirtyMap, d *PageDelta) {
-	pos := 0
-	for i, lo := range d.offs {
-		hi := d.ends[i]
-		n := int(hi - lo)
-		copy(data[lo:hi], d.data[pos:pos+n])
-		dirty.mark(lo, n)
-		pos += n
-	}
-}
-
-// RAM is simple SRAM with uniform latency.
+// RAM is simple SRAM with uniform latency; a core-private TCM is a RAM
+// with single-cycle latency (see NewTCM).
 type RAM struct {
 	data    []byte
 	dirty   dirtyMap
@@ -185,13 +161,31 @@ func (r *RAM) Reset() {
 }
 
 // CaptureDelta snapshots the pages written since the last Restore/Reset
-// sweep without disturbing the dirty map; ApplyDelta on a RAM in the
-// swept-to state reproduces the captured contents exactly.
-func (r *RAM) CaptureDelta() *PageDelta { return captureDelta(r.data, r.dirty, r.Size()) }
+// sweep without disturbing the dirty map (the run keeps going after the
+// snapshot); ApplyDelta on a RAM in the swept-to state reproduces the
+// captured contents exactly.
+func (r *RAM) CaptureDelta() *PageDelta {
+	d := &PageDelta{}
+	r.dirty.pages(r.Size(), func(lo, hi uint32) {
+		d.offs = append(d.offs, lo)
+		d.ends = append(d.ends, hi)
+		d.data = append(d.data, r.data[lo:hi]...)
+	})
+	return d
+}
 
 // ApplyDelta overlays a captured page delta, marking the pages dirty so the
 // next sweep rewinds them.
-func (r *RAM) ApplyDelta(d *PageDelta) { applyDelta(r.data, r.dirty, d) }
+func (r *RAM) ApplyDelta(d *PageDelta) {
+	pos := 0
+	for i, lo := range d.offs {
+		hi := d.ends[i]
+		n := int(hi - lo)
+		copy(r.data[lo:hi], d.data[pos:pos+n])
+		r.dirty.mark(lo, n)
+		pos += n
+	}
+}
 
 // Flash models the code flash: writable only through the loader (LoadWords),
 // read-only from the bus, with per-bank wait states. Bank latencies differ
@@ -248,50 +242,9 @@ func (f *Flash) LoadWords(off uint32, words []uint32) error {
 	return nil
 }
 
-// TCM is a single-cycle tightly-coupled memory private to one core.
-type TCM struct {
-	data  []byte
-	dirty dirtyMap
-}
-
-// NewTCM returns a TCM of the given size.
-func NewTCM(size uint32) *TCM { return &TCM{data: make([]byte, size), dirty: newDirtyMap(size)} }
-
-func (t *TCM) Size() uint32                { return uint32(len(t.data)) }
-func (t *TCM) Read(off uint32, dst []byte) { copy(dst, t.data[off:]) }
-func (t *TCM) Write(off uint32, src []byte) {
-	if len(src) != 0 {
-		t.dirty.mark(off, len(src))
-		copy(t.data[off:], src)
-	}
-}
-func (t *TCM) AccessCycles(uint32, int) int { return 1 }
-
-// Snapshot returns a copy of the TCM contents.
-func (t *TCM) Snapshot() []byte { return append([]byte(nil), t.data...) }
-
-// Restore rewinds the TCM contents to a snapshot of the same size; like
-// RAM.Restore it copies only the pages written since the previous sweep.
-func (t *TCM) Restore(img []byte) {
-	if len(img) != len(t.data) {
-		panic(fmt.Sprintf("mem: TCM restore size %d != %d", len(img), len(t.data)))
-	}
-	t.dirty.sweep(t.Size(), func(lo, hi uint32) { copy(t.data[lo:hi], img[lo:hi]) })
-}
-
-// Reset clears the TCM to power-on state (all zeros), sweeping only the
-// pages written since the previous sweep.
-func (t *TCM) Reset() {
-	t.dirty.sweep(t.Size(), func(lo, hi uint32) { clear(t.data[lo:hi]) })
-}
-
-// CaptureDelta snapshots the pages written since the last sweep without
-// disturbing the dirty map (see RAM.CaptureDelta).
-func (t *TCM) CaptureDelta() *PageDelta { return captureDelta(t.data, t.dirty, t.Size()) }
-
-// ApplyDelta overlays a captured page delta, marking the pages dirty so the
-// next sweep rewinds them.
-func (t *TCM) ApplyDelta(d *PageDelta) { applyDelta(t.data, t.dirty, d) }
+// NewTCM returns a single-cycle tightly-coupled memory of the given size,
+// private to one core.
+func NewTCM(size uint32) *RAM { return NewRAM(size, 1) }
 
 // Word helpers shared by devices and the CPU.
 

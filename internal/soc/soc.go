@@ -2,7 +2,6 @@ package soc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/archint"
 	"repro/internal/asm"
@@ -67,8 +66,8 @@ type CoreUnit struct {
 	Core   *cpu.Core
 	ICache *cache.Cache // nil when caches disabled
 	DCache *cache.Cache
-	ITCM   *mem.TCM
-	DTCM   *mem.TCM
+	ITCM   *mem.RAM
+	DTCM   *mem.RAM
 
 	setup   CoreSetup
 	imem    *router
@@ -209,14 +208,19 @@ func (s *SoC) Load(p *asm.Program) error {
 func (s *SoC) Start(id int, entry uint32) {
 	u := s.Cores[id]
 	u.Core.Reset(entry)
-	if !u.started && u.setup.Active {
-		// Keep the stepping list in core-ID order regardless of Start order.
-		s.running = append(s.running, u)
-		sort.Slice(s.running, func(i, j int) bool {
-			return s.running[i].Core.Config().CoreID < s.running[j].Core.Config().CoreID
-		})
-	}
 	u.started = true
+	s.listRunning()
+}
+
+// listRunning rebuilds the stepping list: the started, active cores in
+// core-ID order, whatever order they were started or restored in.
+func (s *SoC) listRunning() {
+	s.running = s.running[:0]
+	for _, u := range s.Cores {
+		if u.started && u.setup.Active {
+			s.running = append(s.running, u)
+		}
+	}
 }
 
 // Cycle returns the global cycle count.

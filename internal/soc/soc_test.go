@@ -249,6 +249,30 @@ func TestBusContentionVisibleInStats(t *testing.T) {
 	}
 }
 
+// TestResetStartAllocationFree pins that rewinding and restarting a loaded
+// SoC reuses its stepping list: after the first start, Reset + Start
+// allocates nothing, and the list stays in core-ID order whatever order
+// the cores start in.
+func TestResetStartAllocationFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores[2].Active = false
+	s := New(cfg)
+	p1 := loadAndStart(t, s, 1, "halt", CodeLow+0x1000)
+	p0 := loadAndStart(t, s, 0, "halt", CodeLow)
+	s.SealBaseline()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		s.Start(1, p1.Base)
+		s.Start(0, p0.Base)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset + Start allocated %v times, want 0", allocs)
+	}
+	if len(s.running) != 2 || s.running[0] != s.Cores[0] || s.running[1] != s.Cores[1] {
+		t.Error("stepping list not in core-ID order after out-of-order starts")
+	}
+}
+
 func TestLoadRejectsOutsideFlash(t *testing.T) {
 	s := New(DefaultConfig())
 	b, _ := asm.Parse("halt")

@@ -143,10 +143,6 @@ func (s *SoC) Restore(st *State) {
 		u.dmem.load(&cs.dmem)
 		u.Core.Restore(cs.core)
 		u.started = cs.started
-		if cs.started && u.setup.Active {
-			// Cores iterate in ID order, so the stepping list comes out in
-			// ID order without the sort Start does.
-			s.running = append(s.running, u)
-		}
 	}
+	s.listRunning()
 }
