@@ -13,7 +13,8 @@
 // Both modes keep one long-lived SoC per worker (program loaded once, each
 // fault run is reset + plane-swap). The default "arena" mode terminates
 // runs early once they observably diverge from the golden trace and stop
-// making progress, and starts transition runs from golden checkpoints;
+// making progress, and starts stuck-at and transition runs from golden
+// checkpoints (or serves the golden verdict when the fault never activates);
 // "reference" simulates every run to the full watchdog budget
 // with no shortcuts — the semantics the optimized mode is differentially
 // pinned against. Both modes produce identical reports.

@@ -69,7 +69,7 @@ type Arena struct {
 	// after construction and may be shared across arenas (see
 	// newArenaClone); soc.State snapshots are plain data restorable into
 	// any SoC built from the same config and programs.
-	probe *fault.MuxProbe
+	probe *fault.Probe
 	ckpts []checkpoint
 
 	// Per-run monitor state (reset by Run).
@@ -117,13 +117,6 @@ type ArenaStats struct {
 	HealthChecks int64
 	// Quarantines counts rebuilds after a failed health check.
 	Quarantines int64
-	// FallbackRuns counts sites served by fresh-SoC rebuild-per-fault
-	// runs.
-	FallbackRuns int64
-	// CheckpointRuns counts runs started from a golden checkpoint.
-	CheckpointRuns int64
-	// GoldenServed counts sites served the golden verdict outright.
-	GoldenServed int64
 	// Dispatch classifies every site served through Run by the path that
 	// served it (fallback runs included).
 	Dispatch fault.DispatchStats
@@ -208,12 +201,12 @@ type ArenaOptions struct {
 	// differentially pinned against.
 	NoEarlyExit bool
 	// CheckpointInterval > 0 snapshots the golden capture run every that
-	// many cycles and starts each Transition-fault run from the last
-	// checkpoint before the site's first activating edge instead of
-	// replaying the golden prefix from cycle 0 (sites that never activate
-	// are served the golden verdict outright). Stuck-at sites always take
-	// the full replay. Zero disables checkpointing; campaigns enable it by
-	// default (see CampaignOptions.CheckpointInterval).
+	// many cycles and starts each stuck-at or transition run from the last
+	// checkpoint before the site's first activation instead of replaying
+	// the golden prefix from cycle 0 (sites that never activate are served
+	// the golden verdict outright). Composite planes take the full replay.
+	// Zero disables checkpointing; campaigns enable it by default (see
+	// CampaignOptions.CheckpointInterval).
 	CheckpointInterval int64
 	// Plan, when enabled, drives a deterministic interrupt-event plan into
 	// the core under test on every run (golden capture included) — the
@@ -261,7 +254,7 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 	// reference to be equivalent to.
 	capturePlane := fault.Plane(fault.None)
 	if opt.CheckpointInterval > 0 {
-		a.probe = fault.NewMuxProbe(a.s.Cycle)
+		a.probe = fault.NewProbe(a.s.Cycle)
 		capturePlane = a.probe
 	}
 	a.capturing = true
@@ -434,30 +427,37 @@ func (a *Arena) serve(p fault.Plane) (sig uint32, ok bool) {
 	return sig, ok
 }
 
-// dispatch picks the cheapest sound way to serve plane p. Transition
-// faults are transparent until their site's first activating edge, which
-// the construction-time probe recorded: sites that never activate are
-// served the golden verdict outright, and activating sites start from the
-// last golden checkpoint before their activation cycle with the plane's
-// edge history seeded from the checkpoint. Everything else — stuck-at
-// sites, the fault-free plane, unknown plane types — takes the full
-// replay from cycle 0.
+// dispatch picks the cheapest sound way to serve plane p. A single
+// stuck-at or transition fault is transparent until its site's first
+// activation, which the construction-time probe recorded: sites that never
+// activate are served the golden verdict outright, and activating sites
+// start from the last golden checkpoint before their activation cycle.
+// Everything else — activation inside the first checkpoint interval,
+// composite planes, the fault-free plane, unknown plane types — takes the
+// full replay from cycle 0.
 func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
-	t, isTransition := p.(*fault.Transition)
-	if !isTransition || a.probe == nil || !a.goldenOK {
+	var site fault.Site
+	switch f := p.(type) {
+	case *fault.Single:
+		site = f.S
+	case *fault.Transition:
+		site = f.S
+	default:
 		return a.runOnce(p)
 	}
-	act := a.probe.FirstActivation(t.S)
+	if a.probe == nil || !a.goldenOK {
+		return a.runOnce(p)
+	}
+	act := a.probe.FirstActivation(site)
 	if act < 0 {
-		// The fault never modifies a delivered value: its run is
+		// The fault never changes a hook's output: its run is
 		// bit-identical to the golden run, so serve the golden verdict.
-		a.st.GoldenServed++
 		a.path = fault.DispatchGolden
 		a.last = a.goldenRes
 		return a.goldenRes.Signature, a.goldenRes.OK, false
 	}
 	if ck := a.checkpointBefore(act); ck != nil {
-		return a.runFrom(ck, t)
+		return a.runFrom(ck, p)
 	}
 	return a.runOnce(p)
 }
@@ -474,23 +474,24 @@ func (a *Arena) checkpointBefore(act int64) *checkpoint {
 	return nil
 }
 
-// runFrom executes a Transition run starting from a golden checkpoint
-// instead of cycle 0: SoC state restored, plane edge history seeded from
-// the checkpoint, and the divergence monitor resumed at the checkpoint's
-// trace position. Sound because the faulty run is bit-identical to the
-// golden run before the site's first activating edge, which the caller
-// guarantees lies after the checkpoint.
-func (a *Arena) runFrom(ck *checkpoint, t *fault.Transition) (sig uint32, ok, cut bool) {
+// runFrom executes a fault run starting from a golden checkpoint instead
+// of cycle 0: SoC state restored, a Transition plane's edge history seeded
+// from the checkpoint, and the divergence monitor resumed at the
+// checkpoint's trace position. Sound because the faulty run is
+// bit-identical to the golden run before the site's first activation,
+// which the caller guarantees lies after the checkpoint.
+func (a *Arena) runFrom(ck *checkpoint, p fault.Plane) (sig uint32, ok, cut bool) {
 	s := a.s
 	s.Restore(ck.state)
 	if a.testPoison != nil {
 		a.testPoison(s)
 	}
-	t.SeedHistory(ck.hist.For(t.S))
-	s.SetPlane(a.id, t)
+	if t, isTransition := p.(*fault.Transition); isTransition {
+		t.SeedHistory(ck.hist.For(t.S))
+	}
+	s.SetPlane(a.id, p)
 	a.idx, a.count, a.diverged, a.lastObs = ck.obsIdx, ck.obsIdx, false, ck.lastObs
 	a.st.Runs++
-	a.st.CheckpointRuns++
 	a.path = fault.DispatchCheckpoint
 	return a.stepRun()
 }
@@ -625,7 +626,6 @@ func (a *Arena) noteQuarantine() {
 // anomaly) rather than masquerading as a crashed fault run — a build
 // failure is an engine fault, not a property of the site.
 func (a *Arena) fallbackRun(p fault.Plane) (sig uint32, ok bool) {
-	a.st.FallbackRuns++
 	a.path = fault.DispatchFallback
 	fault.ResetPlaneState(p)
 	c := a.cfg

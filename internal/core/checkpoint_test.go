@@ -103,22 +103,39 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 			t.Errorf("%v: arena signature %08x, fresh %08x", site, sig, fresh.Signature)
 		}
 	}
-	if a.Stats().CheckpointRuns+a.Stats().GoldenServed == 0 {
+	if d := a.Stats().Dispatch; d[fault.DispatchCheckpoint]+d[fault.DispatchGolden] == 0 {
 		t.Error("checkpoint fast path never engaged across the sample")
 	}
+}
 
-	// Stuck-at sites always take the full replay: the checkpointed arena
-	// must serve them exactly as the plain arena tests pin.
-	stuck := fault.Site{Unit: fault.UnitFwd, Signal: fault.SigMuxData,
-		Lane: 0, Operand: 0, Path: fault.PathEXL0, Bit: 31, Stuck: 1}
-	before := a.Stats().CheckpointRuns + a.Stats().GoldenServed
-	fresh, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(stuck))
-	sig, ok := a.Run(fault.PlaneFor(stuck))
-	if ok != fresh.OK || (ok && sig != fresh.Signature) {
-		t.Errorf("stuck-at on checkpointed arena (%08x, %v) != fresh (%08x, %v)",
-			sig, ok, fresh.Signature, fresh.OK)
+// TestArenaCheckpointedStuckAtRunsMatchFreshSoC is the stuck-at
+// counterpart: a sample of forwarding, HDCU and ICU stuck-at sites, served
+// by a checkpointed arena through the golden shortcut, a checkpoint restore
+// or the full replay, must reproduce the verdict of a freshly built SoC
+// simulating the same fault with the full budget, and the sample must reach
+// both shortcuts.
+func TestArenaCheckpointedStuckAtRunsMatchFreshSoC(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 2, false)
+	opts := fault.ListOptions{DataBits: 32, BitStep: 4}
+	var sites []fault.Site
+	for _, u := range [][]fault.Site{fault.ForwardingLogic(opts), fault.HDCU(opts), fault.ICU(opts)} {
+		fault.SortSites(u)
+		sites = append(sites, fault.Sample(u, 9)...)
 	}
-	if a.Stats().CheckpointRuns+a.Stats().GoldenServed != before {
-		t.Error("stuck-at site took the checkpoint fast path")
+
+	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range sites {
+		fresh, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(site))
+		sig, ok := a.Run(fault.PlaneFor(site))
+		if ok != fresh.OK || (ok && sig != fresh.Signature) {
+			t.Errorf("%v: arena (%08x, %v), fresh (%08x, %v)", site, sig, ok, fresh.Signature, fresh.OK)
+		}
+	}
+	d := a.Stats().Dispatch
+	if d[fault.DispatchCheckpoint] == 0 || d[fault.DispatchGolden] == 0 {
+		t.Errorf("stuck-at sample missed a shortcut: %v", d)
 	}
 }

@@ -65,8 +65,8 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 	if a.Stats().Dead {
 		t.Fatal("rebuild failed")
 	}
-	if a.Stats().FallbackRuns != 1 {
-		t.Errorf("suspect site not served by fallback (fallbacks=%d)", a.Stats().FallbackRuns)
+	if n := a.Stats().Dispatch[fault.DispatchFallback]; n != 1 {
+		t.Errorf("suspect site not served by fallback (fallbacks=%d)", n)
 	}
 	if ok != freshHang.OK || (ok && sig != freshHang.Signature) {
 		t.Errorf("quarantined site verdict (%08x, %v) != fresh-SoC (%08x, %v)",

@@ -269,10 +269,8 @@ func TestArenaStatsSnapshot(t *testing.T) {
 	if st.Dispatch.Total() != int64(len(sites)) {
 		t.Errorf("dispatch total = %d, want %d", st.Dispatch.Total(), len(sites))
 	}
-	if st.GoldenServed != st.Dispatch[fault.DispatchGolden] || st.FallbackRuns != st.Dispatch[fault.DispatchFallback] {
-		t.Errorf("golden/fallback counters disagree with dispatch: %+v", st)
-	}
-	if want := 1 + st.HealthChecks + int64(len(sites)) - st.GoldenServed - st.FallbackRuns; st.Runs != want {
+	if want := 1 + st.HealthChecks + int64(len(sites)) -
+		st.Dispatch[fault.DispatchGolden] - st.Dispatch[fault.DispatchFallback]; st.Runs != want {
 		t.Errorf("Runs = %d, want %d: %+v", st.Runs, want, st)
 	}
 }

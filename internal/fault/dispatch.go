@@ -16,7 +16,7 @@ const (
 	// DispatchFullReplay is a reset + plane-swap run from cycle 0.
 	DispatchFullReplay DispatchPath = iota
 	// DispatchCheckpoint is a run started from a golden checkpoint before
-	// the site's first activating edge.
+	// the site's first activation.
 	DispatchCheckpoint
 	// DispatchFastForward is produced by no serving path: the arena no
 	// longer cuts runs short on re-convergence with the golden run. The

@@ -49,8 +49,8 @@ func AffectsEvLines(p Plane) bool {
 		return f.S.Unit == UnitICU && f.S.Signal == SigEvLine
 	case *Transition:
 		return false // transition faults live on the forwarding data lines
-	case *MuxProbe:
-		return false // the probe only watches the forwarding data lines
+	case *Probe:
+		return true // the probe records the event lines the ICU polls
 	case *Composite:
 		for _, part := range f.Parts {
 			if AffectsEvLines(part) {
@@ -74,8 +74,8 @@ func AffectsCounterInc(p Plane) bool {
 		return f.S.Unit == UnitPerf && f.S.Signal == SigCntInc
 	case *Transition:
 		return false
-	case *MuxProbe:
-		return false
+	case *Probe:
+		return true // the probe records every counter increment
 	case *Composite:
 		for _, part := range f.Parts {
 			if AffectsCounterInc(part) {
