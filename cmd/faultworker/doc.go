@@ -1,9 +1,11 @@
 // Command faultworker is the campaign service's shard worker: it leases
-// shards from a faultserve server, rebuilds each campaign deterministically
-// from the spec in the lease (the spec is the whole wire format — program,
-// universe, traffic and budget are reconstructed locally, never shipped),
-// simulates the unsettled sites on a local arena pool, and streams verdict
-// batches back as sites settle.
+// shards from a faultserve server, builds each job's campaign
+// deterministically from the spec in the lease (the spec is the whole wire
+// format — program, universe, traffic and budget are reconstructed
+// locally, never shipped), simulates each shard's unsettled sites on a
+// local arena pool, and streams verdict batches back as sites settle. It
+// builds and captures the golden run once per job: the job's later shards
+// run on the same held campaign, and an idle poll drops it.
 //
 // Usage:
 //

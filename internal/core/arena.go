@@ -5,10 +5,10 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/archint"
+	"repro/internal/asm"
 	"repro/internal/fault"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
@@ -21,11 +21,12 @@ import (
 // TestTCMClientAllocationFree); what a run still allocates is the formatted
 // error isa.Decode builds for every undecodable word the run decodes.
 //
-// An Arena additionally supports early exit on observable divergence: during
-// construction it captures the golden run's observable trace (every
-// data-side store the core under test performs, with value and cycle), and
-// faulty runs are watched against that trace. Two watchdogs bound runs that
-// can no longer reach a clean outcome long before the full cycle budget:
+// An Arena additionally supports early exit on observable divergence: the
+// golden capture (NewArena's, shared by every arena of a campaign) holds
+// the golden run's observable trace (every data-side store the core under
+// test performs, with value and cycle), and faulty runs are watched
+// against that trace. Two watchdogs bound runs that can no longer reach a
+// clean outcome long before the full cycle budget:
 //
 //   - hang: no observable store for more than 8x the golden run's largest
 //     store-to-store gap (and at least one whole golden run) plus slack —
@@ -44,9 +45,7 @@ import (
 type Arena struct {
 	s      *soc.SoC
 	id     int
-	entry  uint32
 	budget int64
-	early  bool
 
 	// Construction inputs, kept so a quarantined arena can rebuild itself
 	// and a dead one can fall back to rebuild-per-fault runs.
@@ -54,23 +53,9 @@ type Arena struct {
 	job *CoreJob
 	opt ArenaOptions
 
-	// Golden observable trace and derived watchdog bounds.
-	golden    []obsEvent
-	hangLimit int64
-	floodCap  int
-
-	// Golden reference for the health check: the full result of the
-	// construction-time capture run.
-	goldenRes RunResult
-	goldenOK  bool
-
-	// Checkpointing state (nil/empty when ArenaOptions.CheckpointInterval
-	// is zero or the golden capture failed). probe and ckpts are read-only
-	// after construction and may be shared across arenas (see
-	// newArenaClone); soc.State snapshots are plain data restorable into
-	// any SoC built from the same config and programs.
-	probe *fault.Probe
-	ckpts []checkpoint
+	// gold is the golden capture the arena's runs are checked and
+	// shortcut against, shared read-only with every arena of its campaign.
+	gold *capture
 
 	// Per-run monitor state (reset by Run).
 	capturing bool
@@ -133,11 +118,43 @@ type ArenaStats struct {
 // Stats snapshots the arena's lifetime counters.
 func (a *Arena) Stats() ArenaStats {
 	st := a.st
-	st.Checkpoints = len(a.ckpts)
-	st.GoldenEvents = len(a.golden)
-	st.GoldenOK = a.goldenOK
+	st.Checkpoints = len(a.gold.ckpts)
+	st.GoldenEvents = len(a.gold.trace)
+	st.GoldenOK = a.gold.ok
 	st.Dead = a.dead
 	return st
+}
+
+// capture is a campaign's golden capture: the sealed memory image its
+// arenas run from, and what the fault-free capture run over that image
+// recorded — the observable trace with the watchdog bounds derived from
+// it, the activation probe, the checkpoints and the run's result.
+// NewArena's capture run fills it; from then on it is read-only, so one
+// capture serves every arena of a campaign on any goroutine
+// (newArenaClone) and a Campaign keeps it across Run calls. Checkpoint
+// snapshots are plain data, restorable into any SoC built from the image.
+type capture struct {
+	img   *soc.Image
+	entry uint32
+
+	// Golden observable trace and derived watchdog bounds. early is false
+	// when the watchdogs are off: reference mode, a failed capture, or a
+	// trace without observable events.
+	trace     []obsEvent
+	early     bool
+	hangLimit int64
+	floodCap  int
+
+	// res is the capture run's full result and ok whether it completed
+	// cleanly: the campaign's golden verdict and the health check's
+	// reference.
+	res RunResult
+	ok  bool
+
+	// Checkpointing state: nil/empty when ArenaOptions.CheckpointInterval
+	// is zero or the capture failed.
+	probe *fault.Probe
+	ckpts []checkpoint
 }
 
 // arenaMetrics holds the registry handles an arena updates on its hot
@@ -147,6 +164,7 @@ type arenaMetrics struct {
 	enabled      bool
 	dispatch     [fault.NumDispatchPaths]*telemetry.Counter
 	runNs        [fault.NumDispatchPaths]*telemetry.Histogram
+	captures     *telemetry.Counter
 	earlyExits   *telemetry.Counter
 	healthChecks *telemetry.Counter
 	quarantines  *telemetry.Counter
@@ -164,6 +182,7 @@ func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 		m.dispatch[p] = reg.Counter("arena_dispatch_" + p.String() + "_total")
 		m.runNs[p] = reg.Histogram("arena_run_ns_" + p.String())
 	}
+	m.captures = reg.Counter("arena_golden_captures_total")
 	m.earlyExits = reg.Counter("arena_early_exits_total")
 	m.healthChecks = reg.Counter("arena_health_checks_total")
 	m.quarantines = reg.Counter("arena_quarantines_total")
@@ -228,6 +247,17 @@ type ArenaOptions struct {
 // capture the observable trace. cfg should carry the replayed background
 // traffic; only core id is activated regardless of cfg's Active flags.
 func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions) (*Arena, error) {
+	prog, err := buildProgram(job)
+	if err != nil {
+		return nil, fmt.Errorf("arena core%d: %w", id, err)
+	}
+	return newArena(cfg, id, job, prog, budget, opt)
+}
+
+// newArena is NewArena over job's assembled program prog: it loads prog
+// and the routine data into a fresh SoC, seals the image, and runs the
+// golden capture on that SoC.
+func newArena(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget int64, opt ArenaOptions) (*Arena, error) {
 	for k := 0; k < soc.NumCores; k++ {
 		cfg.Cores[k].Active = k == id
 		cfg.Cores[k].Plane = nil // planes are swapped per run
@@ -238,10 +268,16 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 		// stale cursor; plans force the full-replay path.
 		opt.CheckpointInterval = 0
 	}
-	a, err := newArenaSoC(cfg, id, job, budget, opt)
-	if err != nil {
-		return nil, err
+	s := soc.New(cfg)
+	if err := s.Load(prog); err != nil {
+		return nil, fmt.Errorf("arena core%d: %w", id, err)
 	}
+	for _, r := range job.routines() {
+		loadRoutineData(s, r)
+	}
+	s.SealBaseline()
+	g := &capture{img: s.Image(), entry: prog.Base}
+	a := (&Arena{s: s, id: id, budget: budget, cfg: cfg, job: job, opt: opt, gold: g}).attach()
 
 	// Golden capture run: records the observable trace and calibrates the
 	// watchdog bounds. With checkpointing on, the run additionally carries
@@ -254,109 +290,85 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 	// reference to be equivalent to.
 	capturePlane := fault.Plane(fault.None)
 	if opt.CheckpointInterval > 0 {
-		a.probe = fault.NewProbe(a.s.Cycle)
-		capturePlane = a.probe
+		g.probe = fault.NewProbe(s.Cycle)
+		capturePlane = g.probe
 	}
 	a.capturing = true
-	_, ok, _ := a.runOnce(capturePlane)
+	_, g.ok, _ = a.runOnce(capturePlane)
 	a.capturing = false
-	if ok {
-		a.goldenRes, a.goldenOK = a.last, true
-		if !opt.NoEarlyExit {
-			a.calibrate()
-		}
-	} else {
-		a.probe, a.ckpts = nil, nil
+	a.met.captures.Inc()
+	g.res = a.last
+	if !g.ok {
+		g.probe, g.ckpts = nil, nil
+	} else if !opt.NoEarlyExit {
+		g.calibrate()
 	}
 	return a, nil
 }
 
-// newArenaClone builds an additional worker arena from a prototype without
-// re-running the golden capture: a fresh SoC over the same config and
-// program, with the prototype's golden trace, watchdog bounds, activation
-// probe and checkpoints shared read-only. Snapshots are plain data
-// restorable into any identically-built SoC, so sharing ckpts across
-// workers is safe.
-func newArenaClone(proto *Arena) (*Arena, error) {
-	a, err := newArenaSoC(proto.cfg, proto.id, proto.job, proto.budget, proto.opt)
-	if err != nil {
-		return nil, err
-	}
-	a.early, a.golden, a.hangLimit, a.floodCap = proto.early, proto.golden, proto.hangLimit, proto.floodCap
-	a.goldenRes, a.goldenOK, a.probe, a.ckpts = proto.goldenRes, proto.goldenOK, proto.probe, proto.ckpts
-	return a, nil
+// newArenaClone builds an additional worker arena over capture g without
+// running a capture of its own: a fresh SoC sharing g's image, with g's
+// trace, watchdog bounds, probe and checkpoints. cfg and opt are the
+// capture arena's (normalised by newArena); only opt's telemetry sinks may
+// differ.
+func newArenaClone(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions, g *capture) *Arena {
+	return (&Arena{s: soc.NewFromImage(cfg, g.img), id: id, budget: budget, cfg: cfg, job: job, opt: opt, gold: g}).attach()
 }
 
-// newArenaSoC builds an arena without its golden-run state: a fresh SoC
-// over cfg with job's program and routine data loaded and the baseline
-// sealed, the store observer attached, any interrupt plan injected and the
-// metric handles resolved.
-func newArenaSoC(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions) (*Arena, error) {
-	prog, err := buildProgram(job)
-	if err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	s := soc.New(cfg)
-	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	for _, r := range job.routines() {
-		loadRoutineData(s, r)
-	}
-	s.SealBaseline()
-
-	a := &Arena{s: s, id: id, entry: prog.Base, budget: budget, cfg: cfg, job: job, opt: opt,
-		met: newArenaMetrics(opt.Telemetry)}
-	s.Cores[id].Core.SetStoreObserver(a.observe)
-	if opt.Plan.Enabled() {
+// attach wires a new arena to its SoC: the store observer, any interrupt
+// plan and the metric handles.
+func (a *Arena) attach() *Arena {
+	a.met = newArenaMetrics(a.opt.Telemetry)
+	a.s.Cores[a.id].Core.SetStoreObserver(a.observe)
+	if a.opt.Plan.Enabled() {
 		// The attachment survives Reset; the cursor rewinds with the core.
-		s.SetInjector(id, archint.NewInjector(opt.Plan))
+		a.s.SetInjector(a.id, archint.NewInjector(a.opt.Plan))
 	}
-	return a, nil
+	return a
 }
 
 // calibrate derives the watchdog bounds from the captured golden trace.
-func (a *Arena) calibrate() {
-	a.early = true
-	if len(a.golden) == 0 {
+func (g *capture) calibrate() {
+	g.early = true
+	if len(g.trace) == 0 {
 		// No observable events at all: nothing to watch, keep the plain
 		// budget (the hang limit below would equal it anyway).
-		a.early = false
+		g.early = false
 		return
 	}
 	var maxGap, prev int64
-	for _, ev := range a.golden {
-		if g := ev.cycle - prev; g > maxGap {
-			maxGap = g
+	for _, ev := range g.trace {
+		if d := ev.cycle - prev; d > maxGap {
+			maxGap = d
 		}
 		prev = ev.cycle
 	}
-	if g := a.last.Cycles - prev; g > maxGap {
-		maxGap = g
+	if d := g.res.Cycles - prev; d > maxGap {
+		maxGap = d
 	}
-	a.hangLimit = maxGap * stallFactor
-	if a.hangLimit < a.last.Cycles {
+	g.hangLimit = maxGap * stallFactor
+	if g.hangLimit < g.res.Cycles {
 		// Never call a run hung for a silence shorter than one entire
 		// golden run: routines with dense stores would otherwise get an
 		// aggressive limit, and a hung run still stops at ~1/8 of the
 		// full campaign budget.
-		a.hangLimit = a.last.Cycles
+		g.hangLimit = g.res.Cycles
 	}
-	a.hangLimit += earlySlack
-	a.floodCap = len(a.golden)*stallFactor + 1_000
+	g.hangLimit += earlySlack
+	g.floodCap = len(g.trace)*stallFactor + 1_000
 }
 
 // observe receives every completed store of the core under test.
 func (a *Arena) observe(addr uint32, val uint64, size int) {
 	a.lastObs = a.s.Cycle()
 	if a.capturing {
-		a.golden = append(a.golden, obsEvent{addr: addr, val: val, size: size, cycle: a.lastObs})
+		a.gold.trace = append(a.gold.trace, obsEvent{addr: addr, val: val, size: size, cycle: a.lastObs})
 		return
 	}
 	if !a.diverged {
-		if a.idx >= len(a.golden) {
+		if a.idx >= len(a.gold.trace) {
 			a.diverged = true
-		} else if g := a.golden[a.idx]; g.addr != addr || g.val != val || g.size != size {
+		} else if g := a.gold.trace[a.idx]; g.addr != addr || g.val != val || g.size != size {
 			a.diverged = true
 		}
 		a.idx++
@@ -445,16 +457,17 @@ func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
 	default:
 		return a.runOnce(p)
 	}
-	if a.probe == nil || !a.goldenOK {
+	g := a.gold
+	if g.probe == nil || !g.ok {
 		return a.runOnce(p)
 	}
-	act := a.probe.FirstActivation(site)
+	act := g.probe.FirstActivation(site)
 	if act < 0 {
 		// The fault never changes a hook's output: its run is
 		// bit-identical to the golden run, so serve the golden verdict.
 		a.path = fault.DispatchGolden
-		a.last = a.goldenRes
-		return a.goldenRes.Signature, a.goldenRes.OK, false
+		a.last = g.res
+		return g.res.Signature, g.res.OK, false
 	}
 	if ck := a.checkpointBefore(act); ck != nil {
 		return a.runFrom(ck, p)
@@ -466,9 +479,10 @@ func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
 // cycle act, or nil when none exists (activation inside the first
 // interval, or checkpointing produced no snapshots).
 func (a *Arena) checkpointBefore(act int64) *checkpoint {
-	for i := len(a.ckpts) - 1; i >= 0; i-- {
-		if a.ckpts[i].cycle < act {
-			return &a.ckpts[i]
+	ckpts := a.gold.ckpts
+	for i := len(ckpts) - 1; i >= 0; i-- {
+		if ckpts[i].cycle < act {
+			return &ckpts[i]
 		}
 	}
 	return nil
@@ -510,7 +524,7 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 	// Composite — must not leak into this run.
 	fault.ResetPlaneState(p)
 	s.SetPlane(a.id, p)
-	s.Start(a.id, a.entry)
+	s.Start(a.id, a.gold.entry)
 	a.idx, a.count, a.diverged, a.lastObs = 0, 0, false, 0
 	a.st.Runs++
 	return a.stepRun()
@@ -521,7 +535,7 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 // budget is absolute: a checkpoint-restored run is charged for the skipped
 // prefix, so its verdict matches the full replay's exactly.
 func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
-	s := a.s
+	s, g := a.s, a.gold
 	aborted := false
 	cycles := s.Cycle()
 	for cycles < a.budget {
@@ -531,20 +545,20 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 		s.Step()
 		cycles = s.Cycle()
 		if a.capturing {
-			if iv := a.opt.CheckpointInterval; a.probe != nil && iv > 0 &&
+			if iv := a.opt.CheckpointInterval; g.probe != nil && iv > 0 &&
 				cycles%iv == 0 && !s.Done() {
-				a.ckpts = append(a.ckpts, checkpoint{
+				g.ckpts = append(g.ckpts, checkpoint{
 					cycle:   cycles,
 					state:   s.Snapshot(),
-					obsIdx:  len(a.golden),
+					obsIdx:  len(g.trace),
 					lastObs: a.lastObs,
-					hist:    a.probe.History(),
+					hist:    g.probe.History(),
 				})
 			}
 			continue
 		}
-		if a.early {
-			if cycles-a.lastObs > a.hangLimit || (a.diverged && a.count > a.floodCap) {
+		if g.early {
+			if cycles-a.lastObs > g.hangLimit || (a.diverged && a.count > g.floodCap) {
 				aborted = true
 				a.st.EarlyExits++
 				a.met.earlyExits.Inc()
@@ -564,7 +578,7 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 // online probe. Without a golden reference (capture failed) the check is
 // vacuous: the campaign rejects such goldens wholesale.
 func (a *Arena) healthy() (healthy bool) {
-	if !a.goldenOK {
+	if !a.gold.ok {
 		return true
 	}
 	a.st.HealthChecks++
@@ -577,7 +591,7 @@ func (a *Arena) healthy() (healthy bool) {
 		}
 	}()
 	_, ok, cut := a.runOnce(fault.None)
-	return ok && !cut && a.last == a.goldenRes
+	return ok && !cut && a.last == a.gold.res
 }
 
 // quarantine retires the poisoned SoC and rebuilds the arena in place,
@@ -654,7 +668,8 @@ func (a *Arena) SoC() *soc.SoC { return a.s }
 // Last returns the full result of the most recent Run.
 func (a *Arena) Last() RunResult { return a.last }
 
-// CampaignOptions tunes RunCampaignOpts beyond the engine mode.
+// CampaignOptions tunes Campaign.Run and RunCampaignOpts beyond the engine
+// mode.
 type CampaignOptions struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -731,16 +746,13 @@ func resolveCheckpointInterval(opt int64, budget int64) int64 {
 }
 
 // CampaignFingerprint content-addresses the campaign as a pure function:
-// the assembled program image and routine data tables, the ordered fault
-// universe, and the execution environment (core, budget, SoC configuration
-// with replayed traffic). Two campaigns with equal fingerprints compute
-// identical reports, which is what makes journaled verdicts transferable
-// across process restarts.
-func CampaignFingerprint(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64) (fault.JournalHeader, error) {
-	prog, err := buildProgram(job)
-	if err != nil {
-		return fault.JournalHeader{}, err
-	}
+// the assembled program image prog (job's, as Campaign assembles it once)
+// and the routine data tables, the ordered fault universe, and the
+// execution environment (core, budget, SoC configuration with replayed
+// traffic). Two campaigns with equal fingerprints compute identical
+// reports, which is what makes journaled verdicts transferable across
+// process restarts.
+func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64) fault.JournalHeader {
 	ph := fnv.New64a()
 	fmt.Fprintf(ph, "base %08x:", prog.Base)
 	for _, w := range prog.Words {
@@ -765,105 +777,17 @@ func CampaignFingerprint(cfg soc.Config, id int, job *CoreJob, sites []fault.Sit
 		Universe: fault.HashSites(sites),
 		Env:      fmt.Sprintf("%016x", eh.Sum64()),
 		Sites:    len(sites),
-	}, nil
+	}
 }
 
 // RunCampaignOpts fault-simulates job on core id for every site, in the
-// replay environment cfg with the given per-run cycle budget — the one
-// engine entry point behind experiments campaigns, conformance checks,
-// cmd/faultsim and the campaign service (Record supplies the environment
-// and budget). Each worker drives one reusable Arena; opt.Reference
-// selects the full-budget reference mode, and both modes produce identical
-// reports. With a journal, verdicts stream to an append-only file as they
-// settle, and a resumed campaign skips the sites the journal already
-// settles — producing a report bit-identical to the uninterrupted run.
+// replay environment cfg with the given per-run cycle budget: one
+// Campaign.Run on a campaign that lives for this call only, so it
+// captures the golden run once per call, as a fresh cmd/faultsim process
+// does. Record supplies the environment and budget.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
-	reg := opt.Telemetry
-	if reg == nil && opt.Progress > 0 {
-		// The progress line computes rates from registry counters; give it
-		// a private registry when the caller did not attach one.
-		reg = telemetry.NewRegistry()
-	}
-	var simOpt fault.SimOptions
-	simOpt.Telemetry = reg
-	simOpt.Events = opt.Events
-	simOpt.OnSettle = opt.OnSettle
-	simOpt.OnGolden = opt.OnGolden
-	if opt.Journal != "" {
-		header, err := CampaignFingerprint(cfg, id, job, sites, budget)
-		if err != nil {
-			return fault.Report{}, err
-		}
-		var j *fault.Journal
-		if opt.Resume {
-			j, err = fault.ResumeJournal(opt.Journal, header)
-		} else {
-			j, err = fault.CreateJournal(opt.Journal, header)
-		}
-		if err != nil {
-			return fault.Report{}, err
-		}
-		defer j.Close()
-		simOpt.Journal = j
-	}
-	// Arena 0 runs the one golden capture (with checkpointing unless
-	// disabled); the remaining workers are clones sharing its golden
-	// trace, probe and checkpoints over their own SoCs, so campaign
-	// startup costs one golden-run latency total.
-	aOpt := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(opt.CheckpointInterval, budget)}
-	if opt.Reference {
-		aOpt = ArenaOptions{NoEarlyExit: true}
-	}
-	aOpt.Telemetry = reg
-	aOpt.Events = opt.Events
-	proto, err := NewArena(cfg, id, job, budget, aOpt)
-	if err != nil {
-		return fault.Report{}, err
-	}
-	n := fault.Workers(opt.Workers, len(sites))
-	arenas := make([]*Arena, n)
-	errs := make([]error, n)
-	arenas[0] = proto
-	var wg sync.WaitGroup
-	for w := 1; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			arenas[w], errs[w] = newArenaClone(proto)
-		}(w)
-	}
-	wg.Wait()
-	runners := make([]fault.RunFunc, n)
-	for w := range runners {
-		if errs[w] != nil {
-			return fault.Report{}, errs[w]
-		}
-		runners[w] = arenas[w].Run
-	}
-	if opt.Events != nil {
-		opt.Events.Emit(telemetry.Event{
-			Kind: telemetry.EventStart, Sites: len(sites), Workers: n,
-		})
-	}
-	start := time.Now()
-	prog := campaignProgress(reg, opt, len(sites), start)
-	rep, err := fault.Simulate(sites, runners, simOpt)
-	prog.Stop()
-	if err != nil {
-		return rep, err
-	}
-	for _, a := range arenas {
-		rep.Dispatch.Add(a.Stats().Dispatch)
-	}
-	if opt.Events != nil {
-		opt.Events.Emit(telemetry.Event{
-			Kind: telemetry.EventFinish, Sites: len(sites),
-			Settled:       int64(len(rep.Results)),
-			DetectedTotal: int64(rep.Detected),
-			ElapsedNs:     time.Since(start).Nanoseconds(),
-		})
-	}
-	return rep, nil
+	c := &Campaign{Cfg: cfg, Core: id, Job: job, Sites: sites, Budget: budget}
+	return c.Run(sites, opt)
 }
 
 // campaignProgress starts the periodic progress line (nil when disabled).

@@ -1,0 +1,242 @@
+package core
+
+import (
+	"crypto/sha256"
+	"sync"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/sbst"
+	"repro/internal/soc"
+	"repro/internal/telemetry"
+)
+
+// heldCampaign records a single-core campaign of routine mk under
+// strategy strat over sites.
+func heldCampaign(t *testing.T, mk func(int) *sbst.Routine, strat Strategy, cached bool, sites []fault.Site) *Campaign {
+	t.Helper()
+	c, err := Record(cfg(1, cached, true, [3]int{}), jobsSameRoutine(1, mk, func(int) Strategy { return strat }), 0, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// universe lists one fault family at the given bit step, sorted.
+func universe(sites []fault.Site) []fault.Site {
+	fault.SortSites(sites)
+	return sites
+}
+
+// captures reads the golden-capture counter of reg.
+func captures(reg *telemetry.Registry) int64 {
+	return reg.Counter("arena_golden_captures_total").Value()
+}
+
+// TestCampaignShardedRunsMatchOneCall pins the held capture: a campaign run
+// as one Campaign.Run call per service shard settles the same verdicts,
+// golden and summed dispatch counts as one RunCampaignOpts call over the
+// whole universe, while the golden capture runs once for all the shards.
+func TestCampaignShardedRunsMatchOneCall(t *testing.T) {
+	opts := fault.ListOptions{DataBits: 32, BitStep: 8}
+	cases := []struct {
+		name   string
+		mk     func(int) *sbst.Routine
+		strat  Strategy
+		cached bool
+		sites  []fault.Site
+		shard  int
+	}{
+		{"forwarding stuck-at", fwdRoutine, CacheBased{WriteAllocate: true}, true, universe(fault.ForwardingLogic(opts)), 64},
+		{"forwarding transition", fwdRoutine, Plain{}, false, universe(fault.TransitionFaults(opts)), 64},
+		{"hdcu stuck-at", hdcuRoutine, Plain{}, false, universe(append(fault.HDCU(opts), fault.PerfCounters(opts)...)), 64},
+		// ICU's universe is smaller than one 64-site shard.
+		{"icu stuck-at", icuRoutine, CacheBased{WriteAllocate: true}, true, universe(fault.ICU(fault.ListOptions{DataBits: 32, BitStep: 1})), 16},
+	}
+	for _, tc := range cases {
+		c := heldCampaign(t, tc.mk, tc.strat, tc.cached, tc.sites)
+		ranges := fault.ShardRanges(len(c.Sites), tc.shard)
+		if len(ranges) < 2 {
+			t.Fatalf("%s: %d sites make %d shard(s); the test needs several", tc.name, len(c.Sites), len(ranges))
+		}
+		want, err := RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites, c.Budget, CampaignOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		reg := telemetry.NewRegistry()
+		var results []fault.SiteResult
+		var dispatch fault.DispatchStats
+		for _, r := range ranges {
+			rep, err := c.Run(c.Sites[r.Lo:r.Hi], CampaignOptions{Workers: 2, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Golden != want.Golden || rep.GoldenOK != want.GoldenOK {
+				t.Fatalf("%s: shard %v golden %08x/%v, one call %08x/%v",
+					tc.name, r, rep.Golden, rep.GoldenOK, want.Golden, want.GoldenOK)
+			}
+			if got := rep.Dispatch.Total(); got != int64(r.Len()) {
+				t.Errorf("%s: shard %v dispatch counts %d sites, want its %d", tc.name, r, got, r.Len())
+			}
+			results = append(results, rep.Results...)
+			dispatch.Add(rep.Dispatch)
+		}
+		if len(results) != len(want.Results) {
+			t.Fatalf("%s: %d sharded verdicts, want %d", tc.name, len(results), len(want.Results))
+		}
+		for i := range results {
+			if results[i] != want.Results[i] {
+				t.Fatalf("%s: site %d (%v): sharded %+v, one call %+v", tc.name, i, c.Sites[i], results[i], want.Results[i])
+			}
+		}
+		if dispatch != want.Dispatch {
+			t.Errorf("%s: summed shard dispatch %v, one call %v", tc.name, dispatch, want.Dispatch)
+		}
+		if n := captures(reg); n != 1 {
+			t.Errorf("%s: %d golden captures over %d shards, want 1", tc.name, n, len(ranges))
+		}
+	}
+}
+
+// TestCampaignConcurrentRuns pins that Run is safe to call from several
+// goroutines at once on one Campaign: both calls settle the one-shot
+// report's verdicts, and the capture still runs once.
+func TestCampaignConcurrentRuns(t *testing.T) {
+	sites := campaignSites()
+	c := heldCampaign(t, fwdRoutine, Plain{}, false, sites)
+	want, err := RunCampaignOpts(c.Cfg, c.Core, c.Job, sites, c.Budget, CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	var reps [2]fault.Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range reps {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			reps[g], errs[g] = c.Run(sites, CampaignOptions{Workers: 2, Telemetry: reg})
+		}(g)
+	}
+	wg.Wait()
+	for g, rep := range reps {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !rep.SameVerdicts(want) {
+			t.Errorf("concurrent call %d: report differs from the one-shot run", g)
+		}
+		if rep.Dispatch.Total() != int64(len(sites)) {
+			t.Errorf("concurrent call %d: dispatch counts %d sites, want %d", g, rep.Dispatch.Total(), len(sites))
+		}
+	}
+	if n := captures(reg); n != 1 {
+		t.Errorf("%d golden captures for two concurrent calls, want 1", n)
+	}
+	// Four arenas served the two calls and all went back to the campaign.
+	if n := len(c.eng.idle); n != 4 {
+		t.Errorf("campaign holds %d idle arenas after the calls, want 4", n)
+	}
+}
+
+// imageSum hashes a shared image: the whole flash and every sealed
+// baseline.
+func imageSum(img *soc.Image) [sha256.Size]byte {
+	h := sha256.New()
+	flash := make([]byte, img.Flash.Size())
+	img.Flash.Read(0, flash)
+	h.Write(flash)
+	h.Write(img.SRAM)
+	for _, tcm := range img.TCM {
+		h.Write(tcm[0])
+		h.Write(tcm[1])
+	}
+	var sum [sha256.Size]byte
+	copy(sum[:], h.Sum(nil))
+	return sum
+}
+
+// wildSites are forwarding faults whose runs store into flash or into the
+// core's TCM under the plain strategy, where the golden run stores into
+// SRAM: wrong address bits forwarded into the store's address operand, and
+// a stuck mux select.
+var wildSites = []fault.Site{
+	{Unit: fault.UnitFwd, Signal: fault.SigMuxData, Lane: 1, Path: fault.PathCascade, Bit: 28, Stuck: 1},
+	{Unit: fault.UnitFwd, Signal: fault.SigMuxData, Lane: 1, Path: fault.PathCascade, Bit: 29, Stuck: 0},
+	{Unit: fault.UnitFwd, Signal: fault.SigMuxSel, Lane: 0, Bit: 0, Stuck: 1},
+}
+
+// TestSharedImageSurvivesWildStores is the oracle for sharing one memory
+// image across a campaign's arenas: a universe whose runs store into
+// flash, SRAM and TCM leaves the SHA-256 of the flash image and of the
+// sealed baselines what a pristine build has, in both engine modes and
+// across Run calls.
+func TestSharedImageSurvivesWildStores(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 1, false)
+	pristine, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := imageSum(pristine.gold.img)
+
+	// The universe is wild: its runs store into every region.
+	probe, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{NoEarlyExit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flash, sram, tcm bool
+	probe.s.Cores[0].Core.SetStoreObserver(func(addr uint32, val uint64, size int) {
+		flash = flash || addr < mem.FlashBase+mem.FlashSize
+		sram = sram || (addr >= mem.SRAMBase && addr < mem.SRAMBase+mem.SRAMSize)
+		tcm = tcm || mem.InTCM(addr, 0)
+		probe.observe(addr, val, size)
+	})
+	probe.Run(fault.None)
+	for _, s := range wildSites {
+		probe.Run(fault.PlaneFor(s))
+	}
+	if !flash || !sram || !tcm {
+		t.Fatalf("wild sites stored into flash=%v sram=%v tcm=%v; want all three", flash, sram, tcm)
+	}
+
+	sites := append(append([]fault.Site(nil), wildSites...), campaignSites()...)
+	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
+	for _, opt := range []CampaignOptions{{Workers: 3}, {Workers: 3}, {Workers: 2, Reference: true}} {
+		if _, err := c.Run(sites, opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := imageSum(c.eng.gold.img); got != want {
+			t.Fatalf("reference=%v: shared image hash %x after the campaign, pristine %x", opt.Reference, got, want)
+		}
+	}
+}
+
+// TestCampaignFailedCaptureGolden pins the golden verdict of a campaign
+// whose golden run cannot finish within the budget: the report's
+// Golden/GoldenOK come from the failed capture and equal what a fault-free
+// replay on an arena returns, in both engine modes.
+func TestCampaignFailedCaptureGolden(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 1, false)
+	short := (budget - earlySlack) / stallFactor / 2 // half the golden run
+	a, err := NewArena(replayCfg, 0, job, short, ArenaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSig, wantOK := a.Run(fault.None)
+	if wantOK || wantSig == 0 {
+		t.Fatalf("fault-free replay %08x/%v; the test needs a failed run with a nonzero signature", wantSig, wantOK)
+	}
+	sites := campaignSites()[:8]
+	for _, ref := range []bool{false, true} {
+		rep, err := RunCampaignOpts(replayCfg, 0, job, sites, short, CampaignOptions{Workers: 2, Reference: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Golden != wantSig || rep.GoldenOK != wantOK {
+			t.Errorf("reference=%v: golden %08x/%v, fault-free replay %08x/%v", ref, rep.Golden, rep.GoldenOK, wantSig, wantOK)
+		}
+	}
+}

@@ -31,11 +31,11 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 				t.Fatalf("cached=%v active=%d: no checkpoints captured", cached, active)
 			}
 			s := a.SoC()
-			for i := range a.ckpts {
-				ck := &a.ckpts[i]
+			for i := range a.gold.ckpts {
+				ck := &a.gold.ckpts[i]
 				s.Reset()
 				s.SetPlane(0, fault.None)
-				s.Start(0, a.entry)
+				s.Start(0, a.gold.entry)
 				for s.Cycle() < ck.cycle {
 					s.Step()
 				}
@@ -59,14 +59,14 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 			if !s.Done() {
 				t.Fatalf("cached=%v active=%d: restored continuation exhausted the budget", cached, active)
 			}
-			if sig := s.Cores[0].Core.Reg(isa.RegSig); sig != a.goldenRes.Signature {
+			if sig := s.Cores[0].Core.Reg(isa.RegSig); sig != a.gold.res.Signature {
 				t.Errorf("cached=%v active=%d: restored continuation signature %08x, golden %08x",
-					cached, active, sig, a.goldenRes.Signature)
+					cached, active, sig, a.gold.res.Signature)
 			}
 
 			// The arena itself is unscathed by the manual stepping: it still
 			// serves the exact golden verdict.
-			if sig, ok := a.Run(fault.None); sig != a.goldenRes.Signature || !ok {
+			if sig, ok := a.Run(fault.None); sig != a.gold.res.Signature || !ok {
 				t.Errorf("cached=%v active=%d: arena golden after restores %08x ok=%v",
 					cached, active, sig, ok)
 			}

@@ -61,7 +61,7 @@ type Report struct {
 	Anomalies []Anomaly `json:",omitempty"`
 
 	// Dispatch counts how the engine served each site (filled by
-	// core.RunCampaignOpts from its arenas). It describes execution
+	// core.Campaign.Run from its arenas). It describes execution
 	// strategy, not verdicts: the optimized and reference modes produce
 	// different DispatchStats around bit-identical Results, so the field
 	// is excluded from the JSON encoding and from report comparisons.

@@ -127,6 +127,13 @@ func NewRAM(size uint32, latency int) *RAM {
 	return &RAM{data: make([]byte, size), dirty: newDirtyMap(size), latency: latency}
 }
 
+// NewRAMFrom returns a RAM of the given latency holding a copy of img, a
+// baseline image: every page counts as clean, as after Restore(img), so
+// img must be the image later Restore calls rewind to.
+func NewRAMFrom(img []byte, latency int) *RAM {
+	return &RAM{data: append([]byte(nil), img...), dirty: newDirtyMap(uint32(len(img))), latency: latency}
+}
+
 func (r *RAM) Size() uint32 { return uint32(len(r.data)) }
 
 func (r *RAM) Read(off uint32, dst []byte) { copy(dst, r.data[off:]) }

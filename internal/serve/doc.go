@@ -18,7 +18,10 @@
 // sites settle; every verdict is journaled before it is counted, so a
 // SIGKILL — of a worker or of the server — costs at most the verdicts not
 // yet posted, and a resubmitted campaign completes from cache without a
-// single simulated run. Reports are assembled byte-identical to a local
+// single simulated run. Neither side builds more than it must: a
+// resubmission takes the campaign the server built for the same normalized
+// spec, and a worker builds a job's campaign, golden capture included,
+// once for all its shards. Reports are assembled byte-identical to a local
 // `faultsim -report` run of the same spec; CI pins that with cmp.
 //
 // docs/SERVICE.md is the API and wire-format reference;

@@ -1,0 +1,308 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/telemetry"
+)
+
+// TestResubmitReusesBuiltCampaign pins build reuse on submission: a spec
+// the server already holds a job for — finished, and equal only after
+// normalization — gets that job's built campaign instead of a new
+// Spec.Build, counted in serve_builds_reused_total, and its report stays
+// byte-identical to the direct run.
+func TestResubmitReusesBuiltCampaign(t *testing.T) {
+	spec := quickSpec()
+	want := directReport(t, spec)
+	srv, hs := startServer(t, Config{ShardSize: 64})
+	first := submit(t, hs.URL, spec, "")
+	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Drain: true}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	// The same spec, then one that differs only by spelling out defaults.
+	alias := Spec{Routine: "forwarding", Strategy: "cache", BitStep: 8, Faults: "stuckat"}
+	for k, s := range []Spec{spec, alias} {
+		st := submit(t, hs.URL, s, "")
+		if st.State != "done" || st.Simulated != 0 {
+			t.Fatalf("resubmission %d: state %q simulated %d, want a full cache hit", k+1, st.State, st.Simulated)
+		}
+		srv.mu.Lock()
+		reused := srv.jobs[st.ID].c == srv.jobs[first.ID].c
+		srv.mu.Unlock()
+		if !reused {
+			t.Errorf("resubmission %d built its own campaign", k+1)
+		}
+		if got := srv.met.buildsReused.Value(); got != int64(k+1) {
+			t.Errorf("after resubmission %d: serve_builds_reused_total = %d", k+1, got)
+		}
+		if got := srv.met.buildNs.Count(); got != 1 {
+			t.Errorf("after resubmission %d: %d builds observed, want the first submission's only", k+1, got)
+		}
+		code, got := getRaw(t, hs.URL, "/v1/jobs/"+st.ID+"/report")
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("resubmission %d: report differs from the direct run (code %d)", k+1, code)
+		}
+	}
+}
+
+// leaseAll leases every pending shard as worker name.
+func leaseAll(t *testing.T, base, name string) []Lease {
+	t.Helper()
+	var out []Lease
+	for {
+		body, _ := json.Marshal(LeaseRequest{Worker: name})
+		resp, err := http.Post(base+"/v1/lease", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		if resp.StatusCode == http.StatusNoContent {
+			resp.Body.Close()
+			return out
+		}
+		var l Lease
+		err = json.NewDecoder(resp.Body).Decode(&l)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("lease decode: %v", err)
+		}
+		out = append(out, l)
+	}
+}
+
+// TestWorkerHoldsOneCampaign pins the worker's campaign lifetime: fed
+// leases of two specs in turn, it holds only the current lease's campaign,
+// keeps it (and its golden capture) across consecutive shards of one job,
+// replaces it when the spec changes, and drops it on an idle poll.
+func TestWorkerHoldsOneCampaign(t *testing.T) {
+	specA, specB := quickSpec(), Spec{Routine: "forwarding", Strategy: "plain", BitStep: 8}
+	_, hs := startServer(t, Config{ShardSize: 56})
+	a := submit(t, hs.URL, specA, "")
+	b := submit(t, hs.URL, specB, "")
+	leases := leaseAll(t, hs.URL, "w1")
+	byJob := map[string][]Lease{}
+	for _, l := range leases {
+		byJob[l.Job] = append(byJob[l.Job], l)
+	}
+	la, lb := byJob[a.ID], byJob[b.ID]
+	if len(la) != 3 || len(lb) != 3 {
+		t.Fatalf("leased %d and %d shards, want 3 each", len(la), len(lb))
+	}
+	order := []Lease{la[0], lb[0], la[1], la[2], lb[1], lb[2]}
+
+	reg := telemetry.NewRegistry()
+	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Telemetry: reg}
+	var prev *Campaign
+	builds := 0
+	for i, l := range order {
+		if err := w.RunShard(context.Background(), l); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if w.held == nil || w.held.Spec != l.Spec {
+			t.Fatalf("shard %d: worker holds %v, want the campaign of %+v", i, w.held, l.Spec)
+		}
+		if sameSpec := i > 0 && order[i-1].Spec == l.Spec; sameSpec != (w.held == prev) {
+			t.Errorf("shard %d: kept campaign = %v, want %v", i, w.held == prev, sameSpec)
+		}
+		if w.held != prev {
+			builds++
+		}
+		prev = w.held
+	}
+	if got := reg.Counter("arena_golden_captures_total").Value(); got != int64(builds) {
+		t.Errorf("%d golden captures for %d campaign builds", got, builds)
+	}
+
+	w.Drain = true
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if w.held != nil {
+		t.Error("worker still holds a campaign after an idle poll")
+	}
+	for _, job := range []struct {
+		id   string
+		spec Spec
+	}{{a.ID, specA}, {b.ID, specB}} {
+		code, got := getRaw(t, hs.URL, "/v1/jobs/"+job.id+"/report")
+		if code != http.StatusOK || !bytes.Equal(got, directReport(t, job.spec)) {
+			t.Fatalf("job %s: report differs from the direct run (code %d)", job.id, code)
+		}
+	}
+}
+
+// postBody posts raw bytes and returns the status code.
+func postBody(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRequestBodyLimits pins the body limits of the three decoding POST
+// handlers: an over-limit submit, lease or verdict batch gets 413, and
+// the rejected batch leaves the job's journal byte for byte unchanged.
+func TestRequestBodyLimits(t *testing.T) {
+	dir := t.TempDir()
+	_, hs := startServer(t, Config{StoreDir: dir, ShardSize: 64})
+	st := submit(t, hs.URL, quickSpec(), "")
+	l := leaseAll(t, hs.URL, "w")[0]
+	verdicts := fmt.Sprintf("%s/v1/jobs/%s/shards/%s/verdicts", hs.URL, l.Job, l.Shard)
+	batch := VerdictBatch{Worker: "w", Golden: 1, GoldenOK: true,
+		Verdicts: []Verdict{{I: l.Shard.Lo, Sig: 2, Detected: true}}}
+	body, _ := json.Marshal(batch)
+	if code := postBody(t, verdicts, body); code != http.StatusOK {
+		t.Fatalf("small batch: %d", code)
+	}
+	journal := filepath.Join(dir, st.Key+".journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pad := strings.Repeat("x", maxBatchBytes)
+	huge := batch
+	huge.Verdicts = []Verdict{{I: l.Shard.Lo + 1, Crashed: true, Detected: true, Panicked: true, Msg: pad}}
+	hugeBatch, _ := json.Marshal(huge)
+	hugeSpec, _ := json.Marshal(Spec{Routine: pad[:maxSpecBytes]})
+	hugeLease, _ := json.Marshal(LeaseRequest{Worker: pad[:maxLeaseBytes]})
+	for _, c := range []struct {
+		name, url string
+		body      []byte
+	}{
+		{"submit", hs.URL + "/v1/jobs", hugeSpec},
+		{"lease", hs.URL + "/v1/lease", hugeLease},
+		{"verdicts", verdicts, hugeBatch},
+	} {
+		if code := postBody(t, c.url, c.body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d, want 413", c.name, len(c.body), code)
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a rejected verdict batch changed the journal")
+	}
+	var now JobStatus
+	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
+	if now.Simulated != 1 {
+		t.Errorf("job counts %d simulated sites, want the small batch's 1", now.Simulated)
+	}
+}
+
+// deepPanic panics depth frames down, with a runtime error under a long
+// message, so the recovered stack is as long as the Go runtime prints.
+func deepPanic(depth int) {
+	if depth > 0 {
+		deepPanic(depth - 1)
+		return
+	}
+	var empty []int
+	defer func() {
+		panic(fmt.Sprintf("%s: %v", strings.Repeat("arena core0: fallback run failed ", 32), recover()))
+	}()
+	_ = empty[depth]
+}
+
+// TestVerdictPosterBatchesAtMostBatchSize pins the poster's half of the
+// batch limit: a queue that outgrew one batch while a post was in flight
+// goes out as requests of at most batchSize verdicts, in settle order.
+func TestVerdictPosterBatchesAtMostBatchSize(t *testing.T) {
+	var mu sync.Mutex
+	var sizes, posted []int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var b VerdictBatch
+		if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
+			t.Errorf("decoding batch: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		sizes = append(sizes, len(b.Verdicts))
+		for _, v := range b.Verdicts {
+			posted = append(posted, v.I)
+		}
+	}))
+	defer ts.Close()
+	p := &verdictPoster{w: &Worker{Server: ts.URL}, ctx: context.Background(), path: "/verdicts",
+		wake: make(chan struct{}, 1)}
+	n := 2*batchSize + 5
+	for i := range n {
+		p.add(Verdict{I: i})
+	}
+	p.flush()
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{batchSize, batchSize, 5}; !slices.Equal(sizes, want) {
+		t.Errorf("posted batches of %v verdicts, want %v", sizes, want)
+	}
+	if len(posted) != n || !slices.IsSorted(posted) {
+		t.Errorf("posted %d verdicts out of settle order, want %d in order", len(posted), n)
+	}
+}
+
+// TestWorstCaseVerdictBatchFits pins the headroom of the verdict-batch
+// limit for the protocol's worst case, which a Worker (no Msg or Stack)
+// never reaches: batchSize panicked verdicts, each carrying the message
+// and stack the engine's recover boundary records for a deep panic,
+// encode to under a quarter of maxBatchBytes and are accepted whole.
+func TestWorstCaseVerdictBatchFits(t *testing.T) {
+	sites := make([]fault.Site, batchSize)
+	run := func(p fault.Plane) (uint32, bool) {
+		if p == fault.None {
+			return 1, true
+		}
+		deepPanic(1000)
+		return 0, true
+	}
+	rep, err := fault.Simulate(sites, []fault.RunFunc{run}, fault.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Anomalies) != batchSize {
+		t.Fatalf("%d anomalies, want %d", len(rep.Anomalies), batchSize)
+	}
+
+	_, hs := startServer(t, Config{ShardSize: batchSize})
+	st := submit(t, hs.URL, quickSpec(), "")
+	l := leaseAll(t, hs.URL, "w")[0]
+	batch := VerdictBatch{Worker: "w", Golden: rep.Golden, GoldenOK: rep.GoldenOK}
+	for k, a := range rep.Anomalies {
+		batch.Verdicts = append(batch.Verdicts, Verdict{I: l.Shard.Lo + k, Detected: true,
+			Crashed: true, Panicked: true, Msg: a.Msg, Stack: a.Stack})
+	}
+	body, _ := json.Marshal(batch)
+	t.Logf("worst-case batch: %d bytes, limit %d", len(body), maxBatchBytes)
+	if 4*len(body) > maxBatchBytes {
+		t.Errorf("worst-case batch is %d bytes, more than a quarter of the %d-byte limit", len(body), maxBatchBytes)
+	}
+	url := fmt.Sprintf("%s/v1/jobs/%s/shards/%s/verdicts", hs.URL, l.Job, l.Shard)
+	if code := postBody(t, url, body); code != http.StatusOK {
+		t.Fatalf("worst-case batch: %d", code)
+	}
+	var now JobStatus
+	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
+	if now.Simulated != batchSize {
+		t.Errorf("job counts %d simulated sites, want %d", now.Simulated, batchSize)
+	}
+}

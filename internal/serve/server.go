@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -44,6 +45,20 @@ const DefaultShardSize = 64
 // DefaultLease is the default shard lease duration.
 const DefaultLease = time.Minute
 
+// Request body limits of the POST handlers that decode a body; a larger
+// body is refused with 413 before the handler acts on it. A spec or lease
+// request is a few hundred bytes. A Worker posts at most batchSize
+// verdicts to a batch, each under 100 bytes, as it sends no panic message
+// or stack. The protocol lets a panicked verdict carry both, and a
+// goroutine stack, which the Go runtime caps at 100 frames, runs from a
+// few KiB to a few tens of KiB, so the batch limit allows batchSize
+// verdicts of 128 KiB each.
+const (
+	maxSpecBytes  = 64 << 10
+	maxLeaseBytes = 64 << 10
+	maxBatchBytes = batchSize << 17
+)
+
 // poolMetrics is the server's resolved pool-level metric handles.
 type poolMetrics struct {
 	jobsSubmitted   *telemetry.Counter
@@ -59,6 +74,7 @@ type poolMetrics struct {
 	verdicts        *telemetry.Counter
 	sitesFromCache  *telemetry.Counter
 	sitesSimulated  *telemetry.Counter
+	buildsReused    *telemetry.Counter
 	buildNs         *telemetry.Histogram
 }
 
@@ -78,6 +94,7 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 		verdicts:        reg.Counter("serve_verdicts_received_total"),
 		sitesFromCache:  reg.Counter("serve_sites_from_cache_total"),
 		sitesSimulated:  reg.Counter("serve_sites_simulated_total"),
+		buildsReused:    reg.Counter("serve_builds_reused_total"),
 		buildNs:         reg.Histogram("serve_campaign_build_ns"),
 	}
 }
@@ -93,11 +110,12 @@ type Server struct {
 	met poolMetrics
 	mux *http.ServeMux
 
-	mu    sync.Mutex
-	seq   int
-	jobs  map[string]*job // by job ID
-	order []*job          // submission order (lease scan, listing)
-	byKey map[string]*job // running job per campaign key (dedup/attach)
+	mu     sync.Mutex
+	seq    int
+	jobs   map[string]*job // by job ID
+	order  []*job          // submission order (lease scan, listing)
+	byKey  map[string]*job // running job per campaign key (dedup/attach)
+	bySpec map[Spec]*job   // latest job per normalized spec (build reuse)
 }
 
 // New builds a Server over cfg, opening (creating if needed) the store
@@ -117,11 +135,12 @@ func New(cfg Config) (*Server, error) {
 		reg = telemetry.NewRegistry()
 	}
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		met:   newPoolMetrics(reg),
-		jobs:  map[string]*job{},
-		byKey: map[string]*job{},
+		cfg:    cfg,
+		reg:    reg,
+		met:    newPoolMetrics(reg),
+		jobs:   map[string]*job{},
+		byKey:  map[string]*job{},
+		bySpec: map[Spec]*job{},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -179,26 +198,53 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// badBody answers a request whose body failed to decode: 413 when it
+// exceeded its limit, 400 otherwise.
+func badBody(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+}
+
 // handleSubmit is POST /v1/jobs: body is a Spec; the reply is the job's
 // status document (201 for a new job, 200 when attaching to the running
 // job of the same campaign). With ?wait=1 the reply is deferred until the
 // job leaves the running state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		badBody(w, "spec", err)
 		return
 	}
-	// Build outside the lock: the golden traffic-recording run is
-	// milliseconds of simulation, and it never touches job state.
-	t0 := time.Now()
-	c, err := spec.Build()
-	s.met.buildNs.Observe(time.Since(t0).Nanoseconds())
+	spec, err := spec.Normalized()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	// A job the server holds for the same normalized spec already built
+	// its campaign, and Build is a pure function of that spec.
+	s.mu.Lock()
+	prev := s.bySpec[spec]
+	s.mu.Unlock()
+	var c *Campaign
+	if prev != nil {
+		c = prev.c
+		s.met.buildsReused.Inc()
+	} else {
+		// Build outside the lock: the golden traffic-recording run is
+		// milliseconds of simulation, and it never touches job state.
+		t0 := time.Now()
+		c, err = spec.Build()
+		s.met.buildNs.Observe(time.Since(t0).Nanoseconds())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 
 	s.mu.Lock()
@@ -280,6 +326,7 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.byKey[key] = j
+	s.bySpec[c.Spec] = j
 	s.met.jobsRunning.Set(int64(len(s.byKey)))
 
 	if journal.SettledCount() == len(c.Sites) {
@@ -478,8 +525,8 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 // is pending.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad lease request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBytes)).Decode(&req); err != nil {
+		badBody(w, "lease request", err)
 		return
 	}
 	now := time.Now()
@@ -560,8 +607,8 @@ func splitRange(s string) (lo, hi int, ok bool) {
 // loses nothing.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	var batch VerdictBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		httpError(w, http.StatusBadRequest, "bad verdict batch: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&batch); err != nil {
+		badBody(w, "verdict batch", err)
 		return
 	}
 	s.mu.Lock()

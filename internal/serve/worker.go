@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,10 +17,14 @@ import (
 )
 
 // Worker is a shard worker: it leases shards from a faultserve server,
-// rebuilds each campaign deterministically from its Spec, simulates the
-// unsettled sites on a local arena pool, and streams verdict batches back.
-// Workers hold no durable state — all of it lives in the server's store —
-// so killing one mid-shard costs at most the verdicts not yet posted.
+// builds each job's campaign deterministically from its Spec, simulates
+// the unsettled sites of each shard on a local arena pool, and streams
+// verdict batches back. It builds a campaign and captures its golden run
+// once per job: consecutive shards of one job run on the same held
+// campaign, a lease for another spec replaces it, and an idle poll drops
+// it. Workers hold no durable state — all of it lives in the server's
+// store — so killing one mid-shard costs at most the verdicts not yet
+// posted.
 type Worker struct {
 	// Server is the base URL of the faultserve server (http://host:port).
 	Server string
@@ -39,9 +44,9 @@ type Worker struct {
 	// shared with each shard campaign's engine metrics.
 	Telemetry *telemetry.Registry
 
-	// campaigns caches built campaigns by spec: consecutive shards of one
-	// job rebuild nothing.
-	campaigns map[Spec]*Campaign
+	// held is the campaign of the current lease's spec, with its golden
+	// capture and arenas (core.Campaign.Run keeps them); nil when idle.
+	held *Campaign
 }
 
 // DefaultPoll is the default idle re-poll interval.
@@ -115,6 +120,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		if status == http.StatusNoContent {
+			// No work: drop the finished job's campaign, so an idle worker
+			// does not keep its engine alive.
+			w.held = nil
 			if w.Drain {
 				return nil
 			}
@@ -138,20 +146,22 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// campaign returns the built campaign for spec, building and caching it on
-// first use.
+// campaign returns the built campaign for spec: the held one when it is
+// spec's, else a fresh build that replaces it.
 func (w *Worker) campaign(spec Spec) (*Campaign, error) {
-	if c, ok := w.campaigns[spec]; ok {
-		return c, nil
+	spec, err := spec.Normalized()
+	if err != nil {
+		return nil, err
 	}
+	if w.held != nil && w.held.Spec == spec {
+		return w.held, nil
+	}
+	w.held = nil // let the previous job's engine go before building
 	c, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	if w.campaigns == nil {
-		w.campaigns = map[Spec]*Campaign{}
-	}
-	w.campaigns[spec] = c
+	w.held = c
 	return c, nil
 }
 
@@ -189,28 +199,31 @@ func (p *verdictPoster) add(v Verdict) {
 	}
 }
 
-// flush posts the queued verdicts, if any. Post errors are sticky.
+// flush posts the queued verdicts, if any, at most batchSize to a request:
+// verdicts keep settling while a post is in flight, so the queue can
+// outgrow one batch. The first failed post ends the flush; post errors are
+// sticky.
 func (p *verdictPoster) flush() {
 	p.mu.Lock()
-	batch := p.buf
+	queued := p.buf
 	p.buf = nil
 	golden, goldenOK := p.golden, p.goldenOK
 	p.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	_, err := p.w.post(p.ctx, p.path, VerdictBatch{
-		Worker:   p.worker,
-		Golden:   golden,
-		GoldenOK: goldenOK,
-		Verdicts: batch,
-	}, nil)
-	if err != nil {
-		p.mu.Lock()
-		if p.err == nil {
-			p.err = err
+	for batch := range slices.Chunk(queued, batchSize) {
+		_, err := p.w.post(p.ctx, p.path, VerdictBatch{
+			Worker:   p.worker,
+			Golden:   golden,
+			GoldenOK: goldenOK,
+			Verdicts: batch,
+		}, nil)
+		if err != nil {
+			p.mu.Lock()
+			if p.err == nil {
+				p.err = err
+			}
+			p.mu.Unlock()
+			return
 		}
-		p.mu.Unlock()
 	}
 }
 
@@ -233,11 +246,11 @@ func (p *verdictPoster) loop() {
 	}
 }
 
-// RunShard simulates one leased shard: rebuild the campaign from the
-// lease's spec, cross-check the universe size, run the shard's unsettled
-// sites as a sub-universe on a local arena pool, and stream the verdicts
-// back while simulation continues. Returns after the final flush and
-// completion call.
+// RunShard simulates one leased shard: take the campaign of the lease's
+// spec (held from the job's previous shard, or built), cross-check the
+// universe size, run the shard's unsettled sites as a sub-universe on the
+// campaign's arenas, and stream the verdicts back while simulation
+// continues. Returns after the final flush and completion call.
 func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
 	c, err := w.campaign(lease.Spec)
 	if err != nil {
@@ -282,7 +295,7 @@ func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
 	simulated := w.Telemetry.Counter("worker_sites_simulated_total")
 	var runErr error
 	if len(sub) > 0 {
-		_, runErr = core.RunCampaignOpts(c.Cfg, c.Core, c.Job, sites, c.Budget, core.CampaignOptions{
+		_, runErr = c.Run(sites, core.CampaignOptions{
 			Workers:   w.Workers,
 			Telemetry: w.Telemetry,
 			OnGolden: func(sig uint32, ok bool) {

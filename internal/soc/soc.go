@@ -86,11 +86,23 @@ type SoC struct {
 	running   []*CoreUnit // active started cores, in core-ID order
 	cycle     int64
 
-	// Sealed baseline images restored by Reset (nil until SealBaseline):
-	// SRAM plus each core's TCMs. Flash needs no image — it is read-only
-	// from the bus, so the loaded program survives every run.
-	baseSRAM []byte
-	baseTCM  [NumCores][2][]byte // per core: ITCM, DTCM
+	// base is the sealed image Reset restores (nil until SealBaseline).
+	base *Image
+}
+
+// Image is a loaded SoC's read-only memory content: the flash with its
+// programs and the sealed SRAM and TCM baselines Reset restores. Nothing
+// writes an Image once SealBaseline has taken it — the bus cannot write
+// flash (mem.Flash.Write ignores stores) and Reset and Restore only copy
+// from the baselines — so any number of SoCs, stepped on any goroutines,
+// may share one (see NewFromImage).
+type Image struct {
+	// Flash is the programmed code flash.
+	Flash *mem.Flash
+	// SRAM is the sealed SRAM baseline.
+	SRAM []byte
+	// TCM is each core's sealed ITCM and DTCM baseline, in that order.
+	TCM [NumCores][2][]byte
 }
 
 // Masters per core: instruction port then data port; replay masters at the
@@ -104,26 +116,48 @@ const (
 )
 
 // New assembles an SoC.
-func New(cfg Config) *SoC {
-	banks := cfg.FlashBanks
-	if banks == nil {
-		banks = DefaultFlashBankLatencies()
-	}
+func New(cfg Config) *SoC { return build(cfg, nil) }
+
+// NewFromImage assembles an SoC over cfg that shares img read-only: the
+// flash is img's, the writable memories start as copies of img's baselines
+// and Reset restores those. The result runs exactly like the SoC img was
+// sealed on — built from the same cfg, with the same programs loaded —
+// after a Reset, without reassembling or reloading anything. cfg must be
+// the configuration that SoC was built with.
+func NewFromImage(cfg Config, img *Image) *SoC { return build(cfg, img) }
+
+// build assembles an SoC, over img's memories when img is non-nil.
+func build(cfg Config, img *Image) *SoC {
 	sramLat := cfg.SRAMLatency
 	if sramLat == 0 {
 		sramLat = 2
 	}
-	flash := mem.NewFlash(mem.FlashSize, banks)
-	sram := mem.NewRAM(mem.SRAMSize, sramLat)
+	var flash *mem.Flash
+	var sram *mem.RAM
+	if img != nil {
+		flash = img.Flash
+		sram = mem.NewRAMFrom(img.SRAM, sramLat)
+	} else {
+		banks := cfg.FlashBanks
+		if banks == nil {
+			banks = DefaultFlashBankLatencies()
+		}
+		flash = mem.NewFlash(mem.FlashSize, banks)
+		sram = mem.NewRAM(mem.SRAMSize, sramLat)
+	}
 	b := bus.New(replayMasterBase+numReplayMasters, cfg.Arbitration, []bus.Region{
 		{Base: mem.FlashBase, Size: mem.FlashSize, Dev: flash},
 		{Base: mem.SRAMBase, Size: mem.SRAMSize, Dev: sram},
 		// Uncached alias of the same SRAM, used for cross-core flags.
 		{Base: mem.SRAMUncachedBase, Size: mem.SRAMSize, Dev: sram},
 	})
-	s := &SoC{Bus: b, Flash: flash, SRAM: sram}
+	s := &SoC{Bus: b, Flash: flash, SRAM: sram, base: img}
 	for id := 0; id < NumCores; id++ {
-		s.Cores[id] = buildCore(id, cfg.Cores[id], b)
+		var tcm [2][]byte
+		if img != nil {
+			tcm = img.TCM[id]
+		}
+		s.Cores[id] = buildCore(id, cfg.Cores[id], b, tcm)
 	}
 	if len(cfg.Replay) > numReplayMasters {
 		panic(fmt.Sprintf("soc: %d replay traces, max %d", len(cfg.Replay), numReplayMasters))
@@ -135,10 +169,18 @@ func New(cfg Config) *SoC {
 	return s
 }
 
-func buildCore(id int, setup CoreSetup, b *bus.Bus) *CoreUnit {
+// buildCore assembles core id's unit; tcm holds its ITCM and DTCM
+// baselines, or nils for zeroed TCMs.
+func buildCore(id int, setup CoreSetup, b *bus.Bus, tcm [2][]byte) *CoreUnit {
+	newTCM := func(img []byte) *mem.RAM {
+		if img == nil {
+			return mem.NewTCM(mem.TCMSize)
+		}
+		return mem.NewRAMFrom(img, 1)
+	}
 	u := &CoreUnit{
-		ITCM:  mem.NewTCM(mem.TCMSize),
-		DTCM:  mem.NewTCM(mem.TCMSize),
+		ITCM:  newTCM(tcm[0]),
+		DTCM:  newTCM(tcm[1]),
 		setup: setup,
 	}
 	setup.CPU.CoreID = id
@@ -196,8 +238,12 @@ func buildCore(id int, setup CoreSetup, b *bus.Bus) *CoreUnit {
 	return u
 }
 
-// Load programs the flash with an assembled image.
+// Load programs the flash with an assembled image. Programs load before
+// SealBaseline: the sealed flash may be shared (see NewFromImage).
 func (s *SoC) Load(p *asm.Program) error {
+	if s.base != nil {
+		return fmt.Errorf("soc: Load after SealBaseline")
+	}
 	if p.Base >= mem.FlashSize {
 		return fmt.Errorf("soc: program base %#x outside flash", p.Base)
 	}
@@ -230,12 +276,16 @@ func (s *SoC) Cycle() int64 { return s.cycle }
 // Reset restores. Call it once after loading programs and pattern tables;
 // every later Reset rewinds the SoC to this point instead of power-on zero.
 func (s *SoC) SealBaseline() {
-	s.baseSRAM = s.SRAM.Snapshot()
+	img := &Image{Flash: s.Flash, SRAM: s.SRAM.Snapshot()}
 	for id, u := range s.Cores {
-		s.baseTCM[id][0] = u.ITCM.Snapshot()
-		s.baseTCM[id][1] = u.DTCM.Snapshot()
+		img.TCM[id] = [2][]byte{u.ITCM.Snapshot(), u.DTCM.Snapshot()}
 	}
+	s.base = img
 }
+
+// Image returns the sealed image (nil before SealBaseline), for
+// NewFromImage.
+func (s *SoC) Image() *Image { return s.base }
 
 // Reset rewinds the whole SoC for another run on the same hardware: cycle
 // counters, bus and replayer state, cache contents and statistics, memory
@@ -251,15 +301,15 @@ func (s *SoC) Reset() {
 	for _, r := range s.replayers {
 		r.Reset()
 	}
-	if s.baseSRAM != nil {
-		s.SRAM.Restore(s.baseSRAM)
+	if s.base != nil {
+		s.SRAM.Restore(s.base.SRAM)
 	} else {
 		s.SRAM.Reset()
 	}
 	for id, u := range s.Cores {
-		if img := s.baseTCM[id]; img[0] != nil {
-			u.ITCM.Restore(img[0])
-			u.DTCM.Restore(img[1])
+		if s.base != nil {
+			u.ITCM.Restore(s.base.TCM[id][0])
+			u.DTCM.Restore(s.base.TCM[id][1])
 		} else {
 			u.ITCM.Reset()
 			u.DTCM.Reset()

@@ -85,7 +85,7 @@ func (r *router) load(st *routerState) {
 // same programs loaded and baseline sealed, including concurrently into
 // several such SoCs.
 func (s *SoC) Snapshot() *State {
-	if s.baseSRAM == nil {
+	if s.base == nil {
 		panic("soc: Snapshot before SealBaseline")
 	}
 	st := &State{
