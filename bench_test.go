@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sbst"
+	"repro/internal/serve"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
@@ -437,4 +438,38 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		cycles += s.Cycle()
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "soc-cycles/s")
+}
+
+// BenchmarkSoCStep measures the simulator's per-cycle cost, the layer
+// under every fault run. Per strategy it runs a reference-mode arena (no
+// early exit, no checkpoints, no shortcuts) of the multicore forwarding
+// campaign, serving the fault-free golden replay and one stuck-at
+// forwarding-mux data site, both full replays from cycle 0, and reports
+// ns per simulated cycle and allocations per run.
+func BenchmarkSoCStep(b *testing.B) {
+	for _, strategy := range []string{"plain", "cache", "tcm"} {
+		c, err := serve.Spec{Routine: "forwarding", Strategy: strategy, Multicore: true, BitStep: 8}.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		i := slices.IndexFunc(c.Sites, func(s fault.Site) bool { return s.Signal == fault.SigMuxData })
+		for _, run := range []struct {
+			name  string
+			plane fault.Plane
+		}{{"golden", fault.None}, {"muxdata", fault.PlaneFor(c.Sites[i])}} {
+			b.Run(strategy+"/"+run.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var cycles int64
+				for range b.N {
+					a.Run(run.plane)
+					cycles += a.SoC().Cycle()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+			})
+		}
+	}
 }

@@ -23,7 +23,10 @@ const (
 	FixedPriority             // lower master ID wins; starves late masters under load
 )
 
-// Stats accumulates per-master bus statistics.
+// Stats accumulates per-master bus statistics. The bus charges a
+// request's wait, cycle − issued, in one go when the request is granted or
+// cancelled, and StatsFor adds the wait a still-queued request has accrued
+// so far: the result equals counting every queued cycle.
 type Stats struct {
 	Transactions int
 	WaitCycles   int // cycles spent queued while the bus served others
@@ -57,8 +60,8 @@ type Bus struct {
 	remaining int // cycles left on current transaction
 	rrNext    int // round-robin scan start
 	// pending is a bitmask of masters with an active, not-yet-completed
-	// request; it lets the per-cycle wait accounting and the arbiter scan
-	// only live requests instead of every master slot.
+	// request; it lets the arbiter scan only live requests instead of
+	// every master slot.
 	pending uint64
 
 	totalBusy int64
@@ -150,8 +153,15 @@ func (b *Bus) Restore(st *State) {
 // the attachment survives Reset — coverage spans many runs of one bus.
 func (b *Bus) SetCoverage(m *coverage.Map) { b.cov = m }
 
-// StatsFor returns the accumulated statistics of master id.
-func (b *Bus) StatsFor(id int) Stats { return b.stats[id] }
+// StatsFor returns the accumulated statistics of master id, including the
+// wait of a request still queued.
+func (b *Bus) StatsFor(id int) Stats {
+	st := b.stats[id]
+	if b.pending>>id&1 != 0 && b.owner != id {
+		st.WaitCycles += int(b.cycle - b.reqs[id].issued)
+	}
+	return st
+}
 
 // Utilization returns the fraction of elapsed cycles the bus was busy.
 func (b *Bus) Utilization() float64 {
@@ -183,16 +193,6 @@ func (b *Bus) Step() {
 			b.owner = -1
 		}
 	}
-	// Account waiting for everyone still queued behind the bus.
-	wait := b.pending
-	if b.owner >= 0 {
-		wait &^= 1 << b.owner
-	}
-	for wait != 0 {
-		id := bits.TrailingZeros64(wait)
-		wait &= wait - 1
-		b.stats[id].WaitCycles++
-	}
 	if b.owner < 0 {
 		b.grantNext()
 	}
@@ -220,6 +220,7 @@ func (b *Bus) grantNext() {
 	}
 	b.owner = pick
 	r := &b.reqs[pick]
+	b.stats[pick].WaitCycles += int(b.cycle - r.issued)
 	if b.cov != nil {
 		b.coverGrant(r)
 	}
@@ -377,6 +378,9 @@ func (p *Port) Cancel() {
 	}
 	if p.bus.owner == p.id && !r.done {
 		panic("bus: cancel of in-service request")
+	}
+	if !r.done {
+		p.bus.stats[p.id].WaitCycles += int(p.bus.cycle - r.issued)
 	}
 	r.active, r.done = false, false
 	p.bus.pending &^= 1 << p.id

@@ -1,5 +1,7 @@
 package bus
 
+import "math"
+
 // Traffic recording and replay. Fault simulation needs thousands of runs of
 // a multi-core scenario; simulating all three cores for every fault would
 // multiply the cost by the core count even though a fault is private to the
@@ -77,6 +79,11 @@ type Replayer struct {
 	req  *request // direct handle on the port's request slot (hot path)
 	log  []TrafficEvent
 	next int
+	// wake is the bus cycle before which Step has nothing to do: the due
+	// cycle of the next event while the replayer is idle, MaxInt64 once
+	// the trace is exhausted. While a request is in flight it is at most
+	// the current cycle, so Step polls every cycle.
+	wake int64
 	buf  [16]byte
 }
 
@@ -88,22 +95,31 @@ func NewReplayer(port *Port, log []TrafficEvent) *Replayer {
 // Reset rewinds the replayer to the start of its trace. The caller must
 // reset the bus as well (a stale in-flight request would otherwise be
 // mistaken for a replayed one).
-func (r *Replayer) Reset() { r.next = 0 }
+func (r *Replayer) Reset() { r.next, r.wake = 0, 0 }
 
 // Pos returns the replay cursor (number of events already submitted). The
 // in-flight request, if any, lives in the bus's request slot and is covered
-// by Bus.Snapshot, so the cursor is the replayer's whole dynamic state.
+// by Bus.Snapshot, so the cursor is the replayer's whole dynamic state (the
+// wake cycle is derived from it and re-derived after Seek).
 func (r *Replayer) Pos() int { return r.next }
 
 // Seek rewinds or advances the replay cursor to a position previously
 // returned by Pos (checkpoint restore).
-func (r *Replayer) Seek(n int) { r.next = n }
+func (r *Replayer) Seek(n int) { r.next, r.wake = n, 0 }
 
 // Step advances the replayer by one cycle; call once per bus cycle after
-// Bus.Step. It is stepped once per simulated cycle for the whole campaign,
-// so it polls its request slot directly instead of going through the port
-// accessors.
+// Bus.Step. It is stepped once per simulated cycle for the whole campaign:
+// an idle replayer returns at once until its next event is due, and a
+// busy one polls its request slot directly instead of going through the
+// port accessors.
 func (r *Replayer) Step(now int64) {
+	if now < r.wake {
+		return
+	}
+	r.poll(now)
+}
+
+func (r *Replayer) poll(now int64) {
 	if r.req.active {
 		if !r.req.done {
 			return // in flight
@@ -111,10 +127,12 @@ func (r *Replayer) Step(now int64) {
 		r.req.active, r.req.done = false, false // take
 	}
 	if r.next >= len(r.log) {
+		r.wake = math.MaxInt64
 		return
 	}
-	ev := r.log[r.next]
+	ev := &r.log[r.next]
 	if now < ev.Cycle {
+		r.wake = ev.Cycle
 		return
 	}
 	if ev.Write {

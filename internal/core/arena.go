@@ -16,10 +16,9 @@ import (
 
 // Arena is a reusable fault-simulation worker: one long-lived SoC with the
 // program assembled and loaded exactly once, serving thousands of fault runs
-// as reset + plane-swap instead of soc.New + reassemble + reload. Reset,
-// Start and TCM accesses allocate nothing (TestResetStartAllocationFree,
-// TestTCMClientAllocationFree); what a run still allocates is the formatted
-// error isa.Decode builds for every undecodable word the run decodes.
+// as reset + plane-swap instead of soc.New + reassemble + reload. A run,
+// Reset and Start included, allocates nothing (TestArenaRunAllocationFree,
+// TestResetStartAllocationFree, TestTCMClientAllocationFree).
 //
 // An Arena additionally supports early exit on observable divergence: the
 // golden capture (NewArena's, shared by every arena of a campaign) holds

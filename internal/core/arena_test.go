@@ -134,3 +134,47 @@ func TestArenaFaultyRunMatchesFreshSoC(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaRunAllocationFree pins that a fault run on a reusable arena
+// allocates nothing, under the plain, cache and TCM strategies: beyond
+// Reset and Start (TestResetStartAllocationFree), the per-cycle loop,
+// decode-cache misses on undecodable words included, builds nothing on
+// the heap. The planes are built up front — a plane is the caller's
+// allocation, not the run's.
+func TestArenaRunAllocationFree(t *testing.T) {
+	sites := fault.ForwardingLogic(fault.ListOptions{DataBits: 32, BitStep: 8})
+	fault.SortSites(sites)
+	planes := make([]fault.Plane, 40)
+	for i := range planes {
+		planes[i] = fault.PlaneFor(sites[i])
+	}
+	for _, tc := range []struct {
+		name   string
+		strat  Strategy
+		cached bool
+	}{
+		{"plain", Plain{}, false},
+		{"cache", CacheBased{WriteAllocate: true}, true},
+		{"tcm", TCMBased{CoreID: 0}, false},
+	} {
+		rc, err := Record(cfg(1, tc.cached, true, [3]int{}),
+			jobsSameRoutine(1, fwdRoutine, func(int) Strategy { return tc.strat }), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, opt := range map[string]ArenaOptions{"reference": {NoEarlyExit: true}, "early-exit": {}} {
+			a, err := NewArena(rc.Cfg, 0, rc.Job, rc.Budget, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(len(planes)-1, func() {
+				a.Run(planes[next%len(planes)])
+				next++
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: Arena.Run allocated %v times per run, want 0", tc.name, mode, allocs)
+			}
+		}
+	}
+}

@@ -30,10 +30,12 @@ func CoreC() Config { return Config{CoreID: 2, Has64: true} }
 // fetchQCap is the fetch queue depth in instructions.
 const fetchQCap = 6
 
+// fetched is a fetch-queue entry. It carries its decoded record by value:
+// the decode-cache entry the record came from can be evicted while the
+// word still waits in the queue.
 type fetched struct {
-	pc   uint32
-	inst isa.Inst
-	bad  bool // undecodable word
+	pc uint32
+	decoded
 }
 
 // decCacheSize is the decode-cache capacity (power of two).
@@ -42,28 +44,70 @@ const decCacheSize = 256
 type decEntry struct {
 	word  uint32
 	valid bool
-	bad   bool
-	inst  isa.Inst
+	decoded
+}
+
+// decoded is an instruction word decoded once, together with the operand
+// and hazard facts the issue, hazard and forwarding logic read on every
+// issue attempt and operand read.
+type decoded struct {
+	inst         isa.Inst
+	srcA, srcB   uint8 // source registers (isa.Inst.SrcRegs)
+	useA, useB   bool
+	pairA, pairB bool  // source operand is a 64-bit register pair
+	rd           uint8 // architectural destination (JAL writes RegLink)
+	writes       bool  // isa.Inst.WritesReg
+	isLoad       bool
+	isStore      bool
+	isMem        bool
+	isPair       bool
+	alone        bool  // control, system or pair: issues alone
+	size         uint8 // data access size in bytes; 0 for non-memory ops
+	bad          bool  // undecodable word
+}
+
+// decode builds the record of word w.
+func decode(w uint32) decoded {
+	inst, ok := isa.DecodeOK(w)
+	if !ok {
+		return decoded{bad: true}
+	}
+	op := inst.Op
+	d := decoded{
+		inst:    inst,
+		rd:      destOf(inst),
+		writes:  inst.WritesReg(),
+		isLoad:  op.IsLoad(),
+		isStore: op.IsStore(),
+		isMem:   op.IsMem(),
+		isPair:  op.IsPair(),
+		alone:   op.IsControl() || op.IsSystem() || op.IsPair(),
+	}
+	d.srcA, d.useA, d.srcB, d.useB = inst.SrcRegs()
+	d.pairA, d.pairB = pairOperands(inst)
+	switch op {
+	case isa.OpLB, isa.OpLBU, isa.OpSB:
+		d.size = 1
+	case isa.OpLW, isa.OpSW:
+		d.size = 4
+	case isa.OpLWP, isa.OpSWP:
+		d.size = 8
+	}
+	return d
 }
 
 // uop is an instruction in flight.
 type uop struct {
-	valid  bool
-	inst   isa.Inst
-	pc     uint32
-	rd     uint8
-	writes bool
-	isPair bool
-
-	result   uint64 // EX result; load data is filled in MEM
-	isLoad   bool
-	isStore  bool
-	memAddr  uint32
-	memSize  int
-	storeVal uint64
-
+	decoded
+	valid    bool
 	cascadeA bool // operand A takes the intra-packet cascade path
 	cascadeB bool
+	pc       uint32
+
+	result   uint64 // EX result; load data is filled in MEM
+	memAddr  uint32
+	memSize  int // outstanding access size; stepMEM zeroes it when done
+	storeVal uint64
 }
 
 type packet [2]uop
@@ -97,11 +141,10 @@ type TraceFn func(TraceEvent)
 type Core struct {
 	cfg   Config
 	plane fault.Plane
-	// cntIncClean caches fault.AffectsCounterInc(plane): counters are
-	// bumped several times per cycle, and a plane transparent to counter
-	// increments lets bump skip the per-increment plane call.
-	cntIncClean bool
-	ICU         *icu.ICU
+	// hooks caches fault.Hooks(plane): every hook call site skips the
+	// plane call when its signal class is outside the set.
+	hooks fault.HookSet
+	ICU   *icu.ICU
 
 	imem cache.Client
 	dmem cache.Client
@@ -119,10 +162,11 @@ type Core struct {
 	discardFetch bool
 	fetchQ       []fetched
 	nextIssuePC  uint32
-	// decCache memoises isa.Decode, which is pure in the fetched word:
-	// loop bodies re-decode the same handful of words every iteration (and
+	// decCache memoises decode, which is pure in the fetched word: loop
+	// bodies re-decode the same handful of words every iteration (and
 	// every fault run of a reusable arena re-decodes the same program).
-	// Direct-mapped; survives Reset by construction.
+	// Direct-mapped and keyed by word, not address, so code staged into
+	// writable TCM needs no invalidation; survives Reset by construction.
 	decCache [decCacheSize]decEntry
 
 	// Pipeline latches. The packets live in the fixed latches array and
@@ -175,15 +219,15 @@ func New(cfg Config, imem, dmem cache.Client, invalidate func(sel int32), plane 
 		invalidate = func(int32) {}
 	}
 	c := &Core{
-		cfg:         cfg,
-		plane:       plane,
-		cntIncClean: !fault.AffectsCounterInc(plane),
-		ICU:         icu.New(cfg.ICU, plane),
-		imem:        imem,
-		dmem:        dmem,
-		invalidate:  invalidate,
-		fetchQ:      make([]fetched, 0, fetchQCap),
-		memLane:     -1,
+		cfg:        cfg,
+		plane:      plane,
+		hooks:      fault.Hooks(plane),
+		ICU:        icu.New(cfg.ICU, plane),
+		imem:       imem,
+		dmem:       dmem,
+		invalidate: invalidate,
+		fetchQ:     make([]fetched, 0, fetchQCap),
+		memLane:    -1,
 	}
 	c.exPkt, c.memPkt, c.wbPkt = &c.latches[0], &c.latches[1], &c.latches[2]
 	return c
@@ -317,7 +361,7 @@ func (c *Core) SetPlane(plane fault.Plane) {
 		plane = fault.None
 	}
 	c.plane = plane
-	c.cntIncClean = !fault.AffectsCounterInc(plane)
+	c.hooks = fault.Hooks(plane)
 	c.ICU.SetPlane(plane)
 }
 
@@ -371,19 +415,37 @@ func (c *Core) Counter(id int) uint64 { return c.counters[id] }
 // Cycle returns the core-local cycle count.
 func (c *Core) Cycle() int64 { return c.cycle }
 
+// emit stamps ev with the cycle and hands it to the tracer. Callers check
+// c.trace != nil first, so an untraced run builds no event.
 func (c *Core) emit(ev TraceEvent) {
-	if c.trace != nil {
-		ev.Cycle = c.cycle
-		c.trace(ev)
-	}
+	ev.Cycle = c.cycle
+	c.trace(ev)
 }
 
 // bump increments performance counter id through the fault plane's
-// increment gate.
-func (c *Core) bump(id int, by uint64) {
-	if c.cntIncClean || c.plane.CounterInc(uint8(id), true) {
-		c.counters[id] += by
+// increment gate. Like cmpEq and ctl it runs several times a cycle, so it
+// tests its hook class with a constant mask rather than HookSet.Has, which
+// keeps all three within the inliner's budget.
+func (c *Core) bump(id uint8) {
+	if c.hooks&(1<<fault.SigCntInc) == 0 || c.plane.CounterInc(id, true) {
+		c.counters[id]++
 	}
+}
+
+// cmpEq is register-index comparator cmpID through the fault plane.
+func (c *Core) cmpEq(cmpID, a, b uint8) bool {
+	if c.hooks&(1<<fault.SigCmp) != 0 {
+		return c.plane.CmpEq(cmpID, a, b)
+	}
+	return a == b
+}
+
+// ctl is hazard control line through the fault plane.
+func (c *Core) ctl(line uint8, v bool) bool {
+	if c.hooks&(1<<fault.SigCtl) != 0 {
+		return c.plane.Ctl(line, v)
+	}
+	return v
 }
 
 // redirect flushes the front end and restarts fetch at target.
@@ -402,7 +464,9 @@ func (c *Core) redirect(target uint32) {
 			c.discardFetch = true
 		}
 	}
-	c.emit(TraceEvent{Kind: "redirect", PC: target})
+	if c.trace != nil {
+		c.emit(TraceEvent{Kind: "redirect", PC: target})
+	}
 }
 
 // Step advances the core one clock cycle. The SoC must step the bus first
@@ -413,7 +477,7 @@ func (c *Core) Step() {
 		return
 	}
 	c.cycle++
-	c.bump(fault.CntCycle, 1)
+	c.bump(fault.CntCycle)
 
 	// WB: retire (reads the MEM/WB latch, mutates only the register file).
 	retired := 0
@@ -424,8 +488,10 @@ func (c *Core) Step() {
 		}
 		c.writeBack(u)
 		retired++
-		c.bump(fault.CntInstret, 1)
-		c.emit(TraceEvent{Kind: "wb", Lane: lane, PC: u.pc, Inst: u.inst})
+		c.bump(fault.CntInstret)
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "wb", Lane: lane, PC: u.pc, Inst: u.inst})
+		}
 	}
 
 	// Snapshot the EX/MEM results: stepMEM fills load results in place,
@@ -460,9 +526,11 @@ func (c *Core) Step() {
 	} else {
 		*c.wbPkt = packet{}
 		if c.exPkt.any() || c.memPkt.any() {
-			c.bump(fault.CntMemStall, 1)
+			c.bump(fault.CntMemStall)
 			c.cov.Inc(coverage.FeatStallMem)
-			c.emit(TraceEvent{Kind: "stall", Why: "mem"})
+			if c.trace != nil {
+				c.emit(TraceEvent{Kind: "stall", Why: "mem"})
+			}
 		}
 	}
 
@@ -500,7 +568,7 @@ func (c *Core) stepMEM() bool {
 			next := -1
 			for lane := 0; lane < 2; lane++ {
 				u := &c.memPkt[lane]
-				if u.valid && (u.isLoad || u.isStore) && u.memSize != 0 {
+				if u.valid && u.memSize != 0 {
 					next = lane
 					break
 				}
@@ -532,7 +600,9 @@ func (c *Core) stepMEM() bool {
 		u.memSize = 0 // mark this lane's access complete
 		c.memLane = -1
 		c.memStarted = false
-		c.emit(TraceEvent{Kind: "mem", Lane: 0, PC: u.pc, Inst: u.inst})
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "mem", Lane: 0, PC: u.pc, Inst: u.inst})
+		}
 	}
 }
 

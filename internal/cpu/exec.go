@@ -27,20 +27,20 @@ func (c *Core) stepEX(pkt, memOld *packet, memRes *[2]uint64, wbOld *packet) {
 		if lane == 0 {
 			casVal = u.result
 		}
-		c.emit(TraceEvent{Kind: "ex", Lane: lane, PC: u.pc, Inst: u.inst, Result: u.result})
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "ex", Lane: lane, PC: u.pc, Inst: u.inst, Result: u.result})
+		}
 	}
 }
 
 // readOperands resolves both source operands of u through the forwarding
 // network.
 func (c *Core) readOperands(lane int, u *uop, memOld *packet, memRes *[2]uint64, wbOld *packet, casVal uint64) (a, b uint64) {
-	srcA, useA, srcB, useB := u.inst.SrcRegs()
-	pairA, pairB := pairOperands(u.inst)
-	if useA {
-		a = c.forward(uint8(lane), 0, srcA, pairA, u, memOld, memRes, wbOld, u.cascadeA, casVal)
+	if u.useA {
+		a = c.forward(uint8(lane), 0, u.srcA, u.pairA, u, memOld, memRes, wbOld, u.cascadeA, casVal)
 	}
-	if useB {
-		b = c.forward(uint8(lane), 1, srcB, pairB, u, memOld, memRes, wbOld, u.cascadeB, casVal)
+	if u.useB {
+		b = c.forward(uint8(lane), 1, u.srcB, u.pairB, u, memOld, memRes, wbOld, u.cascadeB, casVal)
 	}
 	return a, b
 }
@@ -65,7 +65,9 @@ func (c *Core) forward(lane, operand, src uint8, pairOp bool, u *uop, memOld *pa
 	case c.fwdMatch(fault.PathMEML0, lane, operand, &wbOld[0], src, pairOp, true):
 		sel = fault.PathMEML0
 	}
-	sel = c.plane.MuxSel(lane, operand, sel)
+	if c.hooks.Has(fault.SigMuxSel) {
+		sel = c.plane.MuxSel(lane, operand, sel)
+	}
 
 	var v uint64
 	switch sel {
@@ -88,12 +90,14 @@ func (c *Core) forward(lane, operand, src uint8, pairOp bool, u *uop, memOld *pa
 	default:
 		v = openBusValue
 	}
-	v = c.plane.MuxData(lane, operand, sel, v)
+	if c.hooks.Has(fault.SigMuxData) {
+		v = c.plane.MuxData(lane, operand, sel, v)
+	}
 	if sel < fault.NumPaths {
 		c.PathUse[lane][operand][sel]++
 		c.cov.Inc(coverage.FwdFeat(lane, operand, sel))
 	}
-	if sel != fault.PathRF {
+	if sel != fault.PathRF && c.trace != nil {
 		c.emit(TraceEvent{
 			Kind: "fwd", Lane: int(lane), PC: u.pc, Inst: u.inst,
 			Operand: int(operand), Path: int(sel),
@@ -119,7 +123,7 @@ func (c *Core) fwdMatch(path, lane, operand uint8, p *uop, src uint8, pairOp, lo
 	if pairOp != p.isPair && pairOp {
 		return false // 32-bit producer cannot fill a 64-bit operand
 	}
-	return c.plane.CmpEq(fault.CmpFwd(path, lane, operand), p.rd, src)
+	return c.cmpEq(fault.CmpFwd(path, lane, operand), p.rd, src)
 }
 
 func (c *Core) readRF(src uint8, pair bool) uint64 {
@@ -137,7 +141,7 @@ func (c *Core) execute(u *uop, a, b uint64) {
 	imm := u.inst.Imm
 	a32, b32 := uint32(a), uint32(b)
 
-	if op.IsPair() && !c.cfg.Has64 {
+	if u.isPair && !c.cfg.Has64 {
 		// Cores A/B do not implement the 64-bit extension.
 		c.wedged = true
 		c.wedgePC = u.pc
@@ -299,7 +303,11 @@ func (c *Core) readCSR(n int32) uint32 {
 	switch n {
 	case isa.CsrCycle, isa.CsrInstret, isa.CsrIFStall,
 		isa.CsrMemStall, isa.CsrHazStall, isa.CsrIssued2:
-		return c.plane.CounterRead(uint8(n), uint32(c.counters[n]))
+		v := uint32(c.counters[n])
+		if c.hooks.Has(fault.SigCntBit) {
+			v = c.plane.CounterRead(uint8(n), v)
+		}
+		return v
 	case isa.CsrICause:
 		return c.ICU.Cause()
 	case isa.CsrIDist:

@@ -43,11 +43,12 @@ func (c *Core) enqueue(chunk uint64) {
 		word := uint32(chunk >> (32 * k))
 		e := &c.decCache[(word^word>>11^word>>22)&(decCacheSize-1)]
 		if !e.valid || e.word != word {
-			inst, err := isa.Decode(word)
-			*e = decEntry{word: word, valid: true, bad: err != nil, inst: inst}
+			*e = decEntry{word: word, valid: true, decoded: decode(word)}
 		}
-		c.fetchQ = append(c.fetchQ, fetched{pc: pc, inst: e.inst, bad: e.bad})
-		c.emit(TraceEvent{Kind: "fetch", PC: pc, Inst: e.inst, Lane: len(c.fetchQ)})
+		c.fetchQ = append(c.fetchQ, fetched{pc: pc, decoded: e.decoded})
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "fetch", PC: pc, Inst: e.inst, Lane: len(c.fetchQ)})
+		}
 	}
 }
 
@@ -72,12 +73,14 @@ func (c *Core) stepIssue(exOld *packet) {
 	if len(c.fetchQ) == 0 {
 		// The pipeline wanted to issue but fetch could not supply: this is
 		// the instruction-side stall the paper's Table I counts.
-		c.bump(fault.CntIFStall, 1)
+		c.bump(fault.CntIFStall)
 		c.cov.Inc(coverage.FeatStallIF)
-		c.emit(TraceEvent{Kind: "stall", Why: "if"})
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "stall", Why: "if"})
+		}
 		return
 	}
-	i0 := c.fetchQ[0]
+	i0 := &c.fetchQ[0]
 	if i0.bad {
 		c.wedged = true
 		c.wedgePC = i0.pc
@@ -89,36 +92,42 @@ func (c *Core) stepIssue(exOld *packet) {
 	// the packet entering MEM. Width-mismatch hazards (pair/single
 	// overlaps the 32/64-bit bypass network cannot deliver) stall the same
 	// way.
-	if c.loadUseHazard(exOld, 0, i0.inst) || c.widthHazard(exOld, i0.inst) {
-		c.bump(fault.CntHazStall, 1)
+	if c.loadUseHazard(exOld, 0, &i0.decoded) || c.widthHazard(exOld, &i0.decoded) {
+		c.bump(fault.CntHazStall)
 		c.cov.Inc(coverage.FeatStallHaz)
-		c.emit(TraceEvent{Kind: "stall", Why: "haz"})
+		if c.trace != nil {
+			c.emit(TraceEvent{Kind: "stall", Why: "haz"})
+		}
 		return
 	}
 
-	c.mkUop(&c.exPkt[0], i0)
+	first := &c.exPkt[0]
+	c.mkUop(first, i0)
 	c.popFetch(1)
-	c.nextIssuePC = i0.pc + 4
+	c.nextIssuePC = first.pc + 4
 	c.cov.Inc(coverage.FeatIssue1)
-	c.emit(TraceEvent{Kind: "issue", Lane: 0, PC: i0.pc, Inst: i0.inst})
+	if c.trace != nil {
+		c.emit(TraceEvent{Kind: "issue", Lane: 0, PC: first.pc, Inst: first.inst})
+	}
 
-	if i0.inst.Op.IsControl() || i0.inst.Op.IsSystem() || i0.inst.Op.IsPair() {
+	if first.alone {
 		return // serialising and pair-width instructions issue alone
 	}
 	if len(c.fetchQ) == 0 {
 		return
 	}
-	i1 := c.fetchQ[0]
-	ok, casA, casB := c.canDualIssue(exOld, i0.inst, i1)
+	i1 := &c.fetchQ[0]
+	ok, casA, casB := c.canDualIssue(exOld, &first.decoded, &i1.decoded)
 	if !ok {
 		return
 	}
-	c.mkUop(&c.exPkt[1], i1)
-	c.exPkt[1].cascadeA = casA
-	c.exPkt[1].cascadeB = casB
+	second := &c.exPkt[1]
+	c.mkUop(second, i1)
+	second.cascadeA = casA
+	second.cascadeB = casB
 	c.popFetch(1)
-	c.nextIssuePC = i1.pc + 4
-	c.bump(fault.CntIssued2, 1)
+	c.nextIssuePC = second.pc + 4
+	c.bump(fault.CntIssued2)
 	if c.cov != nil {
 		c.cov.Inc(coverage.FeatIssue2)
 		if casA {
@@ -128,36 +137,37 @@ func (c *Core) stepIssue(exOld *packet) {
 			c.cov.Inc(coverage.FeatCascadeB)
 		}
 	}
-	c.emit(TraceEvent{Kind: "issue", Lane: 1, PC: i1.pc, Inst: i1.inst})
+	if c.trace != nil {
+		c.emit(TraceEvent{Kind: "issue", Lane: 1, PC: second.pc, Inst: second.inst})
+	}
 }
 
-// canDualIssue decides whether i1 may share a packet with i0 and whether
-// its operands use the intra-packet cascade path.
-func (c *Core) canDualIssue(exOld *packet, first isa.Inst, i1 fetched) (ok, casA, casB bool) {
-	if i1.bad || i1.inst.Op.IsControl() || i1.inst.Op.IsSystem() || i1.inst.Op.IsPair() {
+// canDualIssue decides whether second may share a packet with first and
+// whether its operands use the intra-packet cascade path.
+func (c *Core) canDualIssue(exOld *packet, first, second *decoded) (ok, casA, casB bool) {
+	if second.bad || second.alone {
 		return false, false, false
 	}
-	if first.Op.IsMem() && i1.inst.Op.IsMem() {
+	if first.isMem && second.isMem {
 		return false, false, false // single load/store unit
 	}
-	if c.loadUseHazard(exOld, 1, i1.inst) || c.widthHazard(exOld, i1.inst) {
-		return false, false, false // issue i0 alone; i1 re-checked next cycle
+	if c.loadUseHazard(exOld, 1, second) || c.widthHazard(exOld, second) {
+		return false, false, false // issue first alone; second re-checked next cycle
 	}
 
 	splitWanted := false
 
 	// Intra-packet RAW: lane1 sourcing lane0's destination.
 	raw := false
-	a, useA, b, useB := i1.inst.SrcRegs()
-	if first.WritesReg() {
-		rd := destOf(first)
+	if first.writes {
+		rd := first.rd
 		if rd != 0 {
-			rawA := useA && c.plane.CmpEq(fault.CmpIntra(0), rd, a)
-			rawB := useB && c.plane.CmpEq(fault.CmpIntra(1), rd, b)
+			rawA := second.useA && c.cmpEq(fault.CmpIntra(0), rd, second.srcA)
+			rawB := second.useB && c.cmpEq(fault.CmpIntra(1), rd, second.srcB)
 			raw = rawA || rawB
 			if raw {
-				cascadable := !first.Op.IsLoad() &&
-					c.plane.Ctl(fault.CtlCascade, true)
+				cascadable := !first.isLoad &&
+					c.ctl(fault.CtlCascade, true)
 				if cascadable {
 					casA, casB = rawA, rawB
 				} else {
@@ -170,34 +180,33 @@ func (c *Core) canDualIssue(exOld *packet, first isa.Inst, i1 fetched) (ok, casA
 	// order rule forces a split. When a RAW cascade already chains the two
 	// instructions the ordering is resolved and the packet may issue
 	// whole (e.g. lui/ori load-immediate pairs).
-	if !raw && first.WritesReg() && i1.inst.WritesReg() {
-		rd0, rd1 := destOf(first), destOf(i1.inst)
-		if rd0 != 0 && c.plane.CmpEq(fault.CmpIntra(2), rd0, rd1) {
+	if !raw && first.writes && second.writes {
+		if first.rd != 0 && c.cmpEq(fault.CmpIntra(2), first.rd, second.rd) {
 			splitWanted = true
 		}
 	}
 
-	if c.plane.Ctl(fault.CtlSplit, splitWanted) {
+	if c.ctl(fault.CtlSplit, splitWanted) {
 		c.cov.Inc(coverage.FeatSplitWAW)
 		return false, false, false
 	}
 	return true, casA, casB
 }
 
-// loadUseHazard reports whether any source of inst matches a load
+// loadUseHazard reports whether any source of d matches a load
 // destination in pkt (the packet one stage ahead).
-func (c *Core) loadUseHazard(pkt *packet, candLane uint8, inst isa.Inst) bool {
-	a, useA, b, useB := inst.SrcRegs()
+func (c *Core) loadUseHazard(pkt *packet, candLane uint8, d *decoded) bool {
+	a, useA, b, useB := d.srcA, d.useA, d.srcB, d.useB
 	detected := false
 	for exLane := uint8(0); exLane < 2; exLane++ {
 		u := &pkt[exLane]
 		if !u.valid || !u.isLoad || u.rd == 0 {
 			continue
 		}
-		if useA && c.plane.CmpEq(fault.CmpLoadUse(exLane, candLane, 0), u.rd, a) {
+		if useA && c.cmpEq(fault.CmpLoadUse(exLane, candLane, 0), u.rd, a) {
 			detected = true
 		}
-		if useB && c.plane.CmpEq(fault.CmpLoadUse(exLane, candLane, 1), u.rd, b) {
+		if useB && c.cmpEq(fault.CmpLoadUse(exLane, candLane, 1), u.rd, b) {
 			detected = true
 		}
 		// Pair loads also produce rd+1.
@@ -208,19 +217,19 @@ func (c *Core) loadUseHazard(pkt *packet, candLane uint8, inst isa.Inst) bool {
 			}
 		}
 	}
-	return c.plane.Ctl(fault.CtlLoadUse, detected)
+	return c.ctl(fault.CtlLoadUse, detected)
 }
 
-// widthHazard reports whether inst has a pair/single width overlap with a
+// widthHazard reports whether d has a pair/single width overlap with a
 // producer in pkt (the packet one stage ahead) that the bypass network
 // cannot deliver: a 32-bit producer feeding half of a pair operand, a pair
 // producer's high word feeding a 32-bit source, or offset pair overlaps.
 // One stall cycle resolves them (the producer's register-file write becomes
 // visible before the consumer's EX). These are hard-wired width checks in
 // the issue logic, not comparator outputs, so no fault sites attach here.
-func (c *Core) widthHazard(pkt *packet, inst isa.Inst) bool {
-	a, useA, b, useB := inst.SrcRegs()
-	pairA, pairB := pairOperands(inst)
+func (c *Core) widthHazard(pkt *packet, d *decoded) bool {
+	a, useA, b, useB := d.srcA, d.useA, d.srcB, d.useB
+	pairA, pairB := d.pairA, d.pairB
 	for exLane := 0; exLane < 2; exLane++ {
 		p := &pkt[exLane]
 		if !p.valid || !p.writes || p.rd == 0 {
@@ -270,27 +279,8 @@ func pairOperands(inst isa.Inst) (pairA, pairB bool) {
 	return false, false
 }
 
-// mkUop decodes static fields of a fetched instruction into *u (in place:
-// this runs once per issued instruction, and the issue slot is already
-// zeroed by the latch rotation).
-func (c *Core) mkUop(u *uop, f fetched) {
-	op := f.inst.Op
-	*u = uop{
-		valid:   true,
-		inst:    f.inst,
-		pc:      f.pc,
-		writes:  f.inst.WritesReg(),
-		rd:      destOf(f.inst),
-		isPair:  op.IsPair(),
-		isLoad:  op.IsLoad(),
-		isStore: op.IsStore(),
-	}
-	switch op {
-	case isa.OpLB, isa.OpLBU, isa.OpSB:
-		u.memSize = 1
-	case isa.OpLW, isa.OpSW:
-		u.memSize = 4
-	case isa.OpLWP, isa.OpSWP:
-		u.memSize = 8
-	}
+// mkUop fills issue slot *u from a fetched instruction and its decoded
+// record.
+func (c *Core) mkUop(u *uop, f *fetched) {
+	*u = uop{decoded: f.decoded, valid: true, pc: f.pc, memSize: int(f.size)}
 }

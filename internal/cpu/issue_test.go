@@ -10,16 +10,26 @@ import (
 // White-box tests of the issue rules: packet formation is where the HDCU
 // lives, so each rule gets pinned independently of full-program behaviour.
 
+// record encodes inst and decodes the word into the pipeline's record, the
+// way the fetch unit fills its decode cache.
+func record(t *testing.T, inst isa.Inst) decoded {
+	t.Helper()
+	d := decode(isa.MustEncode(inst))
+	if d.bad {
+		t.Fatalf("%v does not decode", inst)
+	}
+	return d
+}
+
 func issueProbe(t *testing.T, first, second isa.Inst, exLoad bool) (dual bool, casA, casB bool) {
 	t.Helper()
 	c := New(CoreC(), nil, nil, nil, nil)
 	var exOld packet
 	if exLoad {
-		exOld[0] = uop{valid: true, inst: isa.Inst{Op: isa.OpLW, Rd: 6}, rd: 6,
-			writes: true, isLoad: true, memSize: 4}
+		exOld[0] = uop{decoded: record(t, isa.Inst{Op: isa.OpLW, Rd: 6}), valid: true, memSize: 4}
 	}
-	_ = first
-	ok, a, b := c.canDualIssue(&exOld, first, fetched{inst: second})
+	d0, d1 := record(t, first), record(t, second)
+	ok, a, b := c.canDualIssue(&exOld, &d0, &d1)
 	return ok, a, b
 }
 
@@ -63,10 +73,8 @@ func TestIssueRules(t *testing.T) {
 
 func TestWidthHazardRules(t *testing.T) {
 	c := New(CoreC(), nil, nil, nil, nil)
-	pairProducer := packet{uop{valid: true, writes: true, rd: 4, isPair: true,
-		inst: isa.Inst{Op: isa.OpADDP, Rd: 4}}}
-	singleProducer := packet{uop{valid: true, writes: true, rd: 4,
-		inst: isa.Inst{Op: isa.OpADD, Rd: 4}}}
+	pairProducer := packet{uop{valid: true, decoded: record(t, isa.Inst{Op: isa.OpADDP, Rd: 4})}}
+	singleProducer := packet{uop{valid: true, decoded: record(t, isa.Inst{Op: isa.OpADD, Rd: 4})}}
 
 	cases := []struct {
 		name string
@@ -92,7 +100,8 @@ func TestWidthHazardRules(t *testing.T) {
 			isa.Inst{Op: isa.OpADD, Rd: 8, Rs1: 9, Rs2: 10}, false},
 	}
 	for _, cse := range cases {
-		if got := c.widthHazard(&cse.pkt, cse.inst); got != cse.want {
+		d := record(t, cse.inst)
+		if got := c.widthHazard(&cse.pkt, &d); got != cse.want {
 			t.Errorf("%s: widthHazard = %v, want %v", cse.name, got, cse.want)
 		}
 	}

@@ -3,7 +3,9 @@ package fault
 // Plane is the injection surface the CPU, HDCU, ICU and counters consult.
 // Every method transforms a signal value; the fault-free plane is the
 // identity. Implementations must be deterministic and cheap: these hooks
-// sit on the pipeline's per-cycle paths.
+// sit on the pipeline's per-cycle paths. Callers skip the hooks of signal
+// classes outside the plane's Hooks set; a plane type Hooks does not know
+// is called on every hook.
 type Plane interface {
 	// MuxData transforms the value delivered by the *selected* input of
 	// the forwarding mux feeding (lane, operand). Faults on unselected
@@ -36,55 +38,37 @@ type Plane interface {
 // None is the fault-free plane.
 var None Plane = noFault{}
 
-// AffectsEvLines reports whether plane p can transform an ICU event line.
-// The ICU polls every event line through the plane each clock cycle, so
-// knowing a plane is transparent there lets it skip the poll when nothing
-// is pending — a sizeable share of the fault-simulation hot path. Unknown
-// plane implementations conservatively report true.
-func AffectsEvLines(p Plane) bool {
-	switch f := p.(type) {
-	case noFault:
-		return false
-	case *Single:
-		return f.S.Unit == UnitICU && f.S.Signal == SigEvLine
-	case *Transition:
-		return false // transition faults live on the forwarding data lines
-	case *Probe:
-		return true // the probe records the event lines the ICU polls
-	case *Composite:
-		for _, part := range f.Parts {
-			if AffectsEvLines(part) {
-				return true
-			}
-		}
-		return false
-	}
-	return true
-}
+// HookSet is a set of signal classes, one bit per Signal: the Plane hooks
+// a plane can make differ from the identity.
+type HookSet uint16
 
-// AffectsCounterInc reports whether plane p can gate a performance-counter
-// increment. The pipeline bumps several counters every clock cycle; a plane
-// known to be transparent there lets those bumps skip the per-increment
-// plane call. Unknown plane implementations conservatively report true.
-func AffectsCounterInc(p Plane) bool {
+// AllHooks is every signal class.
+const AllHooks HookSet = 1<<(SigCntInc+1) - 1
+
+// Has reports whether s is in the set.
+func (h HookSet) Has(s Signal) bool { return h>>s&1 != 0 }
+
+// Hooks returns the signal classes plane p can transform. Every hook of a
+// class outside the set is the identity, so the pipeline and the ICU,
+// which cache the set once per plane, skip those calls on their per-cycle
+// paths. The probe and any plane type Hooks does not know get every class:
+// they see every call.
+func Hooks(p Plane) HookSet {
 	switch f := p.(type) {
 	case noFault:
-		return false
+		return 0
 	case *Single:
-		return f.S.Unit == UnitPerf && f.S.Signal == SigCntInc
+		return 1 << f.S.Signal
 	case *Transition:
-		return false
-	case *Probe:
-		return true // the probe records every counter increment
+		return 1 << SigMuxData
 	case *Composite:
+		var h HookSet
 		for _, part := range f.Parts {
-			if AffectsCounterInc(part) {
-				return true
-			}
+			h |= Hooks(part)
 		}
-		return false
+		return h
 	}
-	return true
+	return AllHooks
 }
 
 // ResetPlaneState clears any per-run state plane p carries — a

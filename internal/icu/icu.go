@@ -22,9 +22,10 @@ type Config struct {
 type ICU struct {
 	cfg   Config
 	plane fault.Plane
-	// evClean caches fault.AffectsEvLines(plane): a transparent plane plus
-	// no pending events lets Tick skip polling the event lines entirely.
-	evClean bool
+	// hooks caches fault.Hooks(plane): the ICU skips the plane call of
+	// every hook class outside it, and Tick polls the event lines only
+	// when the plane can force one.
+	hooks fault.HookSet
 
 	pending    [fault.NumEvents]bool
 	numPending int
@@ -64,13 +65,13 @@ func New(cfg Config, plane fault.Plane) *ICU {
 	if plane == nil {
 		plane = fault.None
 	}
-	return &ICU{cfg: cfg, plane: plane, evClean: !fault.AffectsEvLines(plane), sinceRFE: -1}
+	return &ICU{cfg: cfg, plane: plane, hooks: fault.Hooks(plane), sinceRFE: -1}
 }
 
 // Reset restores power-on state (everything clear, interrupts disabled).
 // Like the core's, a coverage attachment survives Reset.
 func (u *ICU) Reset() {
-	*u = ICU{cfg: u.cfg, plane: u.plane, evClean: u.evClean, sinceRFE: -1, cov: u.cov}
+	*u = ICU{cfg: u.cfg, plane: u.plane, hooks: u.hooks, sinceRFE: -1, cov: u.cov}
 }
 
 // SetCoverage attaches a coverage map for the interrupt-recognition
@@ -141,7 +142,7 @@ func (u *ICU) SetPlane(plane fault.Plane) {
 		plane = fault.None
 	}
 	u.plane = plane
-	u.evClean = !fault.AffectsEvLines(plane)
+	u.hooks = fault.Hooks(plane)
 }
 
 // encodeCause maps pending event lines to cause bits.
@@ -157,13 +158,16 @@ func (u *ICU) encodeCause() uint32 {
 			c |= 1 << line
 		}
 	}
-	return u.plane.Cause(c)
+	if u.hooks.Has(fault.SigCause) {
+		c = u.plane.Cause(c)
+	}
+	return c
 }
 
 // Raise latches a synchronous event from the execute stage. The fault
 // plane can force a line stuck (spurious or missing events).
 func (u *ICU) Raise(line uint8) {
-	if u.plane.EvLine(line, true) {
+	if !u.hooks.Has(fault.SigEvLine) || u.plane.EvLine(line, true) {
 		if !u.pending[line] {
 			u.numPending++
 		}
@@ -183,10 +187,8 @@ func (u *ICU) Raise(line uint8) {
 // Tick advances the recognition pipeline by one clock cycle; retired is the
 // number of instructions that left the pipeline this cycle.
 func (u *ICU) Tick(retired int) {
-	// Polling the event lines through the plane is a no-op when the plane
-	// is transparent there and nothing is pending — the common case on the
-	// fault-simulation hot path.
-	if !u.evClean || u.numPending != 0 {
+	// Polling the event lines is a no-op unless the plane can force one.
+	if u.hooks.Has(fault.SigEvLine) {
 		// Stuck-at-1 event lines raise events spontaneously.
 		for line := uint8(0); line < fault.NumEvents; line++ {
 			if !u.pending[line] && u.plane.EvLine(line, false) {
@@ -221,7 +223,11 @@ func (u *ICU) WantInterrupt() bool {
 		return false
 	}
 	c := u.encodeCause()
-	if c&u.plane.Enable(u.enable) == 0 {
+	enable := u.enable
+	if u.hooks.Has(fault.SigEnable) {
+		enable = u.plane.Enable(enable)
+	}
+	if c&enable == 0 {
 		if c != 0 && !u.maskedNoted {
 			u.cov.Inc(coverage.FeatIntMaskedPend)
 			u.maskedNoted = true
@@ -236,8 +242,14 @@ func (u *ICU) WantInterrupt() bool {
 // oldest instruction that has not entered the pipeline.
 func (u *ICU) TakeInterrupt(resumePC uint32) (vector uint32) {
 	u.cause = u.encodeCause()
-	u.dist = u.plane.Dist(u.retired & 0xFF)
-	u.epc = u.plane.EPC(resumePC)
+	u.dist = u.retired & 0xFF
+	if u.hooks.Has(fault.SigDist) {
+		u.dist = u.plane.Dist(u.dist)
+	}
+	u.epc = resumePC
+	if u.hooks.Has(fault.SigEPC) {
+		u.epc = u.plane.EPC(u.epc)
+	}
 	for i := range u.pending {
 		u.pending[i] = false
 	}

@@ -137,23 +137,68 @@ func MustEncode(i Inst) uint32 {
 
 // Decode converts a 32-bit memory word back into an instruction. Words that
 // do not correspond to a defined operation decode to Op == OpInvalid with a
-// non-nil error; the pipeline treats executing such a word as a fatal
-// program error.
-func Decode(w uint32) (Inst, error) {
+// non-nil error naming the reason; the pipeline treats executing such a
+// word as a fatal program error.
+func Decode(w uint32) (i Inst, err error) {
+	if why := decode(w, &i); why != decodeOK {
+		return Inst{}, decodeError(w, why)
+	}
+	return i, nil
+}
+
+// decodeError describes why word w does not decode.
+func decodeError(w uint32, why int) error {
+	switch why {
+	case badFunct:
+		return fmt.Errorf("isa: invalid R-type funct %d", w&0x7FF)
+	case notRType:
+		return fmt.Errorf("isa: funct %v is not an R-type op", Op(w&0x7FF))
+	case badMajor:
+		return fmt.Errorf("isa: invalid major opcode %d", w>>26)
+	case badJump:
+		return fmt.Errorf("isa: misaligned jump offset %d", int32(w<<6)>>6)
+	}
+	return fmt.Errorf("isa: misaligned branch offset %d", int32(int16(w)))
+}
+
+// DecodeOK is Decode without the error value: ok reports whether w
+// decodes. It allocates nothing, so the pipeline's decode cache fills from
+// it even for data words and garbage.
+func DecodeOK(w uint32) (i Inst, ok bool) {
+	ok = decode(w, &i) == decodeOK
+	return i, ok
+}
+
+// Reasons a word does not decode, as decode reports them.
+const (
+	decodeOK  = iota
+	badFunct  // R-type funct beyond the op range or OpInvalid
+	notRType  // R-type funct naming an I-type op
+	badMajor  // unassigned major opcode
+	badJump   // jump offset not a multiple of 4
+	badBranch // branch offset not a multiple of 4
+)
+
+// decode is the decoder behind Decode and DecodeOK: it stores the
+// instruction in *out and returns decodeOK, or leaves *out alone and
+// returns the reason the word does not decode. Filling the caller's
+// variable, rather than returning the five-field Inst, keeps it out of a
+// temporary that Decode would copy on every call.
+func decode(w uint32, out *Inst) int {
 	mj := w >> 26
 	if mj == majorRType {
 		// The funct field is 11 bits; values beyond the op range must be
 		// rejected before the uint8 conversion, or garbage in the upper
 		// funct bits would silently alias onto valid operations.
 		if w&0x7FF >= uint32(opMax) {
-			return Inst{}, fmt.Errorf("isa: invalid R-type funct %d", w&0x7FF)
+			return badFunct
 		}
 		funct := Op(w & 0x7FF)
 		if !funct.Valid() {
-			return Inst{}, fmt.Errorf("isa: invalid R-type funct %d", uint32(funct))
+			return badFunct
 		}
 		if isIType[funct] {
-			return Inst{}, fmt.Errorf("isa: funct %v is not an R-type op", funct)
+			return notRType
 		}
 		i := Inst{
 			Op:  funct,
@@ -165,18 +210,20 @@ func Decode(w uint32) (Inst, error) {
 			i.Imm = int32(i.Rs2)
 			i.Rs2 = 0
 		}
-		return i, nil
+		*out = i
+		return decodeOK
 	}
 	op := majorOp[mj]
 	if op == OpInvalid {
-		return Inst{}, fmt.Errorf("isa: invalid major opcode %d", mj)
+		return badMajor
 	}
 	if FormatOf(op) == FmtJump {
 		off := int32(w<<6) >> 6 // sign-extend 26 bits
 		if off%InstBytes != 0 {
-			return Inst{}, fmt.Errorf("isa: misaligned jump offset %d", off)
+			return badJump
 		}
-		return Inst{Op: op, Imm: off}, nil
+		*out = Inst{Op: op, Imm: off}
+		return decodeOK
 	}
 	i := Inst{Op: op, Rs1: uint8(w >> 21 & 31)}
 	sec := uint8(w >> 16 & 31)
@@ -195,7 +242,8 @@ func Decode(w uint32) (Inst, error) {
 		i.Imm = int32(int16(imm))
 	}
 	if FormatOf(op) == FmtBranch && i.Imm%InstBytes != 0 {
-		return Inst{}, fmt.Errorf("isa: misaligned branch offset %d", i.Imm)
+		return badBranch
 	}
-	return i, nil
+	*out = i
+	return decodeOK
 }

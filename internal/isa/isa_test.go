@@ -168,6 +168,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(w); err == nil {
 			t.Errorf("Decode(0x%08x) accepted garbage", w)
 		}
+		if _, ok := DecodeOK(w); ok {
+			t.Errorf("DecodeOK(0x%08x) accepted garbage", w)
+		}
+		if n := testing.AllocsPerRun(10, func() { DecodeOK(w) }); n != 0 {
+			t.Errorf("DecodeOK(0x%08x) allocated %v times", w, n)
+		}
 	}
 }
 

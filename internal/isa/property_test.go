@@ -87,12 +87,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // TestDecodeNeverPanics: arbitrary words either decode to a valid op that
 // re-encodes to the same word, or return an error — never panic, never
-// decode to something unencodable.
+// decode to something unencodable. DecodeOK agrees with Decode on every
+// word.
 func TestDecodeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100_000; trial++ {
 		w := rng.Uint32()
 		inst, err := Decode(w)
+		if got, ok := DecodeOK(w); ok != (err == nil) || got != inst {
+			t.Fatalf("word %08x: DecodeOK = %+v, %v; Decode = %+v, %v", w, got, ok, inst, err)
+		}
 		if err != nil {
 			continue
 		}

@@ -144,10 +144,10 @@ func goldenWith(t *testing.T, c *Campaign, p fault.Plane, sys **soc.SoC) {
 // cores, the probe's FirstActivation must equal the cycle at which the
 // site's own plane first changes a hook's output in the golden run (-1 for
 // never). The probe runs as the core's plane exactly as in an arena's
-// capture, so the ICU and the counters consult it only where
-// fault.AffectsEvLines and fault.AffectsCounterInc let them: a probe that
-// reported false there would miss the event-line polls and counter
-// increments the shadow sees.
+// capture, so the core and the ICU call it only on the hook classes in
+// its fault.Hooks set: a probe whose set lacked a class would miss the
+// calls of that class the shadow (an unknown plane type, so called on
+// every hook) sees.
 func TestProbeFirstActivationMatchesShadow(t *testing.T) {
 	var specs []Spec
 	for _, faults := range []string{"stuckat", "transition"} {
