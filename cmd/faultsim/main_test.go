@@ -131,3 +131,21 @@ func TestKillResumeBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeWithoutJournalFails pins that -resume without -journal is
+// refused with a non-zero exit instead of silently running a fresh
+// campaign.
+func TestResumeWithoutJournalFails(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "report.json")
+	out, err := faultsim("-routine", "forwarding", "-core", "0", "-strategy", "plain",
+		"-bitstep", "8", "-resume", "-report", report).CombinedOutput()
+	if err == nil {
+		t.Fatalf("faultsim -resume without -journal exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "resume without a journal") {
+		t.Errorf("unhelpful error:\n%s", out)
+	}
+	if _, err := os.Stat(report); !os.IsNotExist(err) {
+		t.Errorf("a report was written (stat: %v)", err)
+	}
+}

@@ -3,6 +3,7 @@ package bus
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/coverage"
 	"repro/internal/mem"
@@ -52,6 +53,20 @@ type Bus struct {
 	regions []Region
 	policy  Arbitration
 
+	State
+
+	recorder *Recorder
+	// cov collects arbitration/contention coverage when attached; nil (the
+	// default) disables it at the cost of one branch per grant/completion.
+	cov *coverage.Map
+}
+
+// State is the bus's dynamic state — in-flight requests, arbitration
+// position and statistics — as one value. Regions, policy and attachments
+// (recorder, coverage) stay outside it. The request and statistics slices
+// are the bus's own, sized at New: replayers hold pointers into the request
+// slots, so Snapshot copies them out and Restore copies them back.
+type State struct {
 	reqs  []request
 	stats []Stats
 
@@ -65,10 +80,6 @@ type Bus struct {
 	pending uint64
 
 	totalBusy int64
-	recorder  *Recorder
-	// cov collects arbitration/contention coverage when attached; nil (the
-	// default) disables it at the cost of one branch per grant/completion.
-	cov *coverage.Map
 }
 
 // New creates a bus with n master ports and the given address regions.
@@ -76,13 +87,11 @@ func New(nMasters int, policy Arbitration, regions []Region) *Bus {
 	if nMasters > 64 {
 		panic("bus: more than 64 masters")
 	}
-	return &Bus{
-		regions: regions,
-		policy:  policy,
-		reqs:    make([]request, nMasters),
-		stats:   make([]Stats, nMasters),
-		owner:   -1,
-	}
+	b := &Bus{regions: regions, policy: policy}
+	b.reqs = make([]request, nMasters)
+	b.stats = make([]Stats, nMasters)
+	b.Reset()
+	return b
 }
 
 // NumMasters returns the number of master ports.
@@ -95,58 +104,30 @@ func (b *Bus) NumMasters() int { return len(b.reqs) }
 func (b *Bus) Reset() {
 	clear(b.reqs)
 	clear(b.stats)
-	b.cycle = 0
-	b.owner = -1
-	b.remaining = 0
-	b.rrNext = 0
-	b.pending = 0
-	b.totalBusy = 0
+	b.State = State{reqs: b.reqs, stats: b.stats, owner: -1}
 	b.recorder = nil
 }
 
 // Cycle returns the current bus cycle count.
 func (b *Bus) Cycle() int64 { return b.cycle }
 
-// State is an opaque snapshot of the bus's dynamic state — in-flight
-// requests, arbitration position and statistics. Attachments (recorder,
-// coverage) are not part of it.
-type State struct {
-	reqs      []request
-	stats     []Stats
-	cycle     int64
-	owner     int
-	remaining int
-	rrNext    int
-	pending   uint64
-	totalBusy int64
-}
-
 // Snapshot captures the bus's dynamic state mid-run. The request slots use
 // fixed line-sized buffers, so a slice copy is a deep copy.
 func (b *Bus) Snapshot() *State {
-	return &State{
-		reqs:      append([]request(nil), b.reqs...),
-		stats:     append([]Stats(nil), b.stats...),
-		cycle:     b.cycle,
-		owner:     b.owner,
-		remaining: b.remaining,
-		rrNext:    b.rrNext,
-		pending:   b.pending,
-		totalBusy: b.totalBusy,
-	}
+	st := b.State
+	st.reqs = slices.Clone(b.reqs)
+	st.stats = slices.Clone(b.stats)
+	return &st
 }
 
 // Restore rewinds the bus to a snapshot taken from an identically built bus
 // (same master count and regions). Attachments are left as they are.
 func (b *Bus) Restore(st *State) {
-	copy(b.reqs, st.reqs)
-	copy(b.stats, st.stats)
-	b.cycle = st.cycle
-	b.owner = st.owner
-	b.remaining = st.remaining
-	b.rrNext = st.rrNext
-	b.pending = st.pending
-	b.totalBusy = st.totalBusy
+	reqs, stats := b.reqs, b.stats
+	copy(reqs, st.reqs)
+	copy(stats, st.stats)
+	b.State = *st
+	b.reqs, b.stats = reqs, stats
 }
 
 // SetCoverage attaches a coverage map (nil detaches). Unlike the recorder,

@@ -13,6 +13,12 @@ import (
 // naturally aligned to their size by the client (hardware truncates low
 // address bits), which keeps faulty address computations from wedging the
 // model.
+//
+// The clients below keep everything that changes at run time in one
+// embedded state value (CtrlState, BypassState, TCMState): its Reset
+// returns the client to power-on idle, and a copy of it is a complete
+// checkpoint of the client. Neither covers the bus request a busy client
+// has outstanding, which lives in the bus's request slot (bus.State).
 type Client interface {
 	Busy() bool
 	Start(addr uint32, write bool, wdata uint64, size int)
@@ -24,10 +30,6 @@ type Client interface {
 	// already in service; the caller must then keep Ticking until done and
 	// discard the result.
 	TryAbort() bool
-	// Reset unconditionally drops all in-flight state and internal buffers,
-	// returning the client to power-on idle. The caller is responsible for
-	// resetting the bus underneath (Reset never touches bus requests).
-	Reset()
 }
 
 func alignTo(addr uint32, size int) uint32 { return addr &^ uint32(size-1) }
@@ -47,7 +49,13 @@ const (
 type Ctrl struct {
 	cache *Cache
 	port  *bus.Port
+	CtrlState
+}
 
+// CtrlState is a Ctrl's dynamic state: its refill state machine and the
+// access it serves. The tag/data array is the Cache's, and the bus request
+// a busy controller has outstanding lives in the bus's request slot.
+type CtrlState struct {
 	state ctrlState
 	addr  uint32
 	write bool
@@ -55,6 +63,9 @@ type Ctrl struct {
 	size  int
 	rdata uint64
 }
+
+// Reset returns the controller to power-on idle.
+func (s *CtrlState) Reset() { *s = CtrlState{} }
 
 // NewCtrl wraps cache with a controller mastering the given bus port.
 func NewCtrl(c *Cache, port *bus.Port) *Ctrl { return &Ctrl{cache: c, port: port} }
@@ -179,10 +190,6 @@ func (c *Ctrl) TryAbort() bool {
 	return false
 }
 
-// Reset implements Client: the state machine returns to idle. Bus requests
-// are dropped by the bus's own reset.
-func (c *Ctrl) Reset() { c.state = ctrlIdle }
-
 // Bypass is an uncached bus client. With LineBuffer enabled it keeps the
 // last line read and serves reads within it in a single cycle — this models
 // the line-wide flash prefetch buffer of the fetch unit, which is what lets
@@ -191,7 +198,17 @@ func (c *Ctrl) Reset() { c.state = ctrlIdle }
 type Bypass struct {
 	port       *bus.Port
 	lineBuffer bool
+	BypassState
 
+	// cov collects barrier flag-line coverage when attached (the uncached
+	// data-side alias client is where the scheduler's completion protocol
+	// becomes observable); nil is the zero-cost disabled mode.
+	cov *coverage.Map
+}
+
+// BypassState is a Bypass's dynamic state: the prefetch line buffer and
+// the access in flight.
+type BypassState struct {
 	bufValid bool
 	bufAddr  uint32
 	buf      [mem.LineBytes]byte
@@ -200,12 +217,10 @@ type Bypass struct {
 	addr  uint32
 	size  int
 	write bool
-
-	// cov collects barrier flag-line coverage when attached (the uncached
-	// data-side alias client is where the scheduler's completion protocol
-	// becomes observable); nil is the zero-cost disabled mode.
-	cov *coverage.Map
 }
+
+// Reset drops the prefetch buffer and the access in flight.
+func (s *BypassState) Reset() { *s = BypassState{} }
 
 // NewBypass builds an uncached client on port. lineBuffer enables the
 // single-line prefetch buffer (used for instruction fetch).
@@ -330,23 +345,12 @@ func (b *Bypass) TryAbort() bool {
 	return false
 }
 
-// Reset implements Client: drops the prefetch buffer and in-flight state.
-func (b *Bypass) Reset() {
-	b.state = ctrlIdle
-	b.bufValid = false
-}
-
 // TCMClient serves a core-private tightly-coupled memory in a single cycle
 // without touching the bus.
 type TCMClient struct {
 	dev  *mem.RAM
 	base uint32
-
-	pending bool
-	addr    uint32
-	write   bool
-	wdata   uint64
-	size    int
+	TCMState
 
 	// cov/readFeat/writeFeat record TCM traffic coverage when attached —
 	// the copy-loop states of the TCM-based wrapping strategy.
@@ -354,6 +358,19 @@ type TCMClient struct {
 	readFeat  coverage.Feature
 	writeFeat coverage.Feature
 }
+
+// TCMState is a TCMClient's dynamic state: the access between Start and
+// its Tick.
+type TCMState struct {
+	pending bool
+	addr    uint32
+	write   bool
+	wdata   uint64
+	size    int
+}
+
+// Reset returns the client to power-on idle.
+func (s *TCMState) Reset() { *s = TCMState{} }
 
 // NewTCMClient builds a client for dev mapped at base.
 func NewTCMClient(dev *mem.RAM, base uint32) *TCMClient {
@@ -413,95 +430,9 @@ func (t *TCMClient) TryAbort() bool {
 	return true
 }
 
-// Reset implements Client.
-func (t *TCMClient) Reset() { t.pending = false }
-
-// ClientState is an opaque snapshot of one concrete client's in-flight
-// state (Ctrl, Bypass or TCMClient — the superset of their dynamic fields),
-// captured by Save and reinstated by Load. Fields that are dead in the
-// captured state (an idle state machine's access parameters, an invalid
-// prefetch buffer's contents) are canonicalised to zero, so snapshots of
-// behaviourally identical clients compare equal regardless of what earlier
-// runs left behind.
-type ClientState struct {
-	state    ctrlState
-	addr     uint32
-	write    bool
-	wdata    uint64
-	size     int
-	rdata    uint64
-	bufValid bool
-	bufAddr  uint32
-	buf      [mem.LineBytes]byte
-	pending  bool
-}
-
-// Stateful is implemented by clients whose in-flight state can be
-// checkpointed. The bus request a busy client may have outstanding lives in
-// the bus's request slot and is covered by bus.Bus.Snapshot.
-type Stateful interface {
-	Save() ClientState
-	Load(ClientState)
-}
-
-// Save implements Stateful.
-func (c *Ctrl) Save() ClientState {
-	st := ClientState{state: c.state}
-	if c.state != ctrlIdle {
-		st.addr, st.write, st.wdata, st.size, st.rdata = c.addr, c.write, c.wdata, c.size, c.rdata
-	}
-	return st
-}
-
-// Load implements Stateful.
-func (c *Ctrl) Load(st ClientState) {
-	c.state = st.state
-	c.addr, c.write, c.wdata, c.size, c.rdata = st.addr, st.write, st.wdata, st.size, st.rdata
-}
-
-// Save implements Stateful.
-func (b *Bypass) Save() ClientState {
-	st := ClientState{state: b.state, bufValid: b.bufValid}
-	if b.state != ctrlIdle {
-		st.addr, st.size, st.write = b.addr, b.size, b.write
-	}
-	if b.bufValid {
-		st.bufAddr, st.buf = b.bufAddr, b.buf
-	}
-	return st
-}
-
-// Load implements Stateful.
-func (b *Bypass) Load(st ClientState) {
-	b.state = st.state
-	b.addr, b.size, b.write = st.addr, st.size, st.write
-	b.bufValid, b.bufAddr, b.buf = st.bufValid, st.bufAddr, st.buf
-}
-
-// Save implements Stateful. A TCM access never spans cycles, but the
-// Start/Tick pair may straddle a snapshot boundary, so pending state is
-// captured too.
-func (t *TCMClient) Save() ClientState {
-	st := ClientState{pending: t.pending}
-	if t.pending {
-		st.addr, st.write, st.wdata, st.size = t.addr, t.write, t.wdata, t.size
-	}
-	return st
-}
-
-// Load implements Stateful.
-func (t *TCMClient) Load(st ClientState) {
-	t.pending = st.pending
-	t.addr, t.write, t.wdata, t.size = st.addr, st.write, st.wdata, st.size
-}
-
 // Interface conformance checks.
 var (
 	_ Client = (*Ctrl)(nil)
 	_ Client = (*Bypass)(nil)
 	_ Client = (*TCMClient)(nil)
-
-	_ Stateful = (*Ctrl)(nil)
-	_ Stateful = (*Bypass)(nil)
-	_ Stateful = (*TCMClient)(nil)
 )

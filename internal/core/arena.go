@@ -632,11 +632,11 @@ func (a *Arena) noteQuarantine() {
 // fallbackRun serves one site with rebuild-per-fault semantics: a
 // fresh SoC, freshly assembled program and the full cycle budget. Used for
 // the site whose run poisoned the arena and for every site after the arena
-// died. Stateful planes are reset first: the plane object may already have
-// executed on the poisoned arena, and its edge history must not leak into
-// the fresh-SoC verdict. A failed rebuild panics (into the campaign's
-// recover boundary, which records a Panicked verdict and counts an
-// anomaly) rather than masquerading as a crashed fault run — a build
+// died. Planes that keep state are reset first: the plane object may
+// already have executed on the poisoned arena, and its edge history must
+// not leak into the fresh-SoC verdict. A failed rebuild panics (into the
+// campaign's recover boundary, which records a Panicked verdict and counts
+// an anomaly) rather than masquerading as a crashed fault run — a build
 // failure is an engine fault, not a property of the site.
 func (a *Arena) fallbackRun(p fault.Plane) (sig uint32, ok bool) {
 	a.path = fault.DispatchFallback
@@ -685,7 +685,7 @@ type CampaignOptions struct {
 	// otherwise the file is created fresh (truncating any previous one).
 	Journal string
 	// Resume loads Journal (which must carry this campaign's fingerprint)
-	// and skips its settled sites.
+	// and skips its settled sites. Resume without a Journal is an error.
 	Resume bool
 	// CheckpointInterval controls golden-run checkpointing in the
 	// optimized mode: 0 picks an automatic interval from the cycle budget,

@@ -10,17 +10,20 @@ import (
 
 // arenaEnv builds the replay environment the fault campaigns use: a full
 // multi-core golden run records the other cores' bus traffic, then the core
-// under test runs alone against the replayed contention.
-func arenaEnv(t *testing.T, active int, cached bool) (replayCfg soc.Config, job *CoreJob, budget int64) {
+// under test (core 0) runs alone against the replayed contention. strat is
+// the core under test's strategy. A cache-based strategy turns every
+// core's caches on and runs on every core; otherwise the other cores run
+// plain.
+func arenaEnv(t *testing.T, active int, strat Strategy) (replayCfg soc.Config, job *CoreJob, budget int64) {
 	t.Helper()
+	_, cached := strat.(CacheBased)
 	c := cfg(active, cached, true, [3]int{})
-	strat := func(int) Strategy {
-		if cached {
-			return CacheBased{WriteAllocate: true}
+	rc, err := Record(c, jobsSameRoutine(active, fwdRoutine, func(id int) Strategy {
+		if id == 0 || cached {
+			return strat
 		}
 		return Plain{}
-	}
-	rc, err := Record(c, jobsSameRoutine(active, fwdRoutine, strat), 0, nil)
+	}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,27 +57,34 @@ func socCacheStats(s *soc.SoC) [2]cache.Stats {
 	return out
 }
 
+// stateStrategies are the strategies of the core under test the state
+// pins cover: plain, cache-based and TCM-based, whose memory clients differ
+// (bypass clients, cache controllers, TCM clients on both sides).
+var stateStrategies = []Strategy{Plain{}, CacheBased{WriteAllocate: true}, TCMBased{}}
+
+// trampleSites is a spread of fault sites chosen to corrupt different
+// layers: forwarded data (wild stores), mux selects (wild control flow,
+// often wedges) and a stuck hazard line (stalls/hangs).
+var trampleSites = []fault.Site{
+	{Unit: fault.UnitFwd, Signal: fault.SigMuxData, Lane: 0, Operand: 0, Path: fault.PathEXL0, Bit: 31, Stuck: 1},
+	{Unit: fault.UnitFwd, Signal: fault.SigMuxSel, Lane: 1, Operand: 1, Bit: 2, Stuck: 1},
+	{Unit: fault.UnitHDCU, Signal: fault.SigCtl, Path: fault.CtlLoadUse, Stuck: 1},
+}
+
 // TestArenaResetMatchesFreshSoC is the reset-equivalence property: across
-// cached/uncached and 1-3-core replay environments, a Reset() arena SoC
-// reproduces the exact golden signature, cycle count, performance counters
-// and cache statistics of a freshly built SoC — including immediately after
-// a faulty (possibly wedged) run has trampled caches, memories and
-// architectural state.
+// the plain, cache and TCM strategies and 1-3-core replay environments, a
+// Reset() arena SoC reproduces the exact golden signature, cycle count,
+// performance counters and cache statistics of a freshly built SoC —
+// including immediately after a faulty (possibly wedged) run has trampled
+// caches, memories and architectural state.
 func TestArenaResetMatchesFreshSoC(t *testing.T) {
-	// A spread of fault sites chosen to corrupt different layers: forwarded
-	// data (wild stores), mux selects (wild control flow, often wedges) and
-	// a stuck hazard line (stalls/hangs).
-	dirty := []fault.Site{
-		{Unit: fault.UnitFwd, Signal: fault.SigMuxData, Lane: 0, Operand: 0, Path: fault.PathEXL0, Bit: 31, Stuck: 1},
-		{Unit: fault.UnitFwd, Signal: fault.SigMuxSel, Lane: 1, Operand: 1, Bit: 2, Stuck: 1},
-		{Unit: fault.UnitHDCU, Signal: fault.SigCtl, Path: fault.CtlLoadUse, Stuck: 1},
-	}
-	for _, cached := range []bool{false, true} {
+	for _, strat := range stateStrategies {
+		name := strat.Name()
 		for active := 1; active <= soc.NumCores; active++ {
-			replayCfg, job, budget := arenaEnv(t, active, cached)
+			replayCfg, job, budget := arenaEnv(t, active, strat)
 			wantRes, wantStats := freshRun(t, replayCfg, job, budget, nil)
 			if !wantRes.OK {
-				t.Fatalf("cached=%v active=%d: fresh replay golden failed", cached, active)
+				t.Fatalf("strategy=%s active=%d: fresh replay golden failed", name, active)
 			}
 
 			a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{})
@@ -84,20 +94,20 @@ func TestArenaResetMatchesFreshSoC(t *testing.T) {
 			check := func(when string) {
 				sig, ok := a.Run(fault.None)
 				if sig != wantRes.Signature || !ok {
-					t.Fatalf("cached=%v active=%d %s: arena golden %08x ok=%v, fresh %08x",
-						cached, active, when, sig, ok, wantRes.Signature)
+					t.Fatalf("strategy=%s active=%d %s: arena golden %08x ok=%v, fresh %08x",
+						name, active, when, sig, ok, wantRes.Signature)
 				}
 				if got := a.Last(); got != wantRes {
-					t.Errorf("cached=%v active=%d %s: arena result %+v != fresh %+v",
-						cached, active, when, got, wantRes)
+					t.Errorf("strategy=%s active=%d %s: arena result %+v != fresh %+v",
+						name, active, when, got, wantRes)
 				}
 				if got := socCacheStats(a.SoC()); got != wantStats {
-					t.Errorf("cached=%v active=%d %s: arena cache stats %+v != fresh %+v",
-						cached, active, when, got, wantStats)
+					t.Errorf("strategy=%s active=%d %s: arena cache stats %+v != fresh %+v",
+						name, active, when, got, wantStats)
 				}
 			}
 			check("first run")
-			for i, site := range dirty {
+			for i, site := range trampleSites {
 				a.Run(fault.PlaneFor(site)) // trample state
 				check([]string{"after data fault", "after sel fault", "after ctl fault"}[i])
 			}
@@ -110,7 +120,7 @@ func TestArenaResetMatchesFreshSoC(t *testing.T) {
 // clean/crash classification of a freshly built SoC simulating the same
 // fault with the full budget.
 func TestArenaFaultyRunMatchesFreshSoC(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 2, false)
+	replayCfg, job, budget := arenaEnv(t, 2, Plain{})
 	sites := fault.ForwardingLogic(fault.ListOptions{DataBits: 32, BitStep: 8})
 	fault.SortSites(sites)
 	sites = fault.Sample(sites, 7)

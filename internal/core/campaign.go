@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -128,7 +129,8 @@ func (c *Campaign) program() (*asm.Program, error) {
 // identical reports. With a journal, verdicts stream to an append-only
 // file as they settle (its fingerprint covers sites), and a resumed run
 // skips the sites the journal already settles — producing a report
-// bit-identical to the uninterrupted run.
+// bit-identical to the uninterrupted run; asking to resume without a
+// journal is an error rather than a silent fresh start.
 //
 // The first call runs the golden capture and builds the worker arenas;
 // later calls in the same engine mode (opt.Reference and the resolved
@@ -137,6 +139,9 @@ func (c *Campaign) program() (*asm.Program, error) {
 // report's golden verdict is the capture's, and its Dispatch counts only
 // this call's sites. Concurrent calls are safe.
 func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, error) {
+	if opt.Resume && opt.Journal == "" {
+		return fault.Report{}, errors.New("resume without a journal: nothing to resume from")
+	}
 	reg := opt.Telemetry
 	if reg == nil && opt.Progress > 0 {
 		// The progress line computes rates from registry counters; give it

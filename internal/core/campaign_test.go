@@ -175,7 +175,7 @@ var wildSites = []fault.Site{
 // sealed baselines what a pristine build has, in both engine modes and
 // across Run calls.
 func TestSharedImageSurvivesWildStores(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	pristine, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestSharedImageSurvivesWildStores(t *testing.T) {
 // Golden/GoldenOK come from the failed capture and equal what a fault-free
 // replay on an arena returns, in both engine modes.
 func TestCampaignFailedCaptureGolden(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	short := (budget - earlySlack) / stallFactor / 2 // half the golden run
 	a, err := NewArena(replayCfg, 0, job, short, ArenaOptions{})
 	if err != nil {

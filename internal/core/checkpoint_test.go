@@ -11,24 +11,30 @@ import (
 
 // TestArenaCheckpointRestoreMatchesSteppedSoC is the checkpoint-equivalence
 // pin, the restore-side counterpart of TestArenaResetMatchesFreshSoC: across
-// cached/uncached and 1-3-core replay environments, every golden checkpoint
-// the arena captured is bit-identical to a fresh SoC stepped to the same
-// cycle, a Restore of it round-trips through Snapshot unchanged, and a run
-// continued from the restore point finishes with the golden signature. This
-// also pins that the activation probe (an identity plane installed during
-// capture) does not perturb golden state: the stepped reference runs with
+// the plain, cache and TCM strategies and 1-3-core replay environments,
+// every golden checkpoint the arena captured is bit-identical to the arena's
+// SoC reset and stepped to the same cycle after faulty runs have trampled
+// it (so a Reset that leaves any state behind, live or dead, shows), a
+// Restore of it round-trips through Snapshot unchanged, and a run continued
+// from the restore point finishes with the golden signature. This also pins
+// that the activation probe (an identity plane installed during capture)
+// does not perturb golden state: the stepped reference runs with
 // fault.None, not the probe.
 func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
-	for _, cached := range []bool{false, true} {
+	for _, strat := range stateStrategies {
+		name := strat.Name()
 		for active := 1; active <= soc.NumCores; active++ {
-			replayCfg, job, budget := arenaEnv(t, active, cached)
+			replayCfg, job, budget := arenaEnv(t, active, strat)
 			a, err := NewArena(replayCfg, 0, job, budget,
 				ArenaOptions{CheckpointInterval: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a.Stats().Checkpoints == 0 {
-				t.Fatalf("cached=%v active=%d: no checkpoints captured", cached, active)
+				t.Fatalf("strategy=%s active=%d: no checkpoints captured", name, active)
+			}
+			for _, site := range trampleSites {
+				a.Run(fault.PlaneFor(site)) // trample state
 			}
 			s := a.SoC()
 			for i := range a.gold.ckpts {
@@ -41,13 +47,13 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 				}
 				stepped := s.Snapshot()
 				if !reflect.DeepEqual(stepped, ck.state) {
-					t.Fatalf("cached=%v active=%d: checkpoint %d (cycle %d) differs from fresh SoC stepped there",
-						cached, active, i, ck.cycle)
+					t.Fatalf("strategy=%s active=%d: checkpoint %d (cycle %d) differs from fresh SoC stepped there",
+						name, active, i, ck.cycle)
 				}
 				s.Restore(ck.state)
 				if restored := s.Snapshot(); !reflect.DeepEqual(restored, ck.state) {
-					t.Fatalf("cached=%v active=%d: restore of checkpoint %d (cycle %d) does not round-trip",
-						cached, active, i, ck.cycle)
+					t.Fatalf("strategy=%s active=%d: restore of checkpoint %d (cycle %d) does not round-trip",
+						name, active, i, ck.cycle)
 				}
 			}
 
@@ -57,18 +63,18 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 				s.Step()
 			}
 			if !s.Done() {
-				t.Fatalf("cached=%v active=%d: restored continuation exhausted the budget", cached, active)
+				t.Fatalf("strategy=%s active=%d: restored continuation exhausted the budget", name, active)
 			}
 			if sig := s.Cores[0].Core.Reg(isa.RegSig); sig != a.gold.res.Signature {
-				t.Errorf("cached=%v active=%d: restored continuation signature %08x, golden %08x",
-					cached, active, sig, a.gold.res.Signature)
+				t.Errorf("strategy=%s active=%d: restored continuation signature %08x, golden %08x",
+					name, active, sig, a.gold.res.Signature)
 			}
 
 			// The arena itself is unscathed by the manual stepping: it still
 			// serves the exact golden verdict.
 			if sig, ok := a.Run(fault.None); sig != a.gold.res.Signature || !ok {
-				t.Errorf("cached=%v active=%d: arena golden after restores %08x ok=%v",
-					cached, active, sig, ok)
+				t.Errorf("strategy=%s active=%d: arena golden after restores %08x ok=%v",
+					name, active, sig, ok)
 			}
 		}
 	}
@@ -80,7 +86,7 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 // reproduce the verdict of a freshly built SoC simulating the same fault
 // with the full budget.
 func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 2, false)
+	replayCfg, job, budget := arenaEnv(t, 2, Plain{})
 	sites := fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 4})
 	fault.SortSites(sites)
 	sites = fault.Sample(sites, 11)
@@ -115,7 +121,7 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 // simulating the same fault with the full budget, and the sample must reach
 // both shortcuts.
 func TestArenaCheckpointedStuckAtRunsMatchFreshSoC(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 2, false)
+	replayCfg, job, budget := arenaEnv(t, 2, Plain{})
 	opts := fault.ListOptions{DataBits: 32, BitStep: 4}
 	var sites []fault.Site
 	for _, u := range [][]fault.Site{fault.ForwardingLogic(opts), fault.HDCU(opts), fault.ICU(opts)} {

@@ -21,13 +21,13 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 	for _, env := range []struct {
 		name   string
 		active int
-		cached bool
+		strat  Strategy
 	}{
-		{"uncached-1core", 1, false},
-		{"cached-2core", 2, true},
+		{"uncached-1core", 1, Plain{}},
+		{"cached-2core", 2, CacheBased{WriteAllocate: true}},
 	} {
 		t.Run(env.name, func(t *testing.T) {
-			replayCfg, job, budget := arenaEnv(t, env.active, env.cached)
+			replayCfg, job, budget := arenaEnv(t, env.active, env.strat)
 			sites := campaignSites()
 
 			ref, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
@@ -69,7 +69,7 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 // or skew a report — the invariant that made removing the legacy site
 // sampling cap safe.
 func TestCampaignWorkerCountStable(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 2, false)
+	replayCfg, job, budget := arenaEnv(t, 2, Plain{})
 	sites := fault.ICU(fault.ListOptions{BitStep: 1})
 	fault.SortSites(sites)
 	if len(sites) < 8 {

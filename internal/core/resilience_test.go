@@ -34,7 +34,7 @@ var hangSite = fault.Site{Unit: fault.UnitHDCU, Signal: fault.SigCtl, Path: faul
 // suspect site's verdict comes from a fresh SoC — matching a
 // rebuild-per-fault run exactly.
 func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 2, false)
+	replayCfg, job, budget := arenaEnv(t, 2, Plain{})
 	wantRes, _ := freshRun(t, replayCfg, job, budget, nil)
 	freshHang, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(hangSite))
 
@@ -95,7 +95,7 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 // arena before serving its site — quarantining it when the panic left
 // corrupt state behind.
 func TestArenaPanickedRunHealthCheck(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	wantRes, _ := freshRun(t, replayCfg, job, budget, nil)
 
 	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{})
@@ -139,7 +139,7 @@ func TestArenaPanickedRunHealthCheck(t *testing.T) {
 // fallback fresh-SoC run must not inherit it — the verdict has to match a
 // clean rebuild-per-fault run of the same site exactly.
 func TestArenaFallbackResetsStaleTransitionPlane(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	sites := fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 8})
 	fault.SortSites(sites)
 	sites = fault.Sample(sites, 5)
@@ -174,7 +174,7 @@ func TestArenaFallbackResetsStaleTransitionPlane(t *testing.T) {
 // where it becomes a Panicked verdict plus an anomaly) instead of
 // returning a fabricated crashed-run verdict.
 func TestArenaFallbackSurfacesBuildError(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func campaignSites() []fault.Site {
 // mid-append (journal truncated to a prefix plus a torn line) and resumed
 // produces a fault.Report bit-identical to the uninterrupted run.
 func TestCampaignJournalResumeBitIdentical(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	sites := campaignSites()
 	dir := t.TempDir()
 	fullPath := filepath.Join(dir, "full.journal")
@@ -282,7 +282,7 @@ func TestCampaignJournalResumeBitIdentical(t *testing.T) {
 // by one campaign cannot be resumed by a different one: any change to the
 // program, universe, or environment changes the fingerprint.
 func TestCampaignJournalRefusesForeignFingerprint(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	sites := campaignSites()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.journal")

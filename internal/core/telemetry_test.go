@@ -37,7 +37,7 @@ func (b *syncBuffer) String() string {
 }
 
 func TestCampaignTelemetryCounts(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	sites := campaignSites()
 
 	plain, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
@@ -117,7 +117,7 @@ func TestCampaignTelemetryCounts(t *testing.T) {
 // contract: sites folded in from a journal count as settled (and emit site
 // events flagged journal=true) without being re-dispatched by an arena.
 func TestCampaignTelemetryJournalResume(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	sites := campaignSites()
 	journal := t.TempDir() + "/campaign.journal"
 	if _, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
@@ -201,7 +201,7 @@ func TestCampaignProgressTicker(t *testing.T) {
 // sinks: the arena_quarantines_total counter and a quarantine event naming
 // the core.
 func TestArenaQuarantineEvent(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	reg := telemetry.NewRegistry()
 	var stream bytes.Buffer
 	a, err := NewArena(replayCfg, 0, job, budget,
@@ -253,7 +253,7 @@ func TestArenaQuarantineEvent(t *testing.T) {
 // long-lived SoC stepped exactly the golden capture, each health check and
 // each site served neither the golden verdict nor a fallback run.
 func TestArenaStatsSnapshot(t *testing.T) {
-	replayCfg, job, budget := arenaEnv(t, 1, false)
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
 	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 512})
 	if err != nil {
 		t.Fatal(err)

@@ -152,6 +152,45 @@ type Core struct {
 	// the SoC to the private caches.
 	invalidate func(sel int32)
 
+	CoreState
+
+	// The stage pointers rotate over CoreState.latches each cycle —
+	// advancing the pipeline is three pointer swaps instead of three
+	// packet copies, which matters at one advance per simulated cycle per
+	// core. They are derived from exIdx by stages after Reset and Restore.
+	exPkt  *packet
+	memPkt *packet
+	wbPkt  *packet
+
+	// decCache memoises decode, which is pure in the fetched word: loop
+	// bodies re-decode the same handful of words every iteration (and
+	// every fault run of a reusable arena re-decodes the same program).
+	// Direct-mapped and keyed by word, not address, so code staged into
+	// writable TCM needs no invalidation; survives Reset by construction.
+	decCache [decCacheSize]decEntry
+
+	trace    TraceFn
+	storeObs StoreFn
+	// inj drives a deterministic interrupt-event plan into the ICU,
+	// retire-indexed so the differential harness can replay the same plan
+	// against the architectural reference; nil means no external events.
+	inj *archint.Injector
+	// cov collects microarchitectural coverage when attached; nil (the
+	// default) is the zero-cost disabled mode — coverage.Map methods are
+	// nil-safe, so call sites pay one predictable branch.
+	cov *coverage.Map
+}
+
+// CoreState is a core's dynamic state — architectural registers, counters,
+// fetch/issue front end, pipeline latches and MEM-stage progress — as one
+// value: Reset assigns the power-on value, Snapshot copies it and Restore
+// assigns it back. The ICU keeps its own (icu.State). Wiring, the fault
+// plane, the attachments (tracer, store observer, injector, coverage) and
+// the decode cache (a pure memo) stay outside it. An attached
+// archint.Injector's delivery cursor is not covered: campaign arenas attach
+// one under ArenaOptions.Plan, which is why they run such campaigns without
+// checkpoints.
+type CoreState struct {
 	regs     [32]uint32
 	counters [numCounters]uint64
 
@@ -160,23 +199,14 @@ type Core struct {
 	skipBelow    uint32 // discard fetched words below this PC (redirects)
 	fetchBusy    bool
 	discardFetch bool
-	fetchQ       []fetched
+	fetchQ       [fetchQCap]fetched
+	fetchN       int // queued entries, fetchQ[:fetchN]
 	nextIssuePC  uint32
-	// decCache memoises decode, which is pure in the fetched word: loop
-	// bodies re-decode the same handful of words every iteration (and
-	// every fault run of a reusable arena re-decodes the same program).
-	// Direct-mapped and keyed by word, not address, so code staged into
-	// writable TCM needs no invalidation; survives Reset by construction.
-	decCache [decCacheSize]decEntry
 
-	// Pipeline latches. The packets live in the fixed latches array and
-	// the stage pointers rotate over it each cycle — advancing the
-	// pipeline is three pointer swaps instead of three packet copies,
-	// which matters at one advance per simulated cycle per core.
+	// Pipeline latches: the EX packet is latches[exIdx], MEM and WB the
+	// two after it (mod 3).
 	latches [3]packet
-	exPkt   *packet
-	memPkt  *packet
-	wbPkt   *packet
+	exIdx   uint8
 
 	// MEM stage progress.
 	memLane    int // lane currently accessing memory (0,1) or -1
@@ -190,17 +220,6 @@ type Core struct {
 	// PathUse counts forwarding-mux selections per (lane, operand, path);
 	// the Figure 1 demo and the coverage analysis read it.
 	PathUse [2][2][fault.NumPaths]int64
-
-	trace    TraceFn
-	storeObs StoreFn
-	// inj drives a deterministic interrupt-event plan into the ICU,
-	// retire-indexed so the differential harness can replay the same plan
-	// against the architectural reference; nil means no external events.
-	inj *archint.Injector
-	// cov collects microarchitectural coverage when attached; nil (the
-	// default) is the zero-cost disabled mode — coverage.Map methods are
-	// nil-safe, so call sites pay one predictable branch.
-	cov *coverage.Map
 }
 
 // StoreFn observes completed data-side stores (address, value, size in
@@ -226,34 +245,15 @@ func New(cfg Config, imem, dmem cache.Client, invalidate func(sel int32), plane 
 		imem:       imem,
 		dmem:       dmem,
 		invalidate: invalidate,
-		fetchQ:     make([]fetched, 0, fetchQCap),
-		memLane:    -1,
 	}
-	c.exPkt, c.memPkt, c.wbPkt = &c.latches[0], &c.latches[1], &c.latches[2]
+	c.Reset(0)
 	return c
 }
 
 // Reset restores architectural state and points fetch at pc.
 func (c *Core) Reset(pc uint32) {
-	c.regs = [32]uint32{}
-	c.counters = [numCounters]uint64{}
-	c.fetchQ = c.fetchQ[:0]
-	c.fetchBusy = false
-	c.discardFetch = false
-	c.latches = [3]packet{}
-	// Rewire the stage pointers to their boot positions. The rotation
-	// phase is semantically irrelevant over empty latches, but leaving it
-	// where the previous run ended makes a Reset core differ bit-wise
-	// from a freshly built one — breaking snapshot comparisons against
-	// golden-run checkpoints (see core.Arena).
-	c.exPkt, c.memPkt, c.wbPkt = &c.latches[0], &c.latches[1], &c.latches[2]
-	c.memLane = -1
-	c.memStarted = false
-	c.cycle = 0
-	c.halted = false
-	c.wedged = false
-	c.wedgePC = 0
-	c.PathUse = [2][2][fault.NumPaths]int64{}
+	c.CoreState = CoreState{memLane: -1}
+	c.stages()
 	c.ICU.Reset()
 	if c.inj != nil {
 		c.inj.Reset()
@@ -261,96 +261,24 @@ func (c *Core) Reset(pc uint32) {
 	c.redirect(pc)
 }
 
-// CoreState is an opaque snapshot of a core's dynamic state: architectural
-// registers, counters, fetch/issue front end, pipeline latches, MEM-stage
-// progress and the ICU. Attachments (plane, tracer, store observer,
-// injector, coverage) and the decode cache (a pure memo) are not part of
-// it. An attached archint.Injector's delivery cursor is not covered either
-// — fault-campaign arenas never attach one.
-type CoreState struct {
-	regs         [32]uint32
-	counters     [numCounters]uint64
-	fetchAddr    uint32
-	skipBelow    uint32
-	fetchBusy    bool
-	discardFetch bool
-	fetchQ       []fetched
-	nextIssuePC  uint32
-	latches      [3]packet
-	exIdx        int8 // stage-pointer positions within latches
-	memIdx       int8
-	wbIdx        int8
-	memLane      int
-	memStarted   bool
-	cycle        int64
-	halted       bool
-	wedged       bool
-	wedgePC      uint32
-	pathUse      [2][2][fault.NumPaths]int64
-	icu          icu.State
+// stages points the stage pointers at the latches exIdx names.
+func (c *Core) stages() {
+	c.exPkt = &c.latches[c.exIdx]
+	c.memPkt = &c.latches[(c.exIdx+1)%3]
+	c.wbPkt = &c.latches[(c.exIdx+2)%3]
 }
 
-// latchIdx locates a rotating stage pointer within the latch array.
-func (c *Core) latchIdx(p *packet) int8 {
-	for i := range c.latches {
-		if p == &c.latches[i] {
-			return int8(i)
-		}
-	}
-	panic("cpu: stage pointer outside latch array")
-}
+// Snapshot captures the core's and its ICU's dynamic state mid-run.
+func (c *Core) Snapshot() (CoreState, icu.State) { return c.CoreState, c.ICU.Snapshot() }
 
-// Snapshot captures the core's dynamic state mid-run.
-func (c *Core) Snapshot() *CoreState {
-	return &CoreState{
-		regs:         c.regs,
-		counters:     c.counters,
-		fetchAddr:    c.fetchAddr,
-		skipBelow:    c.skipBelow,
-		fetchBusy:    c.fetchBusy,
-		discardFetch: c.discardFetch,
-		fetchQ:       append([]fetched(nil), c.fetchQ...),
-		nextIssuePC:  c.nextIssuePC,
-		latches:      c.latches,
-		exIdx:        c.latchIdx(c.exPkt),
-		memIdx:       c.latchIdx(c.memPkt),
-		wbIdx:        c.latchIdx(c.wbPkt),
-		memLane:      c.memLane,
-		memStarted:   c.memStarted,
-		cycle:        c.cycle,
-		halted:       c.halted,
-		wedged:       c.wedged,
-		wedgePC:      c.wedgePC,
-		pathUse:      c.PathUse,
-		icu:          c.ICU.Snapshot(),
-	}
-}
-
-// Restore rewinds the core (and its ICU) to a snapshot, keeping the current
+// Restore rewinds the core and its ICU to a snapshot, keeping the current
 // plane and attachments. The in-flight fetch or data access a busy client
 // may have had at the snapshot lives in the memory clients and bus — the
 // SoC-level restore covers those.
-func (c *Core) Restore(st *CoreState) {
-	c.regs = st.regs
-	c.counters = st.counters
-	c.fetchAddr = st.fetchAddr
-	c.skipBelow = st.skipBelow
-	c.fetchBusy = st.fetchBusy
-	c.discardFetch = st.discardFetch
-	c.fetchQ = append(c.fetchQ[:0], st.fetchQ...)
-	c.nextIssuePC = st.nextIssuePC
-	c.latches = st.latches
-	c.exPkt = &c.latches[st.exIdx]
-	c.memPkt = &c.latches[st.memIdx]
-	c.wbPkt = &c.latches[st.wbIdx]
-	c.memLane = st.memLane
-	c.memStarted = st.memStarted
-	c.cycle = st.cycle
-	c.halted = st.halted
-	c.wedged = st.wedged
-	c.wedgePC = st.wedgePC
-	c.PathUse = st.pathUse
-	c.ICU.Restore(st.icu)
+func (c *Core) Restore(st CoreState, ist icu.State) {
+	c.CoreState = st
+	c.stages()
+	c.ICU.Restore(ist)
 }
 
 // SetPlane swaps the fault-injection plane of the core and its ICU (nil
@@ -451,7 +379,7 @@ func (c *Core) ctl(line uint8, v bool) bool {
 // redirect flushes the front end and restarts fetch at target.
 func (c *Core) redirect(target uint32) {
 	target &^= 3
-	c.fetchQ = c.fetchQ[:0]
+	c.fetchN = 0
 	c.fetchAddr = target &^ 7
 	c.skipBelow = target
 	c.nextIssuePC = target
@@ -509,12 +437,14 @@ func (c *Core) Step() {
 		c.stepEX(c.exPkt, c.memPkt, &memRes, c.wbPkt)
 
 		// Advance latches by rotating the packet buffers: the retired
-		// MEM/WB packet becomes the cleared new issue slot.
+		// MEM/WB packet becomes the cleared new issue slot, and exIdx
+		// follows it.
 		spare := c.wbPkt
 		c.wbPkt = c.memPkt
 		c.memPkt = c.exPkt
 		*spare = packet{}
 		c.exPkt = spare
+		c.exIdx = (c.exIdx + 2) % 3
 		c.memLane = -1
 		c.memStarted = false
 
@@ -640,5 +570,5 @@ func (c *Core) loadExtend(op isa.Op, data uint64) uint64 {
 // String summarises the core state (debugging aid).
 func (c *Core) String() string {
 	return fmt.Sprintf("core%d cycle=%d halted=%v wedged=%v nextPC=%#x qlen=%d",
-		c.cfg.CoreID, c.cycle, c.halted, c.wedged, c.nextIssuePC, len(c.fetchQ))
+		c.cfg.CoreID, c.cycle, c.halted, c.wedged, c.nextIssuePC, c.fetchN)
 }

@@ -22,7 +22,7 @@ func (c *Core) stepFetch() {
 			c.fetchAddr += 8
 		}
 	}
-	for !c.fetchBusy && !c.halted && len(c.fetchQ) <= fetchQCap-2 {
+	for !c.fetchBusy && !c.halted && c.fetchN <= fetchQCap-2 {
 		c.imem.Start(c.fetchAddr, false, 0, 8)
 		done, data := c.imem.Tick()
 		if !done {
@@ -45,16 +45,17 @@ func (c *Core) enqueue(chunk uint64) {
 		if !e.valid || e.word != word {
 			*e = decEntry{word: word, valid: true, decoded: decode(word)}
 		}
-		c.fetchQ = append(c.fetchQ, fetched{pc: pc, decoded: e.decoded})
+		c.fetchQ[c.fetchN] = fetched{pc: pc, decoded: e.decoded}
+		c.fetchN++
 		if c.trace != nil {
-			c.emit(TraceEvent{Kind: "fetch", PC: pc, Inst: e.inst, Lane: len(c.fetchQ)})
+			c.emit(TraceEvent{Kind: "fetch", PC: pc, Inst: e.inst, Lane: c.fetchN})
 		}
 	}
 }
 
 // popFetch removes the first n queue entries.
 func (c *Core) popFetch(n int) {
-	c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[n:])]
+	c.fetchN = copy(c.fetchQ[:], c.fetchQ[n:c.fetchN])
 }
 
 // stepIssue forms the next issue packet into exPkt. exOld is the packet
@@ -70,7 +71,7 @@ func (c *Core) stepIssue(exOld *packet) {
 		c.redirect(vec)
 		return
 	}
-	if len(c.fetchQ) == 0 {
+	if c.fetchN == 0 {
 		// The pipeline wanted to issue but fetch could not supply: this is
 		// the instruction-side stall the paper's Table I counts.
 		c.bump(fault.CntIFStall)
@@ -113,7 +114,7 @@ func (c *Core) stepIssue(exOld *packet) {
 	if first.alone {
 		return // serialising and pair-width instructions issue alone
 	}
-	if len(c.fetchQ) == 0 {
+	if c.fetchN == 0 {
 		return
 	}
 	i1 := &c.fetchQ[0]

@@ -131,11 +131,14 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 
 // ResumeJournal opens an existing journal at path, validates its header
 // against h, and loads the settled verdicts; a missing file starts a fresh
-// journal (resuming nothing is an empty resume). A header that does not
-// match, a conflicting duplicate verdict, or a malformed line anywhere but
-// the very end is an error — the journal is either trusted whole or
-// refused, never silently merged. A truncated final line (the signature of
-// a mid-append SIGKILL) is dropped and its site recomputed.
+// journal (resuming nothing is an empty resume), and so does a file with no
+// complete line — empty, or a lone torn header, which is what a kill
+// between CreateJournal's truncating open and its header write leaves. A
+// header that does not match, a conflicting duplicate verdict, or a
+// malformed line anywhere but the very end is an error — the journal is
+// either trusted whole or refused, never silently merged. A truncated final
+// line (the signature of a mid-append SIGKILL) is dropped and its site
+// recomputed.
 func ResumeJournal(path string, h JournalHeader) (*Journal, error) {
 	h.Version = JournalVersion
 	blob, err := os.ReadFile(path)
@@ -148,6 +151,9 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, error) {
 	j := &Journal{path: path, header: h, settled: map[int]settledEntry{}}
 	if err := j.load(blob); err != nil {
 		return nil, err
+	}
+	if j.keep == 0 {
+		return CreateJournal(path, h)
 	}
 	if j.keep < int64(len(blob)) {
 		// Cut the torn trailing line so new appends start on a line
@@ -170,9 +176,6 @@ func (j *Journal) load(blob []byte) error {
 	// A well-formed journal ends in a newline, leaving one empty trailer.
 	for len(lines) > 0 && lines[len(lines)-1] == "" {
 		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return fmt.Errorf("fault: journal %s: empty file (no header)", j.path)
 	}
 	for n, raw := range lines {
 		var ln journalLine

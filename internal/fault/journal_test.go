@@ -209,6 +209,62 @@ func TestJournalTruncatedFinalLineDropped(t *testing.T) {
 	}
 }
 
+// TestJournalWithoutHeaderStartsFresh covers what a kill between
+// CreateJournal's truncating open and its header write leaves: an empty
+// file, or a lone torn header line. Neither settles a verdict, so resume
+// opens both as a fresh journal with a header, and that journal resumes
+// again with the verdict recorded into it.
+func TestJournalWithoutHeaderStartsFresh(t *testing.T) {
+	sites := syntheticSites()[:4]
+	h := testHeader(sites)
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.journal")
+	j, err := CreateJournal(whole, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	header, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"empty", nil},
+		{"torn header", header[:len(header)/2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.journal")
+			if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := ResumeJournal(path, h)
+			if err != nil {
+				t.Fatalf("resume refused: %v", err)
+			}
+			want := SiteResult{Site: sites[2], Signature: 0xbeef, Detected: true}
+			if err := j.Record(2, want, "", ""); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+
+			j, err = ResumeJournal(path, h)
+			if err != nil {
+				t.Fatalf("second resume refused: %v", err)
+			}
+			defer j.Close()
+			want.Site = Site{}
+			if got, _, _, ok := j.Settled(2); !ok || got != want || j.SettledCount() != 1 {
+				t.Errorf("second resume settles %d verdicts, site 2: %+v (ok=%v), want %+v",
+					j.SettledCount(), got, ok, want)
+			}
+		})
+	}
+}
+
 func TestJournalMidFileCorruptionRefused(t *testing.T) {
 	sites := syntheticSites()[:6]
 	dir := t.TempDir()

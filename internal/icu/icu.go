@@ -26,7 +26,18 @@ type ICU struct {
 	// every hook class outside it, and Tick polls the event lines only
 	// when the plane can force one.
 	hooks fault.HookSet
+	// cov collects interrupt-recognition coverage when attached; nil (the
+	// default) is the zero-cost disabled mode.
+	cov *coverage.Map
 
+	State
+}
+
+// State is the ICU's dynamic state — pending lines, architectural
+// registers and recognition pipeline — as one value: Reset assigns the
+// power-on value, Snapshot copies it and Restore assigns it back.
+// Configuration and attachments (plane, coverage) stay outside it.
+type State struct {
 	pending    [fault.NumEvents]bool
 	numPending int
 
@@ -50,10 +61,6 @@ type ICU struct {
 	// per recognition episode that matures masked, not one per polled
 	// cycle (dwell time would pollute the coverage signal). Coverage only.
 	maskedNoted bool
-
-	// cov collects interrupt-recognition coverage when attached; nil (the
-	// default) is the zero-cost disabled mode.
-	cov *coverage.Map
 }
 
 // tailChainWindow is how many retirements after an RFE a take still counts
@@ -65,74 +72,25 @@ func New(cfg Config, plane fault.Plane) *ICU {
 	if plane == nil {
 		plane = fault.None
 	}
-	return &ICU{cfg: cfg, plane: plane, hooks: fault.Hooks(plane), sinceRFE: -1}
+	u := &ICU{cfg: cfg, plane: plane, hooks: fault.Hooks(plane)}
+	u.Reset()
+	return u
 }
 
 // Reset restores power-on state (everything clear, interrupts disabled).
 // Like the core's, a coverage attachment survives Reset.
-func (u *ICU) Reset() {
-	*u = ICU{cfg: u.cfg, plane: u.plane, hooks: u.hooks, sinceRFE: -1, cov: u.cov}
-}
+func (u *ICU) Reset() { u.State = State{sinceRFE: -1} }
 
 // SetCoverage attaches a coverage map for the interrupt-recognition
 // features (nil detaches). The attachment survives Reset.
 func (u *ICU) SetCoverage(m *coverage.Map) { u.cov = m }
 
-// State is an opaque snapshot of the ICU's dynamic state — pending lines,
-// architectural registers and recognition pipeline. Attachments and
-// configuration (plane, coverage, cause encoding) are not part of it.
-type State struct {
-	pending     [fault.NumEvents]bool
-	numPending  int
-	cause       uint32
-	dist        uint32
-	epc         uint32
-	enable      uint32
-	vector      uint32
-	counting    bool
-	countdown   int
-	retired     uint32
-	inHandler   bool
-	sinceRFE    int
-	maskedNoted bool
-}
-
 // Snapshot captures the ICU's dynamic state mid-run.
-func (u *ICU) Snapshot() State {
-	return State{
-		pending:     u.pending,
-		numPending:  u.numPending,
-		cause:       u.cause,
-		dist:        u.dist,
-		epc:         u.epc,
-		enable:      u.enable,
-		vector:      u.vector,
-		counting:    u.counting,
-		countdown:   u.countdown,
-		retired:     u.retired,
-		inHandler:   u.inHandler,
-		sinceRFE:    u.sinceRFE,
-		maskedNoted: u.maskedNoted,
-	}
-}
+func (u *ICU) Snapshot() State { return u.State }
 
 // Restore rewinds the dynamic state to a snapshot, keeping the current
 // plane, configuration and coverage attachment.
-func (u *ICU) Restore(st State) {
-	u.pending = st.pending
-	u.numPending = st.numPending
-	u.cause = st.cause
-	u.dist = st.dist
-	u.epc = st.epc
-	u.enable = st.enable
-	u.vector = st.vector
-	u.counting = st.counting
-	u.countdown = st.countdown
-	u.retired = st.retired
-	u.inHandler = st.inHandler
-	u.sinceRFE = st.sinceRFE
-	u.maskedNoted = st.maskedNoted
-}
+func (u *ICU) Restore(st State) { u.State = st }
 
 // SetPlane swaps the fault-injection plane (nil restores fault-free). Used
 // by reusable fault-simulation arenas, which reset one long-lived ICU

@@ -69,10 +69,15 @@ type CoreUnit struct {
 	ITCM   *mem.RAM
 	DTCM   *mem.RAM
 
-	setup   CoreSetup
-	imem    *router
-	dmem    *router
-	started bool
+	setup CoreSetup
+	imem  *router
+	dmem  *router
+	// Every memory client the routers dispatch to, by type: Reset and the
+	// snapshots go through these lists.
+	tcms     []*cache.TCMClient
+	ctrls    []*cache.Ctrl
+	bypasses []*cache.Bypass
+	started  bool
 }
 
 // SoC is the assembled system.
@@ -187,33 +192,43 @@ func buildCore(id int, setup CoreSetup, b *bus.Bus, tcm [2][]byte) *CoreUnit {
 
 	iport := b.PortFor(imemMaster(id))
 	dport := b.PortFor(dmemMaster(id))
+	tcmClient := func(dev *mem.RAM, base uint32) *cache.TCMClient {
+		c := cache.NewTCMClient(dev, base)
+		u.tcms = append(u.tcms, c)
+		return c
+	}
+	bypass := func(port *bus.Port, lineBuffer bool) *cache.Bypass {
+		c := cache.NewBypass(port, lineBuffer)
+		u.bypasses = append(u.bypasses, c)
+		return c
+	}
 
 	var ifAccess, dAccess cache.Client
 	if setup.CachesOn {
 		u.ICache = cache.New(cache.ICacheConfig())
 		u.DCache = cache.New(cache.DCacheConfig(setup.WriteAlloc))
-		ifAccess = cache.NewCtrl(u.ICache, iport)
-		dAccess = cache.NewCtrl(u.DCache, dport)
+		u.ctrls = []*cache.Ctrl{cache.NewCtrl(u.ICache, iport), cache.NewCtrl(u.DCache, dport)}
+		ifAccess, dAccess = u.ctrls[0], u.ctrls[1]
 	} else {
 		// The fetch-side bypass keeps a one-line prefetch buffer: pairs
 		// inside a flash line can still dual-issue without caches.
-		ifAccess = cache.NewBypass(iport, true)
-		dAccess = cache.NewBypass(dport, false)
+		ifAccess = bypass(iport, true)
+		dAccess = bypass(dport, false)
 	}
 
 	u.imem = &router{
-		tcm:     cache.NewTCMClient(u.ITCM, mem.ITCMFor(id)),
+		tcm:     tcmClient(u.ITCM, mem.ITCMFor(id)),
 		tcmBase: mem.ITCMFor(id),
 		tcmSize: mem.TCMSize,
 		def:     ifAccess,
 	}
 	u.dmem = &router{
-		tcm:      cache.NewTCMClient(u.DTCM, mem.DTCMFor(id)),
+		tcm:      tcmClient(u.DTCM, mem.DTCMFor(id)),
 		tcmBase:  mem.DTCMFor(id),
 		tcmSize:  mem.TCMSize,
-		tcm2:     cache.NewTCMClient(u.ITCM, mem.ITCMFor(id)),
+		tcm2:     tcmClient(u.ITCM, mem.ITCMFor(id)),
 		tcm2Base: mem.ITCMFor(id),
-		uncached: cache.NewBypass(dport, false),
+		uncached: bypass(dport, false),
 		def:      dAccess,
 	}
 	if !setup.CachesOn {
@@ -221,7 +236,7 @@ func buildCore(id int, setup CoreSetup, b *bus.Bus, tcm [2][]byte) *CoreUnit {
 		// it gives software copy loops (the TCM-based strategy) the same
 		// line-wide flash bursts the fetch unit enjoys. With the D-cache
 		// enabled, flash data reads stay on the cached path instead.
-		u.dmem.flash = cache.NewBypass(dport, true)
+		u.dmem.flash = bypass(dport, true)
 	}
 	// The data-side uncached alias and the cached path share one bus port;
 	// the router guarantees only one is in flight at a time.
@@ -322,8 +337,16 @@ func (s *SoC) Reset() {
 		}
 		// Clients before the core: Core.Reset retracts in-flight fetches
 		// through the (already idle) instruction-side client.
-		u.imem.Reset()
-		u.dmem.Reset()
+		for _, c := range u.tcms {
+			c.Reset()
+		}
+		for _, c := range u.ctrls {
+			c.Reset()
+		}
+		for _, c := range u.bypasses {
+			c.Reset()
+		}
+		u.imem.cur, u.dmem.cur = nil, nil
 		u.Core.Reset(0)
 		u.started = false
 	}
@@ -355,20 +378,12 @@ func (s *SoC) SetCoverage(m *coverage.Map) {
 		}
 		// TCM traffic: instruction fetches from the ITCM, the data-side
 		// ITCM window (the TCM strategy's boot copy loop) and DTCM data.
-		if tc, ok := u.imem.tcm.(*cache.TCMClient); ok {
-			tc.SetCoverage(m, coverage.FeatTCMFetch, coverage.FeatTCMStageCode)
-		}
-		if tc, ok := u.dmem.tcm.(*cache.TCMClient); ok {
-			tc.SetCoverage(m, coverage.FeatTCMDataRead, coverage.FeatTCMDataWrite)
-		}
-		if tc, ok := u.dmem.tcm2.(*cache.TCMClient); ok {
-			tc.SetCoverage(m, coverage.FeatTCMStageCode, coverage.FeatTCMStageCode)
-		}
+		u.imem.tcm.SetCoverage(m, coverage.FeatTCMFetch, coverage.FeatTCMStageCode)
+		u.dmem.tcm.SetCoverage(m, coverage.FeatTCMDataRead, coverage.FeatTCMDataWrite)
+		u.dmem.tcm2.SetCoverage(m, coverage.FeatTCMStageCode, coverage.FeatTCMStageCode)
 		// The uncached data-side alias carries the scheduler barrier's
 		// completion flags.
-		if bp, ok := u.dmem.uncached.(*cache.Bypass); ok {
-			bp.SetCoverage(m)
-		}
+		u.dmem.uncached.SetCoverage(m)
 	}
 }
 
@@ -450,13 +465,13 @@ func (s *SoC) ActiveCount() int {
 // the cache; everything else goes to the default path (cache controller or
 // uncached bus client).
 type router struct {
-	tcm      cache.Client
+	tcm      *cache.TCMClient
 	tcmBase  uint32
 	tcmSize  uint32
-	tcm2     cache.Client // data-side view of the ITCM (for TCM copy loops)
+	tcm2     *cache.TCMClient // data-side view of the ITCM (for TCM copy loops)
 	tcm2Base uint32
-	uncached cache.Client // SRAM uncached-alias path (data side only)
-	flash    cache.Client // read-only flash window, line-buffered (data side)
+	uncached *cache.Bypass // SRAM uncached-alias path (data side only)
+	flash    *cache.Bypass // read-only flash window, line-buffered (data side)
 	def      cache.Client
 
 	cur cache.Client
@@ -503,17 +518,6 @@ func (r *router) TryAbort() bool {
 		return true
 	}
 	return false
-}
-
-// Reset implements cache.Client: resets every routed client and drops the
-// in-flight selection.
-func (r *router) Reset() {
-	for _, c := range []cache.Client{r.tcm, r.tcm2, r.uncached, r.flash, r.def} {
-		if c != nil {
-			c.Reset()
-		}
-	}
-	r.cur = nil
 }
 
 var _ cache.Client = (*router)(nil)

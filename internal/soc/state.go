@@ -6,6 +6,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/icu"
 	"repro/internal/mem"
 )
 
@@ -32,48 +33,42 @@ func (st *State) Cycle() int64 { return st.cycle }
 type coreState struct {
 	itcm, dtcm     *mem.PageDelta
 	icache, dcache *cache.State // nil when caches disabled
-	imem, dmem     routerState
-	core           *cpu.CoreState
-	started        bool
+	// The memory clients' state values, in the CoreUnit's list order.
+	tcms     []cache.TCMState
+	ctrls    []cache.CtrlState
+	bypasses []cache.BypassState
+	// The position in routes of the client each router's access in flight
+	// went to (-1 = none).
+	imem, dmem int8
+	core       cpu.CoreState
+	icu        icu.State
+	started    bool
 }
 
-// routerState snapshots one memory router: the in-flight state of each
-// routed client (positional, in the router's fixed client order) plus which
-// client the current access is routed to (-1 = none).
-type routerState struct {
-	cur     int8
-	clients [5]cache.ClientState
-}
-
-// clientList returns the routed clients in their fixed positional order;
-// entries are nil for paths the router does not have.
-func (r *router) clientList() [5]cache.Client {
+// routes lists the router's clients in a fixed order, with a nil client
+// for each path it does not have; snapshots name the client in flight by
+// its position.
+func (r *router) routes() [5]cache.Client {
 	return [5]cache.Client{r.tcm, r.tcm2, r.uncached, r.flash, r.def}
 }
 
-func (r *router) save(st *routerState) {
-	st.cur = -1
-	for i, c := range r.clientList() {
-		if c == nil {
-			continue
-		}
-		st.clients[i] = c.(cache.Stateful).Save()
-		if c == r.cur {
-			st.cur = int8(i)
+// route returns the position in routes of the client in flight, -1 for
+// none.
+func (r *router) route() int8 {
+	for i, c := range r.routes() {
+		if r.cur != nil && c == r.cur {
+			return int8(i)
 		}
 	}
+	return -1
 }
 
-func (r *router) load(st *routerState) {
+// reroute points the router at the client in position i of routes (-1 =
+// none).
+func (r *router) reroute(i int8) {
 	r.cur = nil
-	for i, c := range r.clientList() {
-		if c == nil {
-			continue
-		}
-		c.(cache.Stateful).Load(st.clients[i])
-		if int8(i) == st.cur {
-			r.cur = c
-		}
+	if i >= 0 {
+		r.cur = r.routes()[i]
 	}
 }
 
@@ -104,9 +99,20 @@ func (s *SoC) Snapshot() *State {
 			cs.icache = u.ICache.Snapshot()
 			cs.dcache = u.DCache.Snapshot()
 		}
-		u.imem.save(&cs.imem)
-		u.dmem.save(&cs.dmem)
-		cs.core = u.Core.Snapshot()
+		cs.tcms = make([]cache.TCMState, len(u.tcms))
+		for i, c := range u.tcms {
+			cs.tcms[i] = c.TCMState
+		}
+		cs.ctrls = make([]cache.CtrlState, len(u.ctrls))
+		for i, c := range u.ctrls {
+			cs.ctrls[i] = c.CtrlState
+		}
+		cs.bypasses = make([]cache.BypassState, len(u.bypasses))
+		for i, c := range u.bypasses {
+			cs.bypasses[i] = c.BypassState
+		}
+		cs.imem, cs.dmem = u.imem.route(), u.dmem.route()
+		cs.core, cs.icu = u.Core.Snapshot()
 		cs.started = u.started
 	}
 	return st
@@ -139,9 +145,18 @@ func (s *SoC) Restore(st *State) {
 			u.ICache.Restore(cs.icache)
 			u.DCache.Restore(cs.dcache)
 		}
-		u.imem.load(&cs.imem)
-		u.dmem.load(&cs.dmem)
-		u.Core.Restore(cs.core)
+		for i, c := range u.tcms {
+			c.TCMState = cs.tcms[i]
+		}
+		for i, c := range u.ctrls {
+			c.CtrlState = cs.ctrls[i]
+		}
+		for i, c := range u.bypasses {
+			c.BypassState = cs.bypasses[i]
+		}
+		u.imem.reroute(cs.imem)
+		u.dmem.reroute(cs.dmem)
+		u.Core.Restore(cs.core, cs.icu)
 		u.started = cs.started
 	}
 	s.listRunning()
