@@ -18,8 +18,7 @@
 //	GET  /v1/jobs/{id}/report        final report (byte-identical to faultsim -report)
 //	GET  /v1/jobs/{id}/events        NDJSON event stream (replay + follow)
 //	GET  /v1/jobs/{id}/metrics       per-job Prometheus metrics
-//	POST /v1/lease                   worker: lease a shard
-//	POST /v1/jobs/{id}/shards/{s}/verdicts   worker: stream verdicts
-//	POST /v1/jobs/{id}/shards/{s}/complete   worker: confirm completion
-//	GET  /metrics, /debug/pprof/     pool telemetry (PR 9 surface)
+//	POST /v1/lease                   worker: lease a shard, renew running ones
+//	POST /v1/jobs/{id}/shards/{s}/verdicts   worker: stream verdicts (a shard completes on its last)
+//	GET  /metrics, /debug/pprof/     pool telemetry
 package main

@@ -16,7 +16,7 @@ import (
 func main() {
 	server := flag.String("server", "http://localhost:8080", "faultserve base URL")
 	name := flag.String("name", "", "worker name recorded on leases (default host:pid)")
-	workers := flag.Int("workers", 0, "arena goroutines per shard (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "arena goroutines per job (0 = GOMAXPROCS)")
 	poll := flag.Duration("poll", serve.DefaultPoll, "idle re-poll interval when no work is pending")
 	drain := flag.Bool("drain", false, "exit successfully on the first idle poll instead of waiting for more work")
 	telemetryAddr := flag.String("telemetry", "", "serve Prometheus /metrics and /debug/pprof on this address (:0 picks a free port, printed to stderr)")

@@ -712,6 +712,10 @@ type CampaignOptions struct {
 	// OnGolden, when non-nil, receives the golden verdict before any site
 	// settles (passed through to fault.SimOptions.OnGolden).
 	OnGolden func(sig uint32, ok bool)
+	// Claim, when non-nil, hands each worker its next index into the sites
+	// slice (passed through to fault.SimOptions.Claim); nil claims every
+	// site once, in order.
+	Claim func() (int, bool)
 	// Progress > 0 prints a progress line (settled/total, rate, ETA,
 	// shortcut rate) to ProgressWriter every interval, and emits progress
 	// events when Events is set.

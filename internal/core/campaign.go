@@ -152,7 +152,7 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 	if err != nil {
 		return fault.Report{}, err
 	}
-	simOpt := fault.SimOptions{Telemetry: reg, Events: opt.Events, OnSettle: opt.OnSettle, OnGolden: opt.OnGolden}
+	simOpt := fault.SimOptions{Telemetry: reg, Events: opt.Events, OnSettle: opt.OnSettle, OnGolden: opt.OnGolden, Claim: opt.Claim}
 	if opt.Journal != "" {
 		header := CampaignFingerprint(prog, c.Cfg, c.Core, c.Job, sites, c.Budget)
 		var j *fault.Journal

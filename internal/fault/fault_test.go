@@ -1,9 +1,12 @@
 package fault
 
 import (
+	"math/rand/v2"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // simulateShared runs a campaign with one stateless runner shared by the
@@ -207,6 +210,71 @@ func TestSimulateSyntheticCampaign(t *testing.T) {
 		if st.Signal == SigMuxSel && st.Detected != 0 {
 			t.Error("select faults cannot be detected by this runner")
 		}
+	}
+}
+
+// TestClaimMatchesCursor pins Simulate's Claim option: a claim fed from
+// another goroutine, out of order and in bursts, settles the same
+// verdicts as the default cursor.
+func TestClaimMatchesCursor(t *testing.T) {
+	sites := ForwardingLogic(ListOptions{DataBits: 32, BitStep: 8})
+	// On the EXL0 path, stuck-at-1 faults of lane 1 operand B panic the
+	// run, those of lane 0 operand B crash it, and lane 0 operand A
+	// faults that flip a bit of 0x1234 change the signature.
+	run := func(p Plane) (uint32, bool) {
+		switch {
+		case p.MuxData(1, 1, PathEXL0, 0) != 0:
+			panic("synthetic simulator fault")
+		case p.MuxData(0, 1, PathEXL0, 0) != 0:
+			return 7, false
+		}
+		return uint32(p.MuxData(0, 0, PathEXL0, 0x1234)), true
+	}
+	runners := slices.Repeat([]RunFunc{run}, 4)
+	want, err := Simulate(sites, runners, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Panics == 0 || want.Detected == want.Panics {
+		t.Fatalf("synthetic campaign has %d panics and %d detected: want both kinds", want.Panics, want.Detected)
+	}
+
+	// Buffered so that a burst can queue ahead of the workers.
+	feed := make(chan int, 16)
+	go func() {
+		rng := rand.New(rand.NewPCG(1, 2))
+		order := rng.Perm(len(sites))
+		for len(order) > 0 {
+			n := min(1+rng.IntN(24), len(order))
+			for _, i := range order[:n] {
+				feed <- i
+			}
+			order = order[n:]
+			time.Sleep(time.Duration(rng.IntN(200)) * time.Microsecond)
+		}
+		close(feed)
+	}()
+	var claimed atomic.Int64
+	claim := func() (int, bool) {
+		i, ok := <-feed
+		if ok {
+			claimed.Add(1)
+		}
+		return i, ok
+	}
+	got, err := Simulate(sites, runners, SimOptions{Claim: claim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := claimed.Load(); n != int64(len(sites)) {
+		t.Errorf("%d sites claimed through Claim, want %d", n, len(sites))
+	}
+	if !slices.Equal(got.Results, want.Results) {
+		t.Error("claimed campaign settles other verdicts than the cursor")
+	}
+	if got.Detected != want.Detected || got.Panics != want.Panics {
+		t.Errorf("claimed campaign: %d detected, %d panics; cursor: %d, %d",
+			got.Detected, got.Panics, want.Detected, want.Panics)
 	}
 }
 

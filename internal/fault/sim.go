@@ -165,6 +165,13 @@ type SimOptions struct {
 	// after the golden run and before any site settles — so a streaming
 	// consumer can attach the reference every verdict was compared against.
 	OnGolden func(sig uint32, ok bool)
+	// Claim, when non-nil, hands a worker goroutine the index of its next
+	// site, or false to stop that worker. It must be safe for concurrent
+	// calls and hand out each index in [0, len(sites)) at most once; an
+	// index it never hands out keeps the zero SiteResult. A campaign-service
+	// worker feeds it from its leased shards. Nil claims every index once,
+	// in order, through a shared atomic cursor.
+	Claim func() (int, bool)
 }
 
 // simMetrics is the resolved handle set of the campaign dispatcher; the
@@ -254,10 +261,11 @@ func safeRun(run RunFunc, p Plane) (sig uint32, ok, panicked bool, msg, stack st
 // runner w serves every site that worker claims, so a runner may own
 // heavyweight mutable state (one long-lived SoC arena per worker). The
 // golden reference comes from runners[0](None) on the calling goroutine
-// before the workers start. Sites are claimed through a shared atomic
-// cursor — there is no producer goroutine to serialise with — and each
-// worker writes only its claimed slots of Results, with the WaitGroup
-// providing the final happens-before edge to the caller.
+// before the workers start. Each worker claims its next site from
+// opt.Claim, or, without one, from a shared atomic cursor (no producer
+// goroutine to serialise with). A worker writes only its claimed slots of
+// Results, and the WaitGroup provides the final happens-before edge to
+// the caller.
 //
 // Every run — golden included — executes behind a recover boundary: a
 // panicking fault run settles the canonical Panicked verdict for its site
@@ -284,7 +292,14 @@ func Simulate(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 	}
 	msgs := make([]string, len(sites))
 	stacks := make([]string, len(sites))
-	var cursor atomic.Int64
+	claim := opt.Claim
+	if claim == nil {
+		var cursor atomic.Int64
+		claim = func() (int, bool) {
+			idx := int(cursor.Add(1)) - 1
+			return idx, idx < len(sites)
+		}
+	}
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -300,8 +315,8 @@ func Simulate(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 		go func(run RunFunc) {
 			defer wg.Done()
 			for {
-				idx := int(cursor.Add(1)) - 1
-				if idx >= len(sites) {
+				idx, more := claim()
+				if !more {
 					return
 				}
 				site := sites[idx]

@@ -21,7 +21,8 @@
 // single simulated run. Neither side builds more than it must: a
 // resubmission takes the campaign the server built for the same normalized
 // spec, and a worker builds a job's campaign, golden capture included,
-// once for all its shards. Reports are assembled byte-identical to a local
+// once, and streams all the shards it leases of that job through one
+// engine run. Reports are assembled byte-identical to a local
 // `faultsim -report` run of the same spec; CI pins that with cmp.
 //
 // docs/SERVICE.md is the API and wire-format reference;

@@ -7,15 +7,30 @@ import (
 	"repro/internal/fault"
 )
 
-// The shard protocol: a worker leases one shard at a time, streams the
-// verdicts it settles in batches, and marks the shard complete. Every
-// message is plain JSON over HTTP; docs/SERVICE.md is the wire reference.
+// The shard protocol: a worker leases a shard, streams the verdicts it
+// settles in batches, and leases the next shard when it runs out of
+// sites; a shard completes on the server when its last verdict lands.
+// Every message is plain JSON over HTTP; docs/SERVICE.md is the wire
+// reference.
 
 // LeaseRequest is the body of POST /v1/lease.
 type LeaseRequest struct {
 	// Worker is the leasing worker's self-chosen name, recorded on the
 	// shard for status output.
 	Worker string `json:"worker"`
+	// Renew lists the shards the worker is still simulating as it leases
+	// the next one. The server renews each lease among them that the
+	// worker still holds, as a verdict batch would, so a shard whose last
+	// sites are still running does not expire under its own worker.
+	Renew []ShardRef `json:"renew,omitempty"`
+}
+
+// ShardRef names one shard of one job.
+type ShardRef struct {
+	// Job is the job ID.
+	Job string `json:"job"`
+	// Shard is the shard's index range.
+	Shard fault.ShardRange `json:"shard"`
 }
 
 // Lease is the server's answer to a successful lease request: one shard
@@ -37,9 +52,9 @@ type Lease struct {
 	// Sites is the universe size, so the worker can sanity-check its
 	// build against the server's before simulating.
 	Sites int `json:"sites"`
-	// LeaseNs is the lease duration in nanoseconds; any verdict batch or
-	// completion renews it, and a silent worker forfeits the shard when
-	// it expires.
+	// LeaseNs is the lease duration in nanoseconds; a verdict batch for
+	// the shard or a lease request that lists it in Renew renews it, and a
+	// silent worker forfeits the shard when it expires.
 	LeaseNs int64 `json:"lease_ns"`
 }
 
@@ -78,15 +93,6 @@ type VerdictBatch struct {
 	// Verdicts carries the settled verdicts (any order, duplicates of
 	// already-settled sites are ignored).
 	Verdicts []Verdict `json:"verdicts"`
-}
-
-// CompleteRequest is the body of POST
-// /v1/jobs/{id}/shards/{shard}/complete. Completion is only accepted once
-// every site in the shard is settled; otherwise the server answers 409
-// and the worker (or the next leaseholder) keeps going.
-type CompleteRequest struct {
-	// Worker is the completing worker's name.
-	Worker string `json:"worker"`
 }
 
 // JobStatus is the status document of GET /v1/jobs/{id} (and each entry

@@ -108,8 +108,8 @@ func TestWorkerHoldsOneCampaign(t *testing.T) {
 	var prev *Campaign
 	builds := 0
 	for i, l := range order {
-		if err := w.RunShard(context.Background(), l); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+		if next, err := w.RunLease(context.Background(), l); err != nil || next != nil {
+			t.Fatalf("shard %d: next lease %v, error %v", i, next, err)
 		}
 		if w.held == nil || w.held.Spec != l.Spec {
 			t.Fatalf("shard %d: worker holds %v, want the campaign of %+v", i, w.held, l.Spec)

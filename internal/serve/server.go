@@ -151,7 +151,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)
 	mux.HandleFunc("POST /v1/lease", s.handleLease)
 	mux.HandleFunc("POST /v1/jobs/{id}/shards/{shard}/verdicts", s.handleVerdicts)
-	mux.HandleFunc("POST /v1/jobs/{id}/shards/{shard}/complete", s.handleComplete)
 	// Everything else is the standard telemetry surface: pool /metrics and
 	// /debug/pprof — the same mux every campaign binary mounts.
 	mux.Handle("/", telemetry.Handler(reg))
@@ -520,9 +519,9 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = reg.WriteProm(w)
 }
 
-// handleLease is POST /v1/lease: grant the oldest pending shard (expiring
-// stale leases on the way) to the requesting worker, or 204 when no work
-// is pending.
+// handleLease is POST /v1/lease: renew the requester's leases it lists
+// as still running, then grant the oldest pending shard (expiring stale
+// leases on the way) to it, or answer 204 when no work is pending.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBytes)).Decode(&req); err != nil {
@@ -531,6 +530,13 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	s.mu.Lock()
+	for _, ref := range req.Renew {
+		if j := s.jobs[ref.Job]; j != nil {
+			if sh := j.findShard(ref.Shard); sh != nil && sh.state == shardLeased && sh.worker == req.Worker {
+				sh.deadline = now.Add(s.cfg.Lease)
+			}
+		}
+	}
 	for _, j := range s.order {
 		if j.state != jobRunning {
 			continue
@@ -578,8 +584,14 @@ func (j *job) parseShard(name string) *shard {
 	if !ok {
 		return nil
 	}
+	return j.findShard(fault.ShardRange{Lo: lo, Hi: hi})
+}
+
+// findShard returns j's shard of range r, or nil. Caller holds the server
+// mutex.
+func (j *job) findShard(r fault.ShardRange) *shard {
 	for _, sh := range j.shards {
-		if sh.r.Lo == lo && sh.r.Hi == hi {
+		if sh.r == r {
 			return sh
 		}
 	}
@@ -602,9 +614,9 @@ func splitRange(s string) (lo, hi int, ok bool) {
 // reconciled first (first batch binds it into the journal; later batches
 // must reproduce it), every verdict is journaled before it is counted,
 // duplicates of settled sites are ignored, and posting renews the
-// worker's lease. A shard whose last site settles completes implicitly,
-// so a worker killed between its final verdict and its complete call
-// loses nothing.
+// worker's lease. A shard completes when its last site settles, which
+// is the only completion there is: a worker posts verdicts and nothing
+// else.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	var batch VerdictBatch
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&batch); err != nil {
@@ -695,37 +707,4 @@ func (s *Server) completeShard(j *job, sh *shard) {
 	if j.journal.SettledCount() == len(j.c.Sites) {
 		s.finishJob(j)
 	}
-}
-
-// handleComplete is POST /v1/jobs/{id}/shards/{shard}/complete: confirm a
-// shard is fully settled. Shards complete implicitly when their last
-// verdict lands, so this answers 200 for a done shard and 409 with the
-// outstanding count otherwise — the worker's signal to keep simulating
-// (or, after a lease expiry, that the next leaseholder will).
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.findJob(w, r)
-	if j == nil {
-		return
-	}
-	if j.state == jobDone {
-		writeJSON(w, http.StatusOK, j.status(time.Now()))
-		return
-	}
-	if j.state == jobFailed {
-		httpError(w, http.StatusConflict, "job failed: %s", j.err)
-		return
-	}
-	sh := j.parseShard(r.PathValue("shard"))
-	if sh == nil {
-		httpError(w, http.StatusNotFound, "job has no shard %q", r.PathValue("shard"))
-		return
-	}
-	if sh.state != shardDone {
-		httpError(w, http.StatusConflict, "shard %s has %d unsettled sites",
-			sh.r, len(j.journal.Unsettled(sh.r.Lo, sh.r.Hi)))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status(time.Now()))
 }

@@ -18,30 +18,31 @@ import (
 
 // Worker is a shard worker: it leases shards from a faultserve server,
 // builds each job's campaign deterministically from its Spec, simulates
-// the unsettled sites of each shard on a local arena pool, and streams
-// verdict batches back. It builds a campaign and captures its golden run
-// once per job: consecutive shards of one job run on the same held
-// campaign, a lease for another spec replaces it, and an idle poll drops
-// it. Workers hold no durable state — all of it lives in the server's
-// store — so killing one mid-shard costs at most the verdicts not yet
-// posted.
+// the unsettled sites of the job's shards on a local arena pool, and
+// streams verdict batches back. It builds a campaign, captures its golden
+// run and runs one core.Campaign.Run per job: the arenas lease the job's
+// next shard when they run out of sites, a lease for another spec
+// replaces the held campaign, and an idle poll drops it. Workers hold no
+// durable state — all of it lives in the server's store — so killing one
+// mid-shard costs at most the verdicts not yet posted.
 type Worker struct {
 	// Server is the base URL of the faultserve server (http://host:port).
 	Server string
 	// Name is the worker's self-chosen name, recorded on its leases.
 	Name string
-	// Workers is the local arena-pool size per shard; <= 0 uses GOMAXPROCS.
+	// Workers is the local arena-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Poll is the idle re-poll interval when no work is pending; <= 0
 	// means DefaultPoll.
 	Poll time.Duration
-	// Drain exits Run successfully on the first idle poll instead of
-	// waiting for more work — the batch-mode switch CI uses.
+	// Drain ends Run on the first idle poll instead of waiting for more
+	// work, returning the first failed shard's error — the batch-mode
+	// switch CI uses.
 	Drain bool
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
 	// Telemetry, when non-nil, receives the worker-side metrics and is
-	// shared with each shard campaign's engine metrics.
+	// shared with each job campaign's engine metrics.
 	Telemetry *telemetry.Registry
 
 	// held is the campaign of the current lease's spec, with its golden
@@ -96,54 +97,66 @@ func (w *Worker) post(ctx context.Context, path string, v, out any) (int, error)
 	return resp.StatusCode, nil
 }
 
-// Run is the worker loop: lease, simulate, stream, complete, repeat. It
-// returns when ctx is canceled, on the first idle poll in Drain mode, or
-// with the first hard error (a failed shard does not kill the loop — the
-// lease expires and another worker retries — but an unreachable server
-// does).
+// Run is the worker loop: lease a shard, stream its job (RunLease), and
+// go on with the lease for another spec that ended the stream, or lease
+// again after an idle poll. It returns when ctx is canceled, with the
+// first hard error (an unreachable server), or in Drain mode at the first
+// idle poll, with the first error of the run: a failed shard's, nil when
+// none failed. Outside Drain mode a failed shard does not end the loop —
+// its lease expires and another worker retries it.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Poll <= 0 {
 		w.Poll = DefaultPoll
 	}
-	leases := w.Telemetry.Counter("worker_leases_total")
-	shardErrs := w.Telemetry.Counter("worker_shard_errors_total")
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
+	var failed error // the run's first error, which a Drain run returns
+	var next *Lease
+	for ctx.Err() == nil {
+		if next == nil {
+			var err error
+			if next, err = w.lease(ctx, nil); err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				return err
+			}
 		}
-		var lease Lease
-		status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &lease)
-		if err != nil {
+		if next != nil {
+			var err error
+			next, err = w.RunLease(ctx, *next)
+			if failed == nil {
+				failed = err
+			}
+			if next != nil {
+				continue // a lease for another spec ended the stream
+			}
+		}
+		// No work: drop the finished job's campaign, so an idle worker
+		// does not keep its engine alive.
+		w.held = nil
+		if w.Drain {
 			if ctx.Err() != nil {
 				return nil
 			}
-			return err
+			return failed
 		}
-		if status == http.StatusNoContent {
-			// No work: drop the finished job's campaign, so an idle worker
-			// does not keep its engine alive.
-			w.held = nil
-			if w.Drain {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(w.Poll):
-			}
-			continue
-		}
-		leases.Inc()
-		if err := w.RunShard(ctx, lease); err != nil {
-			// The shard's lease will expire and be re-offered; losing one
-			// shard attempt must not kill the worker. A dead server kills
-			// the loop via the next lease call instead.
-			shardErrs.Inc()
-			if ctx.Err() != nil {
-				return nil
-			}
+		select {
+		case <-ctx.Done():
+		case <-time.After(w.Poll):
 		}
 	}
+	return nil
+}
+
+// lease asks the server for a shard, renewing the leases of the shards
+// in renew; nil without an error means no work is pending.
+func (w *Worker) lease(ctx context.Context, renew []ShardRef) (*Lease, error) {
+	var l Lease
+	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.Name, Renew: renew}, &l)
+	if err != nil || status == http.StatusNoContent {
+		return nil, err
+	}
+	w.Telemetry.Counter("worker_leases_total").Inc()
+	return &l, nil
 }
 
 // campaign returns the built campaign for spec: the held one when it is
@@ -165,33 +178,219 @@ func (w *Worker) campaign(spec Spec) (*Campaign, error) {
 	return c, nil
 }
 
-// verdictPoster batches settled verdicts and posts them on a size/interval
-// policy from its own goroutine, so simulation never blocks on HTTP.
-type verdictPoster struct {
-	w      *Worker
-	ctx    context.Context
-	path   string
-	worker string
+// RunLease streams the job of lease through one core.Campaign.Run on the
+// campaign of its spec (held from the job's previous stream, or built).
+// The arenas claim the unsettled sites of the shards the worker holds,
+// starting with lease's; an arena that finds none left leases the next
+// shard while the others finish their sites, and a lease for another spec
+// or an idle poll ends the stream. Each shard posts its verdicts through
+// its own poster, which flushes when the shard's last verdict settles
+// without pausing simulation; RunLease returns once every poster is done.
+// It returns the lease for another spec that ended the stream (nil when
+// an idle poll or a failed lease call did) and the stream's first error:
+// a failed shard's or the failed lease call's. Each failed shard counts
+// in worker_shard_errors_total.
+func (w *Worker) RunLease(ctx context.Context, lease Lease) (*Lease, error) {
+	c, err := w.campaign(lease.Spec)
+	if err != nil {
+		w.Telemetry.Counter("worker_shard_errors_total").Inc()
+		return nil, fmt.Errorf("serve: worker: lease %s/%s: %w", lease.Job, lease.Shard, err)
+	}
+	s := &stream{w: w, ctx: ctx, c: c, spec: lease.Spec, next: &lease, owner: make([]*verdictPoster, len(c.Sites))}
+	simulated := w.Telemetry.Counter("worker_sites_simulated_total")
+	_, err = c.Run(c.Sites, core.CampaignOptions{
+		Workers:   w.Workers,
+		Telemetry: w.Telemetry,
+		Claim:     s.claim,
+		OnGolden:  func(sig uint32, ok bool) { s.golden, s.goldenOK = sig, ok },
+		OnSettle: func(i int, res fault.SiteResult, _ bool) {
+			simulated.Inc()
+			s.owner[i].add(Verdict{
+				I:        i,
+				Sig:      res.Signature,
+				Detected: res.Detected,
+				Crashed:  res.Crashed,
+				Panicked: res.Panicked,
+			})
+		},
+	})
+	if err != nil {
+		s.fail(fmt.Errorf("serve: worker: job %s: %w", lease.Job, err))
+	}
+	return s.finish()
+}
 
-	mu       sync.Mutex
-	buf      []Verdict
+// stream is the site feed of one RunLease: the queue of unsettled sites
+// of the shards it leased, and one verdict poster per shard.
+type stream struct {
+	w    *Worker
+	ctx  context.Context
+	c    *Campaign
+	spec Spec // the first lease's spec, which every fed lease carries
+	// golden and goldenOK are the campaign's golden verdict, set before
+	// the first claim.
 	golden   uint32
 	goldenOK bool
-	err      error
+	// owner maps a queued universe index to its shard's poster. A claim
+	// publishes the entry to the arena that settles the site.
+	owner []*verdictPoster
+
+	mu      sync.Mutex
+	next    *Lease // the lease to feed when the queue runs dry
+	queue   []int  // fed universe indices not yet claimed
+	ended   bool
+	other   *Lease // the lease for another spec that ended the stream
+	posters []*verdictPoster
+	err     error
+}
+
+// claim hands an arena its next site. When the queue is empty it feeds
+// the next lease, leasing one first, until a site is queued or the
+// stream ends; the other arenas have no site to claim until then, so
+// the lease call holds s.mu. It renews the shards whose posters are
+// still running: the other arenas may still be simulating their last
+// sites.
+func (s *stream) claim() (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 {
+		if s.ended {
+			return 0, false
+		}
+		if s.next == nil {
+			var running []ShardRef
+			for _, p := range s.posters {
+				select {
+				case <-p.done:
+				default:
+					running = append(running, p.ref)
+				}
+			}
+			l, err := s.w.lease(s.ctx, running)
+			if err != nil && s.err == nil {
+				s.err = err
+			}
+			if l == nil {
+				s.ended = true
+				continue
+			}
+			s.next = l
+		}
+		if s.next.Spec != s.spec {
+			s.other, s.ended = s.next, true
+		} else {
+			s.feed(*s.next)
+		}
+		s.next = nil
+	}
+	i := s.queue[0]
+	s.queue = s.queue[1:]
+	return i, true
+}
+
+// feed queues the unsettled sites of l's shard that the stream does not
+// hold yet (a shard whose lease expired under this worker can come back
+// to it) and starts the shard's poster. Caller holds s.mu.
+func (s *stream) feed(l Lease) {
+	n := len(s.c.Sites)
+	if l.Sites != n {
+		s.fail(fmt.Errorf("serve: worker: lease %s/%s: universe size %d does not match the local build's %d",
+			l.Job, l.Shard, l.Sites, n))
+		return
+	}
+	if l.Shard.Lo < 0 || l.Shard.Hi > n || l.Shard.Lo > l.Shard.Hi {
+		s.fail(fmt.Errorf("serve: worker: lease %s/%s: shard outside universe of %d", l.Job, l.Shard, n))
+		return
+	}
+	settled := make(map[int]bool, len(l.Settled))
+	for _, i := range l.Settled {
+		settled[i] = true
+	}
+	p := &verdictPoster{
+		w:        s.w,
+		ctx:      s.ctx,
+		ref:      ShardRef{Job: l.Job, Shard: l.Shard},
+		path:     fmt.Sprintf("/v1/jobs/%s/shards/%s/verdicts", l.Job, l.Shard),
+		golden:   s.golden,
+		goldenOK: s.goldenOK,
+		wake:     make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	for i := l.Shard.Lo; i < l.Shard.Hi; i++ {
+		if !settled[i] && s.owner[i] == nil {
+			s.owner[i] = p
+			s.queue = append(s.queue, i)
+			p.pending++
+		}
+	}
+	if p.pending > 0 {
+		s.posters = append(s.posters, p)
+		go p.loop()
+	}
+}
+
+// fail counts one failed shard and keeps the stream's first error.
+// Caller holds s.mu, or the campaign run has returned.
+func (s *stream) fail(err error) {
+	s.w.Telemetry.Counter("worker_shard_errors_total").Inc()
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// finish waits for every shard's poster after the campaign run has
+// returned, and returns the lease for another spec that ended the stream
+// and the stream's first error.
+func (s *stream) finish() (*Lease, error) {
+	for _, p := range s.posters {
+		if p.pending > 0 {
+			// The run ended before the shard did: post what settled.
+			close(p.quit)
+		}
+		<-p.done
+		if p.err != nil {
+			s.fail(p.err)
+		}
+	}
+	return s.other, s.err
+}
+
+// verdictPoster batches one shard's settled verdicts and posts them on a
+// size/interval policy from its own goroutine, so simulation never blocks
+// on HTTP. The shard's last verdict ends it with a final flush.
+type verdictPoster struct {
+	w        *Worker
+	ctx      context.Context
+	ref      ShardRef
+	path     string
+	golden   uint32
+	goldenOK bool
+
+	mu      sync.Mutex
+	buf     []Verdict
+	pending int // verdicts still to come
+	err     error
 
 	wake chan struct{}
 	quit chan struct{}
 	done chan struct{}
 }
 
-// add queues one verdict and wakes the poster when the batch threshold is
-// reached. Safe for concurrent use from arena workers.
+// add queues one verdict and counts it off, then wakes the poster when
+// the batch threshold is reached, or ends it on the shard's last verdict.
+// Queueing and counting share one lock, so the final flush cannot run
+// before another arena's add. Safe for concurrent use from arena workers.
 func (p *verdictPoster) add(v Verdict) {
 	p.mu.Lock()
 	p.buf = append(p.buf, v)
-	full := len(p.buf) >= batchSize
+	p.pending--
+	last, full := p.pending == 0, len(p.buf) >= batchSize
 	p.mu.Unlock()
-	if full {
+	switch {
+	case last:
+		close(p.quit)
+	case full:
 		select {
 		case p.wake <- struct{}{}:
 		default:
@@ -207,13 +406,12 @@ func (p *verdictPoster) flush() {
 	p.mu.Lock()
 	queued := p.buf
 	p.buf = nil
-	golden, goldenOK := p.golden, p.goldenOK
 	p.mu.Unlock()
 	for batch := range slices.Chunk(queued, batchSize) {
 		_, err := p.w.post(p.ctx, p.path, VerdictBatch{
-			Worker:   p.worker,
-			Golden:   golden,
-			GoldenOK: goldenOK,
+			Worker:   p.w.Name,
+			Golden:   p.golden,
+			GoldenOK: p.goldenOK,
 			Verdicts: batch,
 		}, nil)
 		if err != nil {
@@ -244,89 +442,4 @@ func (p *verdictPoster) loop() {
 			p.flush()
 		}
 	}
-}
-
-// RunShard simulates one leased shard: take the campaign of the lease's
-// spec (held from the job's previous shard, or built), cross-check the
-// universe size, run the shard's unsettled sites as a sub-universe on the
-// campaign's arenas, and stream the verdicts back while simulation
-// continues. Returns after the final flush and completion call.
-func (w *Worker) RunShard(ctx context.Context, lease Lease) error {
-	c, err := w.campaign(lease.Spec)
-	if err != nil {
-		return err
-	}
-	if lease.Sites != len(c.Sites) {
-		return fmt.Errorf("serve: worker: lease %s/%s: universe size %d does not match the local build's %d",
-			lease.Job, lease.Shard, lease.Sites, len(c.Sites))
-	}
-	if lease.Shard.Lo < 0 || lease.Shard.Hi > len(c.Sites) || lease.Shard.Lo > lease.Shard.Hi {
-		return fmt.Errorf("serve: worker: lease %s/%s: shard outside universe of %d", lease.Job, lease.Shard, len(c.Sites))
-	}
-
-	// The shard's pending work as a sub-universe: verdicts are pure
-	// per-site functions of the environment, so simulating a subset
-	// settles the same verdicts the full campaign would. sub maps local
-	// site indices back to universe indices for the wire.
-	settled := make(map[int]bool, len(lease.Settled))
-	for _, i := range lease.Settled {
-		settled[i] = true
-	}
-	var sub []int
-	var sites []fault.Site
-	for i := lease.Shard.Lo; i < lease.Shard.Hi; i++ {
-		if !settled[i] {
-			sub = append(sub, i)
-			sites = append(sites, c.Sites[i])
-		}
-	}
-
-	p := &verdictPoster{
-		w:      w,
-		ctx:    ctx,
-		path:   fmt.Sprintf("/v1/jobs/%s/shards/%s/verdicts", lease.Job, lease.Shard),
-		worker: w.Name,
-		wake:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go p.loop()
-
-	simulated := w.Telemetry.Counter("worker_sites_simulated_total")
-	var runErr error
-	if len(sub) > 0 {
-		_, runErr = c.Run(sites, core.CampaignOptions{
-			Workers:   w.Workers,
-			Telemetry: w.Telemetry,
-			OnGolden: func(sig uint32, ok bool) {
-				p.mu.Lock()
-				p.golden, p.goldenOK = sig, ok
-				p.mu.Unlock()
-			},
-			OnSettle: func(i int, res fault.SiteResult, fromJournal bool) {
-				simulated.Inc()
-				p.add(Verdict{
-					I:        sub[i],
-					Sig:      res.Signature,
-					Detected: res.Detected,
-					Crashed:  res.Crashed,
-					Panicked: res.Panicked,
-				})
-			},
-		})
-	}
-	close(p.quit)
-	<-p.done
-	if runErr != nil {
-		return fmt.Errorf("serve: worker: shard %s/%s: %w", lease.Job, lease.Shard, runErr)
-	}
-	p.mu.Lock()
-	postErr := p.err
-	p.mu.Unlock()
-	if postErr != nil {
-		return postErr
-	}
-	_, err = w.post(ctx, fmt.Sprintf("/v1/jobs/%s/shards/%s/complete", lease.Job, lease.Shard),
-		CompleteRequest{Worker: w.Name}, nil)
-	return err
 }
