@@ -82,17 +82,16 @@ func main() {
 		events = telemetry.NewEventLog(f)
 	}
 
-	rep, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites,
-		c.Budget, core.CampaignOptions{
-			Workers:            *workers,
-			Reference:          *engine == "reference",
-			Journal:            *journal,
-			Resume:             *resume,
-			CheckpointInterval: *ckptInterval,
-			Telemetry:          reg,
-			Events:             events,
-			Progress:           *progress,
-		})
+	rep, err := c.Run(c.Sites, core.CampaignOptions{
+		Workers:            *workers,
+		Reference:          *engine == "reference",
+		Journal:            *journal,
+		Resume:             *resume,
+		CheckpointInterval: *ckptInterval,
+		Telemetry:          reg,
+		Events:             events,
+		Progress:           *progress,
+	})
 	fail(err)
 	fail(events.Err())
 	fmt.Printf("routine=%s core=%c strategy=%s multicore=%v engine=%s\n",

@@ -7,8 +7,8 @@
 // settle. It builds and captures the golden run once per job and runs the
 // job as one stream: an arena that runs out of sites leases the job's
 // next shard while the others finish theirs, each shard completes on the
-// server when its last verdict lands, and an idle poll drops the job's
-// campaign.
+// server when its last verdict lands, and the job's campaign goes when
+// its stream ends. A failed verdict post is retried before a shard fails.
 //
 // Usage:
 //

@@ -106,8 +106,7 @@ func (e *CampaignEnv) record(sites []fault.Site) (*core.Campaign, error) {
 // subset of it — in the recorded environment.
 func (e *CampaignEnv) compareOn(c *core.Campaign, sites []fault.Site) (string, error) {
 	run := func(reference bool) (fault.Report, error) {
-		return core.RunCampaignOpts(c.Cfg, c.Core, c.Job, sites, c.Budget,
-			core.CampaignOptions{Workers: e.Workers, Reference: reference})
+		return c.Run(sites, core.CampaignOptions{Workers: e.Workers, Reference: reference})
 	}
 	ref, err := run(true)
 	if err != nil {

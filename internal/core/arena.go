@@ -786,8 +786,9 @@ func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob
 // RunCampaignOpts fault-simulates job on core id for every site, in the
 // replay environment cfg with the given per-run cycle budget: one
 // Campaign.Run on a campaign that lives for this call only, so it
-// captures the golden run once per call, as a fresh cmd/faultsim process
-// does. Record supplies the environment and budget.
+// captures the golden run once per call. Record supplies the environment
+// and budget; a caller holding the recorded Campaign calls its Run
+// instead, so only cmd/bench and tests call this.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
 	c := &Campaign{Cfg: cfg, Core: id, Job: job, Sites: sites, Budget: budget}
 	return c.Run(sites, opt)

@@ -207,7 +207,7 @@ func (c campaign) run(sites []fault.Site) (fault.Report, error) {
 	opt := core.CampaignOptions{Workers: c.opts.Workers, Reference: c.opts.Reference,
 		CheckpointInterval: c.opts.CheckpointInterval,
 		Telemetry:          c.opts.Telemetry, Events: c.opts.Events, Progress: c.opts.Progress}
-	rep, err := core.RunCampaignOpts(rc.Cfg, rc.Core, rc.Job, rc.Sites, rc.Budget, opt)
+	rep, err := rc.Run(rc.Sites, opt)
 	if err != nil {
 		return fault.Report{}, err
 	}

@@ -84,9 +84,9 @@ func leaseAll(t *testing.T, base, name string) []Lease {
 }
 
 // TestWorkerHoldsOneCampaign pins the worker's campaign lifetime: fed
-// leases of two specs in turn, it holds only the current lease's campaign,
-// keeps it (and its golden capture) across consecutive shards of one job,
-// replaces it when the spec changes, and drops it on an idle poll.
+// leases of two specs in turn, it builds a campaign and captures its
+// golden run once per RunLease and keeps none between them, and both
+// jobs' reports stay byte-identical to the direct runs.
 func TestWorkerHoldsOneCampaign(t *testing.T) {
 	specA, specB := quickSpec(), Spec{Routine: "forwarding", Strategy: "plain", BitStep: 8}
 	_, hs := startServer(t, Config{ShardSize: 56})
@@ -105,33 +105,18 @@ func TestWorkerHoldsOneCampaign(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Telemetry: reg}
-	var prev *Campaign
-	builds := 0
 	for i, l := range order {
 		if next, err := w.RunLease(context.Background(), l); err != nil || next != nil {
 			t.Fatalf("shard %d: next lease %v, error %v", i, next, err)
 		}
-		if w.held == nil || w.held.Spec != l.Spec {
-			t.Fatalf("shard %d: worker holds %v, want the campaign of %+v", i, w.held, l.Spec)
-		}
-		if sameSpec := i > 0 && order[i-1].Spec == l.Spec; sameSpec != (w.held == prev) {
-			t.Errorf("shard %d: kept campaign = %v, want %v", i, w.held == prev, sameSpec)
-		}
-		if w.held != prev {
-			builds++
-		}
-		prev = w.held
 	}
-	if got := reg.Counter("arena_golden_captures_total").Value(); got != int64(builds) {
-		t.Errorf("%d golden captures for %d campaign builds", got, builds)
+	if got := reg.Counter("arena_golden_captures_total").Value(); got != int64(len(order)) {
+		t.Errorf("%d golden captures for %d RunLease calls", got, len(order))
 	}
 
 	w.Drain = true
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatalf("worker: %v", err)
-	}
-	if w.held != nil {
-		t.Error("worker still holds a campaign after an idle poll")
 	}
 	for _, job := range []struct {
 		id   string
@@ -205,6 +190,56 @@ func TestRequestBodyLimits(t *testing.T) {
 	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
 	if now.Simulated != 1 {
 		t.Errorf("job counts %d simulated sites, want the small batch's 1", now.Simulated)
+	}
+}
+
+// TestVerdictBatchValidation pins the verdict handler's 400 answers: a
+// batch holding a verdict outside the shard, one whose detected flag
+// contradicts its signature, a crashed verdict with a non-zero signature
+// or a panicked verdict that is not crashed is refused whole, valid
+// verdicts and golden included, and leaves the journal byte for byte
+// unchanged.
+func TestVerdictBatchValidation(t *testing.T) {
+	dir := t.TempDir()
+	_, hs := startServer(t, Config{StoreDir: dir, ShardSize: 64})
+	st := submit(t, hs.URL, quickSpec(), "")
+	l := leaseAll(t, hs.URL, "w")[0]
+	url := fmt.Sprintf("%s/v1/jobs/%s/shards/%s/verdicts", hs.URL, l.Job, l.Shard)
+	journal := filepath.Join(dir, st.Key+".journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const golden = 0x1234
+	i := l.Shard.Lo
+	for _, c := range []struct {
+		name string
+		bad  Verdict
+	}{
+		{"outside the shard", Verdict{I: l.Shard.Hi, Sig: golden}},
+		{"detected inconsistent", Verdict{I: i, Sig: golden, Detected: true}},
+		{"crashed with a signature", Verdict{I: i, Sig: 7, Detected: true, Crashed: true}},
+		{"panicked but not crashed", Verdict{I: i, Sig: 7, Detected: true, Panicked: true}},
+	} {
+		batch := VerdictBatch{Worker: "w", Golden: golden, GoldenOK: true,
+			Verdicts: []Verdict{{I: i + 1, Sig: golden}, c.bad}}
+		body, _ := json.Marshal(batch)
+		if code := postBody(t, url, body); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", c.name, code)
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused verdict batches changed the journal from %d to %d bytes", len(before), len(after))
+	}
+	var now JobStatus
+	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
+	if now.Settled != 0 {
+		t.Errorf("job settles %d sites, want none", now.Settled)
 	}
 }
 

@@ -645,6 +645,29 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Validation before anything is journaled: a batch holding a verdict
+	// outside the shard, or one fault.Simulate cannot produce (it records
+	// a crashed run's signature as 0 and every panic as crashed), is
+	// refused whole.
+	for _, v := range batch.Verdicts {
+		var bad string
+		switch {
+		case v.I < sh.r.Lo || v.I >= sh.r.Hi:
+			bad = fmt.Sprintf("outside shard %s", sh.r)
+		case v.Detected != (v.Crashed || v.Sig != batch.Golden):
+			bad = fmt.Sprintf("inconsistent: detected=%v with sig %08x, crashed=%v against golden %08x",
+				v.Detected, v.Sig, v.Crashed, batch.Golden)
+		case v.Crashed && v.Sig != 0:
+			bad = fmt.Sprintf("crashed with sig %08x, want 0", v.Sig)
+		case v.Panicked && !v.Crashed:
+			bad = "panicked but not crashed"
+		}
+		if bad != "" {
+			httpError(w, http.StatusBadRequest, "verdict %d %s", v.I, bad)
+			return
+		}
+	}
+
 	// Golden reconciliation, exactly like a resumed local campaign: the
 	// first worker's golden is journaled; any later golden must reproduce
 	// it, or the campaign's determinism contract is broken and the job
@@ -656,16 +679,6 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for _, v := range batch.Verdicts {
-		if v.I < sh.r.Lo || v.I >= sh.r.Hi {
-			httpError(w, http.StatusBadRequest, "verdict %d outside shard %s", v.I, sh.r)
-			return
-		}
-		if v.Detected != (v.Crashed || v.Sig != batch.Golden) {
-			httpError(w, http.StatusBadRequest,
-				"verdict %d inconsistent: detected=%v with sig %08x, crashed=%v against golden %08x",
-				v.I, v.Detected, v.Sig, v.Crashed, batch.Golden)
-			return
-		}
 		if _, _, _, ok := j.journal.Settled(v.I); ok {
 			continue
 		}

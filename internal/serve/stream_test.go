@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +16,8 @@ import (
 )
 
 // spy is a Server's handler wrapped to record every request path and to
-// answer the first failVerdicts verdict posts with a 500.
+// answer the first failVerdicts verdict posts with a 500 (math.MaxInt
+// fails them all).
 type spy struct {
 	h http.Handler
 
@@ -130,11 +132,11 @@ func TestWorkerStreamsTwoSpecs(t *testing.T) {
 }
 
 // TestDrainReturnsShardError pins that a Drain run reports a failed
-// shard: when the first verdict post answers 500, Run drains the rest of
-// the job and returns that error at the idle poll, with the job still
-// running.
+// shard: when every verdict post answers 500, each shard fails after
+// postAttempts posts, and Run drains the rest of the job and returns the
+// error at the idle poll, with the job still running and nothing settled.
 func TestDrainReturnsShardError(t *testing.T) {
-	hs, _ := startSpied(t, Config{ShardSize: 7}, 1)
+	hs, sp := startSpied(t, Config{ShardSize: 7}, math.MaxInt)
 	st := submit(t, hs.URL, quickSpec(), "")
 
 	reg := telemetry.NewRegistry()
@@ -143,14 +145,51 @@ func TestDrainReturnsShardError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("Drain run returned %v, want the failed verdict post", err)
 	}
-	if n := reg.Counter("worker_shard_errors_total").Value(); n != 1 {
-		t.Errorf("worker_shard_errors_total = %d, want 1", n)
+	if n := reg.Counter("worker_shard_errors_total").Value(); n != int64(st.Shards) {
+		t.Errorf("worker_shard_errors_total = %d, want one per shard, %d", n, st.Shards)
+	}
+	if n := sp.count("/verdicts"); n != st.Shards*postAttempts {
+		t.Errorf("%d verdict posts for %d shards, want %d each", n, st.Shards, postAttempts)
 	}
 	var now JobStatus
 	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
-	if now.State != "running" || now.Settled >= now.Sites {
-		t.Errorf("job %s with %d of %d sites settled, want running with the failed batch unsettled",
+	if now.State != "running" || now.Settled != 0 {
+		t.Errorf("job %s with %d of %d sites settled, want running with none settled",
 			now.State, now.Settled, now.Sites)
+	}
+}
+
+// TestVerdictPostRetriesTransientFailure pins the poster's retry: when the
+// first verdict post answers 500, its verdicts are sent again at the next
+// flush, so the Drain run returns nil, no lease expires, and the report is
+// byte-identical to the direct run.
+func TestVerdictPostRetriesTransientFailure(t *testing.T) {
+	spec := quickSpec()
+	want := directReport(t, spec)
+	hs, sp := startSpied(t, Config{ShardSize: 7}, 1)
+	st := submit(t, hs.URL, spec, "")
+
+	reg := telemetry.NewRegistry()
+	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Drain: true, Telemetry: reg}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Drain run returned %v, want nil after the retried post", err)
+	}
+	sp.mu.Lock()
+	injected := sp.failVerdicts == 0
+	sp.mu.Unlock()
+	if !injected {
+		t.Fatal("no verdict post failed; the test needs one")
+	}
+	code, got := getRaw(t, hs.URL, "/v1/jobs/"+st.ID+"/report")
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("report differs from the direct run (code %d)", code)
+	}
+	if n := reg.Counter("worker_shard_errors_total").Value(); n != 0 {
+		t.Errorf("worker_shard_errors_total = %d, want 0", n)
+	}
+	code, prom := getRaw(t, hs.URL, "/metrics")
+	if code != http.StatusOK || !strings.Contains(string(prom), "\nserve_shards_expired_total 0\n") {
+		t.Errorf("pool metrics (code %d) do not read serve_shards_expired_total 0:\n%s", code, prom)
 	}
 }
 

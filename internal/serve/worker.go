@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -21,10 +20,10 @@ import (
 // the unsettled sites of the job's shards on a local arena pool, and
 // streams verdict batches back. It builds a campaign, captures its golden
 // run and runs one core.Campaign.Run per job: the arenas lease the job's
-// next shard when they run out of sites, a lease for another spec
-// replaces the held campaign, and an idle poll drops it. Workers hold no
-// durable state — all of it lives in the server's store — so killing one
-// mid-shard costs at most the verdicts not yet posted.
+// next shard when they run out of sites, and the campaign goes when the
+// job's stream ends. Workers hold no durable state — all of it lives in
+// the server's store — so killing one mid-shard costs at most the
+// verdicts not yet posted.
 type Worker struct {
 	// Server is the base URL of the faultserve server (http://host:port).
 	Server string
@@ -44,20 +43,18 @@ type Worker struct {
 	// Telemetry, when non-nil, receives the worker-side metrics and is
 	// shared with each job campaign's engine metrics.
 	Telemetry *telemetry.Registry
-
-	// held is the campaign of the current lease's spec, with its golden
-	// capture and arenas (core.Campaign.Run keeps them); nil when idle.
-	held *Campaign
 }
 
 // DefaultPoll is the default idle re-poll interval.
 const DefaultPoll = 500 * time.Millisecond
 
 // A verdict batch is flushed when it reaches batchSize verdicts, and a
-// non-empty one at least every flushInterval.
+// non-empty one at least every flushInterval. A shard fails when
+// postAttempts posts of its verdicts fail in a row.
 const (
 	batchSize     = 64
 	flushInterval = 200 * time.Millisecond
+	postAttempts  = 4
 )
 
 // client returns the configured HTTP client.
@@ -130,9 +127,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				continue // a lease for another spec ended the stream
 			}
 		}
-		// No work: drop the finished job's campaign, so an idle worker
-		// does not keep its engine alive.
-		w.held = nil
 		if w.Drain {
 			if ctx.Err() != nil {
 				return nil
@@ -159,39 +153,20 @@ func (w *Worker) lease(ctx context.Context, renew []ShardRef) (*Lease, error) {
 	return &l, nil
 }
 
-// campaign returns the built campaign for spec: the held one when it is
-// spec's, else a fresh build that replaces it.
-func (w *Worker) campaign(spec Spec) (*Campaign, error) {
-	spec, err := spec.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	if w.held != nil && w.held.Spec == spec {
-		return w.held, nil
-	}
-	w.held = nil // let the previous job's engine go before building
-	c, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	w.held = c
-	return c, nil
-}
-
-// RunLease streams the job of lease through one core.Campaign.Run on the
-// campaign of its spec (held from the job's previous stream, or built).
-// The arenas claim the unsettled sites of the shards the worker holds,
-// starting with lease's; an arena that finds none left leases the next
-// shard while the others finish their sites, and a lease for another spec
-// or an idle poll ends the stream. Each shard posts its verdicts through
-// its own poster, which flushes when the shard's last verdict settles
-// without pausing simulation; RunLease returns once every poster is done.
+// RunLease builds the campaign of lease's spec and streams the job through
+// one core.Campaign.Run on it. The arenas claim the unsettled sites of the
+// shards the worker holds, starting with lease's; an arena that finds
+// none left leases the next shard while the others finish their sites,
+// and a lease for another spec or an idle poll ends the stream. Each
+// shard posts its verdicts through its own poster, which flushes when the
+// shard's last verdict settles without pausing simulation; RunLease
+// returns once every poster is done.
 // It returns the lease for another spec that ended the stream (nil when
 // an idle poll or a failed lease call did) and the stream's first error:
 // a failed shard's or the failed lease call's. Each failed shard counts
 // in worker_shard_errors_total.
 func (w *Worker) RunLease(ctx context.Context, lease Lease) (*Lease, error) {
-	c, err := w.campaign(lease.Spec)
+	c, err := lease.Spec.Build()
 	if err != nil {
 		w.Telemetry.Counter("worker_shard_errors_total").Inc()
 		return nil, fmt.Errorf("serve: worker: lease %s/%s: %w", lease.Job, lease.Shard, err)
@@ -358,7 +333,8 @@ func (s *stream) finish() (*Lease, error) {
 
 // verdictPoster batches one shard's settled verdicts and posts them on a
 // size/interval policy from its own goroutine, so simulation never blocks
-// on HTTP. The shard's last verdict ends it with a final flush.
+// on HTTP. The shard's last verdict ends it with a final flush, which the
+// poster retries until it lands or the shard fails.
 type verdictPoster struct {
 	w        *Worker
 	ctx      context.Context
@@ -370,7 +346,11 @@ type verdictPoster struct {
 	mu      sync.Mutex
 	buf     []Verdict
 	pending int // verdicts still to come
-	err     error
+
+	// failures counts the posts that failed in a row, and err is the
+	// shard's failure. Only flush writes them; err is read after done.
+	failures int
+	err      error
 
 	wake chan struct{}
 	quit chan struct{}
@@ -400,46 +380,60 @@ func (p *verdictPoster) add(v Verdict) {
 
 // flush posts the queued verdicts, if any, at most batchSize to a request:
 // verdicts keep settling while a post is in flight, so the queue can
-// outgrow one batch. The first failed post ends the flush; post errors are
-// sticky.
-func (p *verdictPoster) flush() {
+// outgrow one batch. A post that gets no reply or a 5xx puts its verdicts
+// and those behind it back at the head of the queue and ends the flush,
+// reporting true; the next flush sends them again. The shard fails
+// (p.err) at the postAttempts-th failed post in a row, and at once on any
+// other error or a done ctx. The server ignores verdicts it already
+// settled, so sending a batch again is safe.
+func (p *verdictPoster) flush() (requeued bool) {
 	p.mu.Lock()
 	queued := p.buf
 	p.buf = nil
 	p.mu.Unlock()
-	for batch := range slices.Chunk(queued, batchSize) {
-		_, err := p.w.post(p.ctx, p.path, VerdictBatch{
+	for len(queued) > 0 {
+		batch := queued[:min(len(queued), batchSize)]
+		status, err := p.w.post(p.ctx, p.path, VerdictBatch{
 			Worker:   p.w.Name,
 			Golden:   p.golden,
 			GoldenOK: p.goldenOK,
 			Verdicts: batch,
 		}, nil)
 		if err != nil {
-			p.mu.Lock()
-			if p.err == nil {
+			p.failures++
+			if p.failures >= postAttempts || p.ctx.Err() != nil || status != 0 && status < 500 {
 				p.err = err
+				return false
 			}
+			p.mu.Lock()
+			p.buf = append(queued, p.buf...)
 			p.mu.Unlock()
-			return
+			return true
 		}
+		p.failures = 0
+		queued = queued[len(batch):]
 	}
+	return false
 }
 
 // loop is the poster goroutine: flush on wake (batch full), on the flush
-// interval, and once more on quit.
+// interval, and on quit, then on each interval until the final flush
+// lands. A failed shard ends it at once.
 func (p *verdictPoster) loop() {
 	defer close(p.done)
 	tick := time.NewTicker(flushInterval)
 	defer tick.Stop()
+	quit := p.quit
 	for {
 		select {
-		case <-p.quit:
-			p.flush()
-			return
+		case <-quit:
+			quit = nil // the shard has ended: what is left is the final flush
 		case <-p.wake:
-			p.flush()
 		case <-tick.C:
-			p.flush()
+		}
+		requeued := p.flush()
+		if p.err != nil || quit == nil && !requeued {
+			return
 		}
 	}
 }
