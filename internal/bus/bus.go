@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/coverage"
 	"repro/internal/mem"
@@ -59,6 +60,10 @@ type Bus struct {
 	// cov collects arbitration/contention coverage when attached; nil (the
 	// default) disables it at the cost of one branch per grant/completion.
 	cov *coverage.Map
+
+	// _ fills Bus out to whole 64-byte host cache lines (192
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [48]byte
 }
 
 // State is the bus's dynamic state — in-flight requests, arbitration
@@ -88,10 +93,22 @@ func New(nMasters int, policy Arbitration, regions []Region) *Bus {
 		panic("bus: more than 64 masters")
 	}
 	b := &Bus{regions: regions, policy: policy}
-	b.reqs = make([]request, nMasters)
-	b.stats = make([]Stats, nMasters)
+	b.reqs = lineSlice[request](nMasters)
+	b.stats = lineSlice[Stats](nMasters)
 	b.Reset()
 	return b
+}
+
+// lineSlice returns n zero Ts over a backing array of whole 64-byte host
+// cache lines. The allocator starts such an array on a line, so no other
+// object shares a line with the per-cycle state it holds.
+func lineSlice[T any](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	c := n
+	for c*size%64 != 0 {
+		c++
+	}
+	return make([]T, n, c)
 }
 
 // NumMasters returns the number of master ports.

@@ -85,6 +85,10 @@ type Replayer struct {
 	// the current cycle, so Step polls every cycle.
 	wake int64
 	buf  [16]byte
+
+	// _ fills Replayer out to whole 64-byte host cache lines (128
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [56]byte
 }
 
 // NewReplayer builds a replayer for port over the given trace.

@@ -82,6 +82,10 @@ type Cache struct {
 	// sinceInv marks that a CINV has happened and no miss has been recorded
 	// yet: the next miss is a chunk-boundary cold refill (CacheColdMiss).
 	sinceInv bool
+
+	// _ fills Cache out to whole 64-byte host cache lines (192
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [56]byte
 }
 
 // New builds an empty cache with the given configuration.

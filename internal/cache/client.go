@@ -50,6 +50,10 @@ type Ctrl struct {
 	cache *Cache
 	port  *bus.Port
 	CtrlState
+
+	// _ fills Ctrl out to whole 64-byte host cache lines (64
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [8]byte
 }
 
 // CtrlState is a Ctrl's dynamic state: its refill state machine and the
@@ -204,6 +208,10 @@ type Bypass struct {
 	// data-side alias client is where the scheduler's completion protocol
 	// becomes observable); nil is the zero-cost disabled mode.
 	cov *coverage.Map
+
+	// _ fills Bypass out to whole 64-byte host cache lines (128
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [56]byte
 }
 
 // BypassState is a Bypass's dynamic state: the prefetch line buffer and

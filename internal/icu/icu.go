@@ -31,6 +31,10 @@ type ICU struct {
 	cov *coverage.Map
 
 	State
+
+	// _ fills ICU out to whole 64-byte host cache lines (128
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [16]byte
 }
 
 // State is the ICU's dynamic state — pending lines, architectural

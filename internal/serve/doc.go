@@ -20,9 +20,9 @@
 // yet posted, and a resubmitted campaign completes from cache without a
 // single simulated run. Neither side builds more than it must: a
 // resubmission takes the campaign the server built for the same normalized
-// spec, and a worker builds a job's campaign, golden capture included,
-// once, and streams all the shards it leases of that job through one
-// engine run. Reports are assembled byte-identical to a local
+// spec, and the verdict table and report of that spec's finished job; a
+// worker builds a job's campaign, golden capture included, once, and
+// streams all the shards it leases of that job through one engine run. Reports are assembled byte-identical to a local
 // `faultsim -report` run of the same spec; CI pins that with cmp.
 //
 // docs/SERVICE.md is the API and wire-format reference;

@@ -75,7 +75,9 @@ func newJobMetrics(reg *telemetry.Registry) jobMetrics {
 // that is its verdict table (settled set, verdicts and golden), the shard
 // table, and the job-scoped telemetry surface (event buffer + registry,
 // whose counters are the job's from-cache/simulated/detected tallies). All
-// mutable fields are guarded by the owning Server's mutex.
+// mutable fields are guarded by the owning Server's mutex. A resubmission
+// of a finished job's spec shares that job's journal, shard table and
+// report, none of which changes once a job is done.
 type job struct {
 	id      string
 	key     string
@@ -85,8 +87,12 @@ type job struct {
 
 	state jobState
 	err   string
+	// fullHit marks a job complete at submission: its event buffer holds
+	// only the start and finish events, and handleEvents renders the site
+	// events from the verdict table.
+	fullHit bool
 
-	report []byte // final report JSON, rendered at completion
+	report []byte // final report JSON, rendered at completion or shared
 
 	events *telemetry.EventBuffer
 	reg    *telemetry.Registry
@@ -131,8 +137,9 @@ func (j *job) status(now time.Time) JobStatus {
 	}
 }
 
-// settle counts one newly settled verdict and emits its site event. Caller
-// holds the server mutex; the verdict is already in the journal.
+// settle counts one newly settled verdict and emits its site event, which
+// a full cache hit leaves to handleEvents. Caller holds the server mutex;
+// the verdict is already in the journal.
 func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 	if fromCache {
 		j.met.fromCache.Inc()
@@ -142,7 +149,14 @@ func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 	if res.Detected {
 		j.met.detected.Inc()
 	}
-	j.events.Emit(telemetry.Event{
+	if !j.fullHit {
+		j.events.Emit(siteEvent(i, res, fromCache))
+	}
+}
+
+// siteEvent is the event of site i's settled verdict.
+func siteEvent(i int, res fault.SiteResult, fromCache bool) telemetry.Event {
+	return telemetry.Event{
 		Kind:        telemetry.EventSite,
 		Index:       i,
 		Site:        res.Site.String(),
@@ -151,7 +165,7 @@ func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 		Crashed:     res.Crashed,
 		Panicked:    res.Panicked,
 		FromJournal: fromCache,
-	})
+	}
 }
 
 // assembleReport builds the final fault.Report from the journal. Anomaly

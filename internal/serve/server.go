@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,6 +76,7 @@ type poolMetrics struct {
 	sitesFromCache  *telemetry.Counter
 	sitesSimulated  *telemetry.Counter
 	buildsReused    *telemetry.Counter
+	resultsReused   *telemetry.Counter
 	buildNs         *telemetry.Histogram
 }
 
@@ -95,6 +97,7 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 		sitesFromCache:  reg.Counter("serve_sites_from_cache_total"),
 		sitesSimulated:  reg.Counter("serve_sites_simulated_total"),
 		buildsReused:    reg.Counter("serve_builds_reused_total"),
+		resultsReused:   reg.Counter("serve_results_reused_total"),
 		buildNs:         reg.Histogram("serve_campaign_build_ns"),
 	}
 }
@@ -110,12 +113,13 @@ type Server struct {
 	met poolMetrics
 	mux *http.ServeMux
 
-	mu     sync.Mutex
-	seq    int
-	jobs   map[string]*job // by job ID
-	order  []*job          // submission order (lease scan, listing)
-	byKey  map[string]*job // running job per campaign key (dedup/attach)
-	bySpec map[Spec]*job   // latest job per normalized spec (build reuse)
+	mu      sync.Mutex
+	seq     int
+	jobs    map[string]*job // by job ID
+	order   []*job          // submission order (listing)
+	running []*job          // running jobs in submission order (lease scan)
+	byKey   map[string]*job // running job per campaign key (dedup/attach)
+	bySpec  map[Spec]*job   // latest job per normalized spec (build and result reuse)
 }
 
 // New builds a Server over cfg, opening (creating if needed) the store
@@ -169,10 +173,7 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for _, j := range s.order {
-		if j.state != jobRunning {
-			continue
-		}
+	for _, j := range s.running {
 		if err := j.journal.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -250,18 +251,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.jobsSubmitted.Inc()
 	key := c.Header.Key()
 	j, attached := s.byKey[key]
-	status := http.StatusOK
-	if attached {
+	status := http.StatusCreated
+	switch {
+	case attached:
 		s.met.jobsAttached.Inc()
-	} else {
-		var err error
+		status = http.StatusOK
+	case prev != nil && prev.state == jobDone:
+		j = s.reuseResult(prev)
+	default:
 		j, err = s.newJob(c, key)
 		if err != nil {
 			s.mu.Unlock()
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		status = http.StatusCreated
 	}
 	done := j.done
 	s.mu.Unlock()
@@ -279,14 +282,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
-// newJob creates a job for the built campaign c, folding the store's
-// journaled verdicts in as cache hits; a fully settled store completes the
-// job before it ever reaches a worker. Caller holds the server mutex.
-func (s *Server) newJob(c *Campaign, key string) (*job, error) {
-	journal, err := fault.ResumeJournal(filepath.Join(s.cfg.StoreDir, key+".journal"), c.Header)
-	if err != nil {
-		return nil, err
-	}
+// addJob registers a job for campaign c with the next job ID, its verdict
+// table journal and its start event. Caller holds the server mutex.
+func (s *Server) addJob(c *Campaign, key string, journal *fault.Journal) *job {
 	s.seq++
 	reg := telemetry.NewRegistry()
 	j := &job{
@@ -300,12 +298,32 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
+	j.met.sites.Set(int64(len(c.Sites)))
+	j.events.Emit(telemetry.Event{Kind: telemetry.EventStart, T: j.created.UnixNano(), Sites: len(c.Sites)})
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+	s.bySpec[c.Spec] = j
+	return j
+}
+
+// newJob creates a job for the built campaign c, folding the store's
+// journaled verdicts in as cache hits; a fully settled store completes the
+// job before it ever reaches a worker. Caller holds the server mutex.
+func (s *Server) newJob(c *Campaign, key string) (*job, error) {
+	journal, err := fault.ResumeJournal(filepath.Join(s.cfg.StoreDir, key+".journal"), c.Header)
+	if err != nil {
+		return nil, err
+	}
+	j := s.addJob(c, key, journal)
 	for _, r := range fault.ShardRanges(len(c.Sites), s.cfg.ShardSize) {
 		j.shards = append(j.shards, &shard{r: r})
 	}
-	j.met.sites.Set(int64(len(c.Sites)))
 	j.met.shards.Set(int64(len(j.shards)))
-	j.events.Emit(telemetry.Event{Kind: telemetry.EventStart, Sites: len(c.Sites)})
+	full := journal.SettledCount() == len(c.Sites)
+	_, _, bound := journal.Golden()
+	// A full cache hit stores no site events: handleEvents renders them
+	// from the verdict table on read.
+	j.fullHit = full && bound
 
 	for i, site := range c.Sites {
 		if res, _, _, ok := journal.Settled(i); ok {
@@ -322,34 +340,59 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 	}
 	j.met.shardsDone.Set(int64(j.shardsDone()))
 
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	s.byKey[key] = j
-	s.bySpec[c.Spec] = j
 	s.met.jobsRunning.Set(int64(len(s.byKey)))
 
-	if journal.SettledCount() == len(c.Sites) {
+	switch {
+	case !full:
+		s.running = append(s.running, j)
+	case !bound:
+		s.failJob(j, "store journal settles every site but binds no golden")
+	default:
 		// Full cache hit: every site is already journaled, so the job
 		// completes at submission without a single simulated run.
-		if _, _, bound := journal.Golden(); !bound {
-			s.failJob(j, "store journal settles every site but binds no golden")
-		} else {
-			s.finishJob(j)
-		}
+		s.finishJob(j)
 	}
 	return j, nil
+}
+
+// reuseResult creates the job of a resubmission from prev, the finished
+// job of the same normalized spec: it shares prev's campaign, closed
+// verdict table, all-done shard table and rendered report, so it opens no
+// journal and renders no report, and it is done at submission. Caller
+// holds the server mutex; prev is done.
+func (s *Server) reuseResult(prev *job) *job {
+	j := s.addJob(prev.c, prev.key, prev.journal)
+	j.shards = prev.shards
+	j.report = prev.report
+	j.fullHit = true
+	sites, shards := int64(len(j.c.Sites)), int64(len(j.shards))
+	j.met.shards.Set(shards)
+	j.met.shardsDone.Set(shards)
+	j.met.fromCache.Add(sites)
+	j.met.detected.Add(prev.met.detected.Value())
+	s.met.sitesFromCache.Add(sites)
+	s.met.shardsCached.Add(shards)
+	s.met.resultsReused.Inc()
+	s.completeJob(j)
+	return j
 }
 
 // finishJob renders the report and moves j to done. Caller holds the
 // server mutex; j is running with every site settled.
 func (s *Server) finishJob(j *job) {
-	rep := j.assembleReport()
-	blob, err := MarshalReport(rep)
+	blob, err := MarshalReport(j.assembleReport())
 	if err != nil {
 		s.failJob(j, "rendering report: %v", err)
 		return
 	}
 	j.report = blob
+	s.completeJob(j)
+}
+
+// completeJob moves j, whose report is rendered, to done. Caller holds the
+// server mutex.
+func (s *Server) completeJob(j *job) {
 	j.state = jobDone
 	j.finished = time.Now()
 	j.events.Emit(telemetry.Event{
@@ -380,11 +423,14 @@ func (s *Server) failJob(j *job, format string, args ...any) {
 	s.met.jobsFailed.Inc()
 }
 
-// retireJob drops j from the running-by-key table and closes its done
-// channel. Caller holds the server mutex.
+// retireJob drops j from the running tables and closes its done channel.
+// Caller holds the server mutex.
 func (s *Server) retireJob(j *job) {
 	if s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
+	}
+	if i := slices.Index(s.running, j); i >= 0 {
+		s.running = slices.Delete(s.running, i, i+1)
 	}
 	s.met.jobsRunning.Set(int64(len(s.byKey)))
 	close(j.done)
@@ -470,13 +516,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	buf := j.events
+	buf, fullHit := j.events, j.fullHit
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	if fullHit {
+		// A job complete at submission stores only its start and finish
+		// events. Its site events come from the verdict table, which no
+		// one writes once the job is done, stamped with the start time.
+		evs := buf.Events()
+		if err := enc.Encode(evs[0]); err != nil {
+			return
+		}
+		for i, site := range j.c.Sites {
+			res, _, _, _ := j.journal.Settled(i)
+			res.Site = site
+			e := siteEvent(i, res, true)
+			e.T = evs[0].T
+			if err := enc.Encode(e); err != nil {
+				return
+			}
+		}
+		for _, e := range evs[1:] {
+			_ = enc.Encode(e)
+		}
+		return
+	}
+	flusher, _ := w.(http.Flusher)
 	from := 0
 	for {
 		batch, open := buf.Next(from, r.Context().Done())
@@ -537,10 +605,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	for _, j := range s.order {
-		if j.state != jobRunning {
-			continue
-		}
+	for _, j := range s.running {
 		for _, sh := range j.shards {
 			if sh.state == shardLeased && now.After(sh.deadline) {
 				sh.state = shardPending

@@ -78,6 +78,10 @@ type CoreUnit struct {
 	ctrls    []*cache.Ctrl
 	bypasses []*cache.Bypass
 	started  bool
+
+	// _ fills CoreUnit out to whole 64-byte host cache lines (192
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [15]byte
 }
 
 // SoC is the assembled system.
@@ -93,6 +97,10 @@ type SoC struct {
 
 	// base is the sealed image Reset restores (nil until SealBaseline).
 	base *Image
+
+	// _ fills SoC out to whole 64-byte host cache lines (128
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [16]byte
 }
 
 // Image is a loaded SoC's read-only memory content: the flash with its
@@ -475,6 +483,10 @@ type router struct {
 	def      cache.Client
 
 	cur cache.Client
+
+	// _ fills router out to whole 64-byte host cache lines (128
+	// bytes); see soc.TestHotStateOwnsCacheLines.
+	_ [48]byte
 }
 
 func (r *router) pick(addr uint32, write bool) cache.Client {
