@@ -151,7 +151,9 @@ type capture struct {
 	ok  bool
 
 	// Checkpointing state: nil/empty when ArenaOptions.CheckpointInterval
-	// is zero or the capture failed.
+	// is zero or the capture failed. ckpts is ascending by cycle: one every
+	// interval, or where Campaign.Run's capture placed them
+	// (Arena.placeCheckpoints).
 	probe *fault.Probe
 	ckpts []checkpoint
 }
@@ -167,6 +169,7 @@ type arenaMetrics struct {
 	earlyExits   *telemetry.Counter
 	healthChecks *telemetry.Counter
 	quarantines  *telemetry.Counter
+	prefix       *telemetry.Counter
 }
 
 // newArenaMetrics resolves the arena metric names once. Worker arenas
@@ -185,6 +188,7 @@ func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 	m.earlyExits = reg.Counter("arena_early_exits_total")
 	m.healthChecks = reg.Counter("arena_health_checks_total")
 	m.quarantines = reg.Counter("arena_quarantines_total")
+	m.prefix = reg.Counter("arena_prefix_cycles_total")
 	return m
 }
 
@@ -223,8 +227,9 @@ type ArenaOptions struct {
 	// checkpoint before the site's first activation instead of replaying
 	// the golden prefix from cycle 0 (sites that never activate are served
 	// the golden verdict outright). Composite planes take the full replay.
-	// Zero disables checkpointing; campaigns enable it by default (see
-	// CampaignOptions.CheckpointInterval).
+	// Zero disables checkpointing; campaigns enable it by default, and in
+	// the auto setting move the checkpoints to where their sites activate
+	// (see CampaignOptions.CheckpointInterval).
 	CheckpointInterval int64
 	// Plan, when enabled, drives a deterministic interrupt-event plan into
 	// the core under test on every run (golden capture included) — the
@@ -443,9 +448,10 @@ func (a *Arena) serve(p fault.Plane) (sig uint32, ok bool) {
 // activation, which the construction-time probe recorded: sites that never
 // activate are served the golden verdict outright, and activating sites
 // start from the last golden checkpoint before their activation cycle.
-// Everything else — activation inside the first checkpoint interval,
-// composite planes, the fault-free plane, unknown plane types — takes the
-// full replay from cycle 0.
+// Everything else — activation before the first checkpoint, composite
+// planes, the fault-free plane, unknown plane types — takes the full
+// replay from cycle 0. Each probed run adds the golden cycles it replays
+// before its activation to arena_prefix_cycles_total.
 func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
 	var site fault.Site
 	switch f := p.(type) {
@@ -469,14 +475,16 @@ func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
 		return g.res.Signature, g.res.OK, false
 	}
 	if ck := a.checkpointBefore(act); ck != nil {
+		a.met.prefix.Add(act - ck.cycle)
 		return a.runFrom(ck, p)
 	}
+	a.met.prefix.Add(act)
 	return a.runOnce(p)
 }
 
 // checkpointBefore returns the latest golden checkpoint strictly before
-// cycle act, or nil when none exists (activation inside the first
-// interval, or checkpointing produced no snapshots).
+// cycle act, or nil when none exists (activation before the first
+// checkpoint, or checkpointing produced no snapshots).
 func (a *Arena) checkpointBefore(act int64) *checkpoint {
 	ckpts := a.gold.ckpts
 	for i := len(ckpts) - 1; i >= 0; i-- {
@@ -688,12 +696,16 @@ type CampaignOptions struct {
 	// and skips its settled sites. Resume without a Journal is an error.
 	Resume bool
 	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized mode: 0 picks an automatic interval from the cycle budget,
-	// negative disables checkpointing, positive is the exact interval in
-	// cycles. Checkpointing is a pure execution-strategy choice — reports
-	// are bit-identical either way — so it does not enter the campaign
-	// fingerprint and journals transfer across settings. Ignored in
-	// reference mode, which never checkpoints.
+	// optimized mode. 0 (auto) takes as many checkpoints as an interval
+	// derived from the cycle budget would, and places them where the sites
+	// of the campaign's universe (Campaign.Sites) activate, when that saves
+	// enough replay to pay for a second golden pass; otherwise they stay
+	// evenly spaced. A positive value snapshots exactly every that many
+	// cycles, and a negative one disables checkpointing. Checkpointing is a
+	// pure execution-strategy choice — reports are bit-identical either
+	// way — so it does not enter the campaign fingerprint and journals
+	// transfer across settings. Ignored in reference mode, which never
+	// checkpoints.
 	CheckpointInterval int64
 	// Telemetry, when non-nil, receives the campaign metrics: arena
 	// dispatch-path counters and latency histograms, settle rates and
@@ -730,7 +742,8 @@ type CampaignOptions struct {
 // the golden run plus slack, so budget/64 approximates goldenCycles/8),
 // clamped below so snapshot traffic stays negligible next to stepping on
 // long runs and above so short campaigns still get useful prefix-skip
-// granularity.
+// granularity. It also sets how many checkpoints the auto setting places
+// (Arena.placeCheckpoints).
 func resolveCheckpointInterval(opt int64, budget int64) int64 {
 	switch {
 	case opt < 0:

@@ -47,18 +47,23 @@ type Campaign struct {
 // engine is the simulation state a Campaign keeps between Run calls: the
 // golden capture of one engine mode and the idle worker arenas built on
 // it. cfg is the capture arena's normalised configuration, which clones
-// reuse; mode holds the early-exit setting and checkpoint interval.
+// reuse; mode holds the early-exit setting and checkpoint interval, and
+// planned whether the capture placed its checkpoints where the campaign's
+// sites activate (the auto setting) rather than every interval.
 type engine struct {
-	cfg  soc.Config
-	mode ArenaOptions
-	gold *capture
-	idle []*Arena
+	cfg     soc.Config
+	mode    ArenaOptions
+	planned bool
+	gold    *capture
+	idle    []*Arena
 }
 
 // serves reports whether the engine's capture fits a call in engine mode
-// opt: the same early-exit setting and checkpoint interval.
-func (e *engine) serves(opt ArenaOptions) bool {
-	return e.mode.NoEarlyExit == opt.NoEarlyExit && e.mode.CheckpointInterval == opt.CheckpointInterval
+// opt with placement planned: the same early-exit setting, checkpoint
+// interval and placement.
+func (e *engine) serves(opt ArenaOptions, planned bool) bool {
+	return e.mode.NoEarlyExit == opt.NoEarlyExit && e.mode.CheckpointInterval == opt.CheckpointInterval &&
+		e.planned == planned
 }
 
 // stallFactor is the slowdown relative to the golden run a faulty run may
@@ -133,11 +138,13 @@ func (c *Campaign) program() (*asm.Program, error) {
 // journal is an error rather than a silent fresh start.
 //
 // The first call runs the golden capture and builds the worker arenas;
-// later calls in the same engine mode (opt.Reference and the resolved
-// checkpoint interval) reuse both, cloning more arenas when a call wants
-// more workers. A call in another mode builds and drops its own. The
-// report's golden verdict is the capture's, and its Dispatch counts only
-// this call's sites. Concurrent calls are safe.
+// later calls in the same engine mode (opt.Reference and the checkpoint
+// setting) reuse both, cloning more arenas when a call wants more workers.
+// In the auto checkpoint setting the capture places its checkpoints where
+// the sites of c.Sites activate (Arena.placeCheckpoints). A call in
+// another mode builds and drops its own. The report's golden verdict is
+// the capture's, and its Dispatch counts only this call's sites.
+// Concurrent calls are safe.
 func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, error) {
 	if opt.Resume && opt.Journal == "" {
 		return fault.Report{}, errors.New("resume without a journal: nothing to resume from")
@@ -168,13 +175,14 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 		simOpt.Journal = j
 	}
 	mode := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(opt.CheckpointInterval, c.Budget)}
+	planned := opt.CheckpointInterval == 0
 	if opt.Reference {
-		mode = ArenaOptions{NoEarlyExit: true}
+		mode, planned = ArenaOptions{NoEarlyExit: true}, false
 	}
 	mode.Telemetry = reg
 	mode.Events = opt.Events
 	n := fault.Workers(opt.Workers, len(sites))
-	e, arenas, err := c.checkout(prog, mode, n)
+	e, arenas, err := c.checkout(prog, mode, planned, n)
 	if err != nil {
 		return fault.Report{}, err
 	}
@@ -221,11 +229,11 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 	return rep, nil
 }
 
-// checkout hands a Run call n worker arenas in engine mode opt, whose
-// telemetry sinks they adopt: those reserve finds or builds, plus clones
-// of its capture, built concurrently.
-func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, n int) (*engine, []*Arena, error) {
-	e, arenas, err := c.reserve(prog, opt, n)
+// checkout hands a Run call n worker arenas in engine mode opt and
+// placement planned, whose telemetry sinks they adopt: those reserve finds
+// or builds, plus clones of its capture, built concurrently.
+func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, planned bool, n int) (*engine, []*Arena, error) {
+	e, arenas, err := c.reserve(prog, opt, planned, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,13 +256,15 @@ func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, n int) (*engine
 }
 
 // reserve takes up to n idle arenas of the campaign's engine when it
-// serves mode opt. Otherwise it builds an engine and its capture arena:
-// the campaign's, on the first call, or a private one that checkin drops.
-// Building holds the lock, so concurrent first calls capture once.
-func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, n int) (*engine, []*Arena, error) {
+// serves mode opt and placement planned. Otherwise it builds an engine and
+// its capture arena, whose checkpoints a planned capture places for n
+// arenas: the campaign's engine, on the first call, or a private one that
+// checkin drops. Building holds the lock, so concurrent first calls
+// capture once.
+func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, planned bool, n int) (*engine, []*Arena, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.eng; e != nil && e.serves(opt) {
+	if e := c.eng; e != nil && e.serves(opt, planned) {
 		k := max(len(e.idle)-n, 0)
 		arenas := append([]*Arena(nil), e.idle[k:]...)
 		e.idle = e.idle[:k]
@@ -264,8 +274,11 @@ func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, n int) (*engine,
 	if err != nil {
 		return nil, nil, err
 	}
+	if planned {
+		a.placeCheckpoints(c.Sites, n)
+	}
 	mode := ArenaOptions{NoEarlyExit: a.opt.NoEarlyExit, CheckpointInterval: a.opt.CheckpointInterval}
-	e := &engine{cfg: a.cfg, mode: mode, gold: a.gold}
+	e := &engine{cfg: a.cfg, mode: mode, planned: planned, gold: a.gold}
 	if c.eng == nil {
 		c.eng = e
 	}

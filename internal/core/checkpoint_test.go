@@ -20,10 +20,17 @@ import (
 // that the activation probe (an identity plane installed during capture)
 // does not perturb golden state: the stepped reference runs with
 // fault.None, not the probe.
+//
+// The campaign path is pinned too: after Campaign.Run's capture placed its
+// checkpoints where the universe's sites activate and its arenas served the
+// whole universe, every placed checkpoint equals a fresh SoC over the
+// campaign's image stepped to its cycle, with the trace position, last
+// store cycle and Transition edge history of that golden prefix.
 func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 	for _, strat := range stateStrategies {
 		name := strat.Name()
 		for active := 1; active <= soc.NumCores; active++ {
+			campaignCheckpointsMatchSteppedSoC(t, active, strat)
 			replayCfg, job, budget := arenaEnv(t, active, strat)
 			a, err := NewArena(replayCfg, 0, job, budget,
 				ArenaOptions{CheckpointInterval: 512})
@@ -143,5 +150,46 @@ func TestArenaCheckpointedStuckAtRunsMatchFreshSoC(t *testing.T) {
 	d := a.Stats().Dispatch
 	if d[fault.DispatchCheckpoint] == 0 || d[fault.DispatchGolden] == 0 {
 		t.Errorf("stuck-at sample missed a shortcut: %v", d)
+	}
+}
+
+// campaignCheckpointsMatchSteppedSoC is the campaign half of
+// TestArenaCheckpointRestoreMatchesSteppedSoC for one replay environment.
+func campaignCheckpointsMatchSteppedSoC(t *testing.T, active int, strat Strategy) {
+	t.Helper()
+	replayCfg, job, budget := arenaEnv(t, active, strat)
+	opts := fault.ListOptions{DataBits: 32, BitStep: 4}
+	sites := universe(append(fault.TransitionFaults(opts), fault.ForwardingLogic(opts)...))
+	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
+	if _, err := c.Run(sites, CampaignOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	e := c.eng
+	g := e.gold
+	iv := resolveCheckpointInterval(0, budget)
+	if len(g.ckpts) == 0 || evenlySpaced(g, iv) {
+		t.Fatalf("strategy=%s active=%d: capture kept its uniform checkpoints %v (interval %d)",
+			strat.Name(), active, g.cycles(), iv)
+	}
+	s := soc.NewFromImage(e.cfg, g.img)
+	var stores int
+	var lastStore int64
+	s.Cores[0].Core.SetStoreObserver(func(uint32, uint64, int) { stores, lastStore = stores+1, s.Cycle() })
+	probe := fault.NewProbe(s.Cycle)
+	s.SetPlane(0, probe)
+	s.Start(0, g.entry)
+	for i := range g.ckpts {
+		ck := &g.ckpts[i]
+		for s.Cycle() < ck.cycle {
+			s.Step()
+		}
+		if !reflect.DeepEqual(s.Snapshot(), ck.state) {
+			t.Fatalf("strategy=%s active=%d: placed checkpoint %d (cycle %d) differs from a fresh SoC stepped there",
+				strat.Name(), active, i, ck.cycle)
+		}
+		if ck.obsIdx != stores || ck.lastObs != lastStore || ck.hist != probe.History() {
+			t.Fatalf("strategy=%s active=%d: placed checkpoint %d (cycle %d) resumes at store %d (cycle %d), stepped SoC at %d (cycle %d), or its edge history differs",
+				strat.Name(), active, i, ck.cycle, ck.obsIdx, ck.lastObs, stores, lastStore)
+		}
 	}
 }
