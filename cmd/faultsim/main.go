@@ -21,7 +21,7 @@ func main() {
 	bitStep := flag.Int("bitstep", 1, "enumerate every Nth data bit (campaign reduction)")
 	faults := flag.String("faults", "stuckat", "fault model: stuckat or transition (forwarding routine only)")
 	engine := flag.String("engine", "arena", "campaign mode: arena (optimized: early exit, checkpointing) or reference (full budget, no shortcuts)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "arena golden-run checkpoints: 0 = auto (the auto interval's count, placed where the universe's sites activate), N > 0 = exactly every N cycles, negative = off")
+	ckptInterval := flag.Int64("checkpoint-interval", 0, "arena golden-run checkpoint interval: 0 = auto, N > 0 = N cycles, negative = off; the interval sets the checkpoint count, placed where the universe's sites activate when that pays, else evenly spaced")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	journal := flag.String("journal", "", "append-only verdict journal file (line-delimited JSON; survives SIGKILL)")
 	resume := flag.Bool("resume", false, "resume from -journal: skip settled sites and reproduce the bit-identical report")

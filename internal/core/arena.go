@@ -227,9 +227,9 @@ type ArenaOptions struct {
 	// checkpoint before the site's first activation instead of replaying
 	// the golden prefix from cycle 0 (sites that never activate are served
 	// the golden verdict outright). Composite planes take the full replay.
-	// Zero disables checkpointing; campaigns enable it by default, and in
-	// the auto setting move the checkpoints to where their sites activate
-	// (see CampaignOptions.CheckpointInterval).
+	// Zero disables checkpointing; campaigns enable it by default, and
+	// Campaign.Run's capture keeps the count but may move the checkpoints to
+	// where its sites activate (see CampaignOptions.CheckpointInterval).
 	CheckpointInterval int64
 	// Plan, when enabled, drives a deterministic interrupt-event plan into
 	// the core under test on every run (golden capture included) — the
@@ -696,12 +696,12 @@ type CampaignOptions struct {
 	// and skips its settled sites. Resume without a Journal is an error.
 	Resume bool
 	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized mode. 0 (auto) takes as many checkpoints as an interval
-	// derived from the cycle budget would, and places them where the sites
-	// of the campaign's universe (Campaign.Sites) activate, when that saves
-	// enough replay to pay for a second golden pass; otherwise they stay
-	// evenly spaced. A positive value snapshots exactly every that many
-	// cycles, and a negative one disables checkpointing. Checkpointing is a
+	// optimized mode: 0 picks an automatic interval from the cycle budget,
+	// a positive value is the interval in cycles, and a negative one
+	// disables checkpointing. The capture takes as many checkpoints as the
+	// interval gives and places them where the sites the call simulates
+	// activate, when that saves enough replay to pay for a second golden
+	// pass; otherwise they stay every interval cycles. Checkpointing is a
 	// pure execution-strategy choice — reports are bit-identical either
 	// way — so it does not enter the campaign fingerprint and journals
 	// transfer across settings. Ignored in reference mode, which never
@@ -742,8 +742,8 @@ type CampaignOptions struct {
 // the golden run plus slack, so budget/64 approximates goldenCycles/8),
 // clamped below so snapshot traffic stays negligible next to stepping on
 // long runs and above so short campaigns still get useful prefix-skip
-// granularity. It also sets how many checkpoints the auto setting places
-// (Arena.placeCheckpoints).
+// granularity. The interval also sets how many checkpoints the capture
+// places (Arena.placeCheckpoints).
 func resolveCheckpointInterval(opt int64, budget int64) int64 {
 	switch {
 	case opt < 0:

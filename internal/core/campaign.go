@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,23 +48,18 @@ type Campaign struct {
 // engine is the simulation state a Campaign keeps between Run calls: the
 // golden capture of one engine mode and the idle worker arenas built on
 // it. cfg is the capture arena's normalised configuration, which clones
-// reuse; mode holds the early-exit setting and checkpoint interval, and
-// planned whether the capture placed its checkpoints where the campaign's
-// sites activate (the auto setting) rather than every interval.
+// reuse; mode holds the early-exit setting and checkpoint interval.
 type engine struct {
-	cfg     soc.Config
-	mode    ArenaOptions
-	planned bool
-	gold    *capture
-	idle    []*Arena
+	cfg  soc.Config
+	mode ArenaOptions
+	gold *capture
+	idle []*Arena
 }
 
 // serves reports whether the engine's capture fits a call in engine mode
-// opt with placement planned: the same early-exit setting, checkpoint
-// interval and placement.
-func (e *engine) serves(opt ArenaOptions, planned bool) bool {
-	return e.mode.NoEarlyExit == opt.NoEarlyExit && e.mode.CheckpointInterval == opt.CheckpointInterval &&
-		e.planned == planned
+// opt: the same early-exit setting and checkpoint interval.
+func (e *engine) serves(opt ArenaOptions) bool {
+	return e.mode.NoEarlyExit == opt.NoEarlyExit && e.mode.CheckpointInterval == opt.CheckpointInterval
 }
 
 // stallFactor is the slowdown relative to the golden run a faulty run may
@@ -138,13 +134,14 @@ func (c *Campaign) program() (*asm.Program, error) {
 // journal is an error rather than a silent fresh start.
 //
 // The first call runs the golden capture and builds the worker arenas;
-// later calls in the same engine mode (opt.Reference and the checkpoint
-// setting) reuse both, cloning more arenas when a call wants more workers.
-// In the auto checkpoint setting the capture places its checkpoints where
-// the sites of c.Sites activate (Arena.placeCheckpoints). A call in
-// another mode builds and drops its own. The report's golden verdict is
-// the capture's, and its Dispatch counts only this call's sites.
-// Concurrent calls are safe.
+// later calls in the same engine mode (opt.Reference and the resolved
+// checkpoint interval) reuse both, cloning more arenas when a call wants
+// more workers. The capture places its checkpoints where the universe's
+// sites activate, less those a resumed journal settles
+// (Arena.placeCheckpoints). A call in another mode builds and drops its
+// own. The report's golden
+// verdict is the capture's, and its Dispatch counts only this call's
+// sites. Concurrent calls are safe.
 func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, error) {
 	if opt.Resume && opt.Journal == "" {
 		return fault.Report{}, errors.New("resume without a journal: nothing to resume from")
@@ -160,6 +157,9 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 		return fault.Report{}, err
 	}
 	simOpt := fault.SimOptions{Telemetry: reg, Events: opt.Events, OnSettle: opt.OnSettle, OnGolden: opt.OnGolden, Claim: opt.Claim}
+	// place is the sites whose activations place a new capture's
+	// checkpoints: the universe's, less those a resumed journal settles.
+	place := c.Sites
 	if opt.Journal != "" {
 		header := CampaignFingerprint(prog, c.Cfg, c.Core, c.Job, sites, c.Budget)
 		var j *fault.Journal
@@ -173,16 +173,24 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 		}
 		defer j.Close()
 		simOpt.Journal = j
+		if opt.Resume {
+			settled := make(map[fault.Site]bool)
+			for i, s := range sites {
+				if _, _, _, ok := j.Settled(i); ok {
+					settled[s] = true
+				}
+			}
+			place = slices.DeleteFunc(slices.Clone(c.Sites), func(s fault.Site) bool { return settled[s] })
+		}
 	}
 	mode := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(opt.CheckpointInterval, c.Budget)}
-	planned := opt.CheckpointInterval == 0
 	if opt.Reference {
-		mode, planned = ArenaOptions{NoEarlyExit: true}, false
+		mode = ArenaOptions{NoEarlyExit: true}
 	}
 	mode.Telemetry = reg
 	mode.Events = opt.Events
 	n := fault.Workers(opt.Workers, len(sites))
-	e, arenas, err := c.checkout(prog, mode, planned, n)
+	e, arenas, err := c.checkout(prog, mode, place, n)
 	if err != nil {
 		return fault.Report{}, err
 	}
@@ -229,11 +237,12 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 	return rep, nil
 }
 
-// checkout hands a Run call n worker arenas in engine mode opt and
-// placement planned, whose telemetry sinks they adopt: those reserve finds
-// or builds, plus clones of its capture, built concurrently.
-func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, planned bool, n int) (*engine, []*Arena, error) {
-	e, arenas, err := c.reserve(prog, opt, planned, n)
+// checkout hands a Run call n worker arenas in engine mode opt, whose
+// telemetry sinks they adopt: those reserve finds or builds, its capture
+// placing its checkpoints where sites activate, plus clones of that
+// capture, built concurrently.
+func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, sites []fault.Site, n int) (*engine, []*Arena, error) {
+	e, arenas, err := c.reserve(prog, opt, sites, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,15 +265,14 @@ func (c *Campaign) checkout(prog *asm.Program, opt ArenaOptions, planned bool, n
 }
 
 // reserve takes up to n idle arenas of the campaign's engine when it
-// serves mode opt and placement planned. Otherwise it builds an engine and
-// its capture arena, whose checkpoints a planned capture places for n
-// arenas: the campaign's engine, on the first call, or a private one that
-// checkin drops. Building holds the lock, so concurrent first calls
-// capture once.
-func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, planned bool, n int) (*engine, []*Arena, error) {
+// serves mode opt. Otherwise it builds an engine and its capture arena,
+// whose checkpoints it places where sites activate, for n arenas: the
+// campaign's engine, on the first call, or a private one that checkin
+// drops. Building holds the lock, so concurrent first calls capture once.
+func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, sites []fault.Site, n int) (*engine, []*Arena, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.eng; e != nil && e.serves(opt, planned) {
+	if e := c.eng; e != nil && e.serves(opt) {
 		k := max(len(e.idle)-n, 0)
 		arenas := append([]*Arena(nil), e.idle[k:]...)
 		e.idle = e.idle[:k]
@@ -274,11 +282,9 @@ func (c *Campaign) reserve(prog *asm.Program, opt ArenaOptions, planned bool, n 
 	if err != nil {
 		return nil, nil, err
 	}
-	if planned {
-		a.placeCheckpoints(c.Sites, n)
-	}
+	a.placeCheckpoints(sites, n)
 	mode := ArenaOptions{NoEarlyExit: a.opt.NoEarlyExit, CheckpointInterval: a.opt.CheckpointInterval}
-	e := &engine{cfg: a.cfg, mode: mode, planned: planned, gold: a.gold}
+	e := &engine{cfg: a.cfg, mode: mode, gold: a.gold}
 	if c.eng == nil {
 		c.eng = e
 	}

@@ -1,7 +1,7 @@
 package core
 
-// CheckpointPlacement builds c's capture arena in the auto checkpoint
-// setting, as the first Campaign.Run on n arenas does, and returns the
+// CheckpointPlacement builds c's capture arena with the auto checkpoint
+// interval, as the first Campaign.Run on n arenas does, and returns the
 // cycles of the uniform checkpoints its capture run took, the activation
 // cycles of c.Sites, the placement that minimises their replay for as many
 // checkpoints, and the checkpoint cycles the capture keeps.

@@ -13,9 +13,9 @@ import (
 // checkpoint before that cycle and replays the golden prefix from there:
 // its pre-activation replay. A campaign's activations fall on a few dozen
 // distinct cycles, most of them early in the golden run, which evenly
-// spaced checkpoints miss. Campaign.Run's capture in the auto mode
-// therefore keeps the number of checkpoints the auto interval takes and
-// moves them to where the campaign's sites activate (Arena.placeCheckpoints).
+// spaced checkpoints miss. Campaign.Run's capture therefore keeps the
+// number of checkpoints the interval takes and moves them to where the
+// sites of its call activate (Arena.placeCheckpoints).
 
 // activations returns the first-activation cycle of every site of sites
 // that activates in the capture run; sites that never activate take the
@@ -130,7 +130,8 @@ func placement(acts []int64, k int) []int64 {
 // probed golden cycle costs about two replay cycles, so the checkpoints
 // move only when the replay saved exceeds 2·n times that last cycle. Any
 // golden checkpoint before an activation is sound, so keeping the uniform
-// ones changes no verdict.
+// ones changes no verdict. A capture without checkpoints (checkpointing
+// off, reference mode, a failed capture) is left as it is.
 func (a *Arena) placeCheckpoints(sites []fault.Site, n int) {
 	g := a.gold
 	if len(g.ckpts) == 0 {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"math/rand/v2"
-	"slices"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -113,34 +114,32 @@ func TestPrefixCounterMatchesPlacement(t *testing.T) {
 	}
 }
 
-// TestExplicitIntervalKeepsUniformCheckpoints pins the engine mode: an
-// explicit interval equal to the auto one snapshots exactly every interval
-// and does not share the auto setting's planned capture.
-func TestExplicitIntervalKeepsUniformCheckpoints(t *testing.T) {
-	c := heldCampaign(t, fwdRoutine, Plain{}, false,
-		universe(fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 8})))
-	if _, err := c.Run(c.Sites, CampaignOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	auto := c.eng.gold.cycles()
-	iv := resolveCheckpointInterval(0, c.Budget)
-	prog, err := c.program()
+// TestResumePlacesForUnsettledSites pins which sites place a capture's
+// checkpoints: the universe's, less those a resumed journal settles. A
+// fresh run re-places them; a resumed run whose journal settles every site
+// simulates none, so its capture keeps the uniform checkpoints rather than
+// pay a second golden pass for nothing, and both runs report the same.
+func TestResumePlacesForUnsettledSites(t *testing.T) {
+	sites := universe(fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 4}))
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	fresh := heldCampaign(t, fwdRoutine, Plain{}, false, sites)
+	want, err := fresh.Run(sites, CampaignOptions{Workers: 2, Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, arenas, err := c.checkout(prog, ArenaOptions{CheckpointInterval: iv}, false, 2)
+	iv := resolveCheckpointInterval(0, fresh.Budget)
+	if g := fresh.eng.gold; len(g.ckpts) == 0 || evenlySpaced(g, iv) {
+		t.Fatalf("fresh run kept its uniform checkpoints %v (interval %d)", g.cycles(), iv)
+	}
+	resumed := heldCampaign(t, fwdRoutine, Plain{}, false, sites)
+	got, err := resumed.Run(sites, CampaignOptions{Workers: 2, Journal: journal, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.checkin(e, arenas)
-	if e == c.eng {
-		t.Fatal("an explicit interval took the auto setting's planned capture")
+	if g := resumed.eng.gold; len(g.ckpts) == 0 || !evenlySpaced(g, iv) {
+		t.Errorf("resumed run over a settled journal placed checkpoints at %v (interval %d)", g.cycles(), iv)
 	}
-	explicit := e.gold.cycles()
-	if !evenlySpaced(e.gold, iv) {
-		t.Fatalf("explicit interval %d checkpoints at %v", iv, explicit)
-	}
-	if len(auto) != len(explicit) || slices.Equal(auto, explicit) {
-		t.Errorf("auto placement %v, explicit %v: want as many checkpoints, placed elsewhere", auto, explicit)
+	if !reflect.DeepEqual(got.Results, want.Results) || got.Detected != want.Detected {
+		t.Error("resumed run reports differently from the fresh one")
 	}
 }

@@ -26,11 +26,12 @@ type Options struct {
 	// modes; see core.CampaignOptions.Reference.
 	Reference bool
 	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized campaign mode: 0 = automatic (as many checkpoints as an
-	// interval derived from the cycle budget takes, placed where the
-	// campaign's sites activate), positive = exactly every that many
-	// cycles, negative = off. Reports are bit-identical across settings;
-	// see core.CampaignOptions.
+	// optimized campaign mode: 0 = automatic interval from the cycle
+	// budget, positive = interval in cycles, negative = off. The interval
+	// sets the checkpoint count; the checkpoints move to where the
+	// campaign's sites activate when that pays, else stay evenly spaced.
+	// Reports are bit-identical across settings; see
+	// core.CampaignOptions.
 	CheckpointInterval int64
 	// Telemetry, when non-nil, receives every campaign's metrics plus a
 	// per-table span histogram (experiment_<table>_ns). Nil disables
