@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"unsafe"
 
 	"repro/internal/coverage"
 	"repro/internal/mem"
@@ -93,22 +92,10 @@ func New(nMasters int, policy Arbitration, regions []Region) *Bus {
 		panic("bus: more than 64 masters")
 	}
 	b := &Bus{regions: regions, policy: policy}
-	b.reqs = lineSlice[request](nMasters)
-	b.stats = lineSlice[Stats](nMasters)
+	b.reqs = mem.WholeLines[request](nMasters)
+	b.stats = mem.WholeLines[Stats](nMasters)
 	b.Reset()
 	return b
-}
-
-// lineSlice returns n zero Ts over a backing array of whole 64-byte host
-// cache lines. The allocator starts such an array on a line, so no other
-// object shares a line with the per-cycle state it holds.
-func lineSlice[T any](n int) []T {
-	size := int(unsafe.Sizeof(*new(T)))
-	c := n
-	for c*size%64 != 0 {
-		c++
-	}
-	return make([]T, n, c)
 }
 
 // NumMasters returns the number of master ports.

@@ -46,12 +46,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one way's metadata; its data bytes live in Cache.data. A line
+// holds no pointers, so the array of them holds none either, and the
+// allocator starts it on a host cache line (see mem.WholeLines).
 type line struct {
 	valid bool
 	dirty bool
 	tag   uint32
 	age   uint64 // LRU timestamp; higher = more recent
-	data  []byte
 }
 
 // Stats counts cache events.
@@ -66,8 +68,11 @@ type Stats struct {
 // Cache is the tag/data array. Timing lives in Ctrl; Cache itself is purely
 // functional state.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every set's ways, set by set, and data their line bytes
+	// in the same order: way w of set s is lines[s*Ways+w].
+	lines []line
+	data  []byte
 	tick  uint64
 	stats Stats
 
@@ -85,7 +90,7 @@ type Cache struct {
 
 	// _ fills Cache out to whole 64-byte host cache lines (192
 	// bytes); see soc.TestHotStateOwnsCacheLines.
-	_ [56]byte
+	_ [32]byte
 }
 
 // New builds an empty cache with the given configuration.
@@ -94,22 +99,28 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.sets()
-	sets := make([][]line, nSets)
-	for i := range sets {
-		ways := make([]line, cfg.Ways)
-		for w := range ways {
-			ways[w].data = make([]byte, cfg.LineBytes)
-		}
-		sets[i] = ways
-	}
 	shift := uint32(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
 	return &Cache{
-		cfg: cfg, sets: sets,
+		cfg:      cfg,
+		lines:    mem.WholeLines[line](nSets * cfg.Ways),
+		data:     mem.WholeLines[byte](nSets * cfg.Ways * cfg.LineBytes),
 		setShift: shift, setMask: uint32(nSets - 1),
 	}
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint32) []line {
+	i := int(s) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
+}
+
+// lineData returns the data bytes of way w of set s.
+func (c *Cache) lineData(s uint32, w int) []byte {
+	i := (int(s)*c.cfg.Ways + w) * c.cfg.LineBytes
+	return c.data[i : i+c.cfg.LineBytes]
 }
 
 // Config returns the cache's configuration.
@@ -159,8 +170,8 @@ func trailingBits(mask uint32) uint32 {
 // lookup returns the way index of addr's line, or -1.
 func (c *Cache) lookup(addr uint32) (set uint32, way int) {
 	s, tag := c.index(addr)
-	for w := range c.sets[s] {
-		if c.sets[s][w].valid && c.sets[s][w].tag == tag {
+	for w, ln := range c.set(s) {
+		if ln.valid && ln.tag == tag {
 			return s, w
 		}
 	}
@@ -186,7 +197,7 @@ func (c *Cache) Read(addr uint32, n int) (v uint64, hit bool) {
 	c.cover(coverage.CacheHit)
 	c.touch(s, w)
 	off := addr & uint32(c.cfg.LineBytes-1)
-	return readLE(c.sets[s][w].data[off:], n), true
+	return readLE(c.lineData(s, w)[off:], n), true
 }
 
 // Write stores n bytes at addr on a hit, marking the line dirty.
@@ -200,16 +211,15 @@ func (c *Cache) Write(addr uint32, v uint64, n int) (hit bool) {
 	c.stats.Hits++
 	c.cover(coverage.CacheHit)
 	c.touch(s, w)
-	ln := &c.sets[s][w]
-	ln.dirty = true
+	c.set(s)[w].dirty = true
 	off := addr & uint32(c.cfg.LineBytes-1)
-	writeLE(ln.data[off:], v, n)
+	writeLE(c.lineData(s, w)[off:], v, n)
 	return true
 }
 
 func (c *Cache) touch(s uint32, w int) {
 	c.tick++
-	c.sets[s][w].age = c.tick
+	c.set(s)[w].age = c.tick
 }
 
 // Victim returns the way that a refill of addr would replace and, when that
@@ -218,8 +228,8 @@ func (c *Cache) Victim(addr uint32) (way int, wbAddr uint32, wbData []byte, need
 	s, _ := c.index(addr)
 	way = 0
 	var oldest uint64 = ^uint64(0)
-	for w := range c.sets[s] {
-		ln := &c.sets[s][w]
+	ways := c.set(s)
+	for w, ln := range ways {
 		if !ln.valid {
 			return w, 0, nil, false
 		}
@@ -228,10 +238,8 @@ func (c *Cache) Victim(addr uint32) (way int, wbAddr uint32, wbData []byte, need
 			way = w
 		}
 	}
-	v := &c.sets[s][way]
-	if v.dirty {
-		base := c.lineBase(s, v.tag)
-		return way, base, v.data, true
+	if v := ways[way]; v.dirty {
+		return way, c.lineBase(s, v.tag), c.lineData(s, way), true
 	}
 	return way, 0, nil, false
 }
@@ -243,7 +251,7 @@ func (c *Cache) lineBase(set, tag uint32) uint32 {
 // Fill installs line data for addr into the given way.
 func (c *Cache) Fill(addr uint32, way int, data []byte) {
 	s, tag := c.index(addr)
-	ln := &c.sets[s][way]
+	ln := &c.set(s)[way]
 	if ln.valid {
 		c.stats.Evictions++
 		if ln.dirty {
@@ -256,18 +264,16 @@ func (c *Cache) Fill(addr uint32, way int, data []byte) {
 	ln.valid = true
 	ln.dirty = false
 	ln.tag = tag
-	copy(ln.data, data)
+	copy(c.lineData(s, way), data)
 	c.touch(s, way)
 }
 
 // InvalidateAll drops every line without writing anything back (the CINV
 // semantics the test strategy relies on: caches start cold and clean).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-			c.sets[s][w].dirty = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
+		c.lines[i].dirty = false
 	}
 	c.stats.Invalidates++
 	c.cover(coverage.CacheInvalidate)
@@ -278,13 +284,7 @@ func (c *Cache) InvalidateAll() {
 // and the LRU clock cleared. Unlike InvalidateAll it does not count as an
 // invalidate event — it models a cold reset, not a CINV instruction.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-			c.sets[s][w].dirty = false
-			c.sets[s][w].age = 0
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 	c.stats = Stats{}
 	c.sinceInv = false
@@ -292,7 +292,8 @@ func (c *Cache) Reset() {
 
 // State is an opaque snapshot of a cache's dynamic state (see Snapshot).
 type State struct {
-	lines    []line // sets×ways flattened; invalid lines are zero entries
+	lines    []line // invalid lines are zero entries
+	data     []byte // an invalid line's bytes are zero
 	tick     uint64
 	stats    Stats
 	sinceInv bool
@@ -304,37 +305,26 @@ type State struct {
 // them makes snapshots of behaviourally identical caches compare equal
 // regardless of what earlier runs left in the arrays.
 func (c *Cache) Snapshot() *State {
-	st := &State{tick: c.tick, stats: c.stats, sinceInv: c.sinceInv}
-	st.lines = make([]line, 0, len(c.sets)*c.cfg.Ways)
-	for _, ways := range c.sets {
-		for _, ln := range ways {
-			if ln.valid {
-				ln.data = append([]byte(nil), ln.data...)
-			} else {
-				ln = line{}
-			}
-			st.lines = append(st.lines, ln)
+	st := &State{
+		lines: make([]line, len(c.lines)), data: make([]byte, len(c.data)),
+		tick: c.tick, stats: c.stats, sinceInv: c.sinceInv,
+	}
+	n := c.cfg.LineBytes
+	for i, ln := range c.lines {
+		if ln.valid {
+			st.lines[i] = ln
+			copy(st.data[i*n:(i+1)*n], c.data[i*n:])
 		}
 	}
 	return st
 }
 
 // Restore rewinds the cache to a snapshot taken from an identically
-// configured cache. Invalid lines get zeroed metadata; their data bytes are
-// left as they are (unobservable, see Snapshot).
+// configured cache. Invalid lines get zeroed metadata and data bytes
+// (unobservable, see Snapshot).
 func (c *Cache) Restore(st *State) {
-	i := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			src := &st.lines[i]
-			i++
-			dst := &c.sets[s][w]
-			dst.valid, dst.dirty, dst.tag, dst.age = src.valid, src.dirty, src.tag, src.age
-			if src.valid {
-				copy(dst.data, src.data)
-			}
-		}
-	}
+	copy(c.lines, st.lines)
+	copy(c.data, st.data)
 	c.tick = st.tick
 	c.stats = st.stats
 	c.sinceInv = st.sinceInv
@@ -344,11 +334,9 @@ func (c *Cache) Restore(st *State) {
 // checker to verify a routine fits).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				n++
-			}
+	for _, ln := range c.lines {
+		if ln.valid {
+			n++
 		}
 	}
 	return n
@@ -363,7 +351,7 @@ func (c *Cache) readAt(addr uint32, n int) uint64 {
 	}
 	c.touch(s, w)
 	off := addr & uint32(c.cfg.LineBytes-1)
-	return readLE(c.sets[s][w].data[off:], n)
+	return readLE(c.lineData(s, w)[off:], n)
 }
 
 func (c *Cache) writeAt(addr uint32, v uint64, n int) {
@@ -372,10 +360,9 @@ func (c *Cache) writeAt(addr uint32, v uint64, n int) {
 		panic("cache: writeAt miss")
 	}
 	c.touch(s, w)
-	ln := &c.sets[s][w]
-	ln.dirty = true
+	c.set(s)[w].dirty = true
 	off := addr & uint32(c.cfg.LineBytes-1)
-	writeLE(ln.data[off:], v, n)
+	writeLE(c.lineData(s, w)[off:], v, n)
 }
 
 func readLE(b []byte, n int) uint64 {

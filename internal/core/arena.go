@@ -21,7 +21,7 @@ import (
 // TestResetStartAllocationFree, TestTCMClientAllocationFree).
 //
 // An Arena additionally supports early exit on observable divergence: the
-// golden capture (NewArena's, shared by every arena of a campaign) holds
+// golden capture (NewArena's, shared by every arena of a Run call) holds
 // the golden run's observable trace (every data-side store the core under
 // test performs, with value and cycle), and faulty runs are watched
 // against that trace. Two watchdogs bound runs that can no longer reach a
@@ -53,7 +53,7 @@ type Arena struct {
 	opt ArenaOptions
 
 	// gold is the golden capture the arena's runs are checked and
-	// shortcut against, shared read-only with every arena of its campaign.
+	// shortcut against, shared read-only with every arena of its Run call.
 	gold *capture
 
 	// Per-run monitor state (reset by Run).
@@ -124,14 +124,14 @@ func (a *Arena) Stats() ArenaStats {
 	return st
 }
 
-// capture is a campaign's golden capture: the sealed memory image its
+// capture is a Run call's golden capture: the sealed memory image its
 // arenas run from, and what the fault-free capture run over that image
 // recorded — the observable trace with the watchdog bounds derived from
 // it, the activation probe, the checkpoints and the run's result.
-// NewArena's capture run fills it; from then on it is read-only, so one
-// capture serves every arena of a campaign on any goroutine
-// (newArenaClone) and a Campaign keeps it across Run calls. Checkpoint
-// snapshots are plain data, restorable into any SoC built from the image.
+// NewArena's capture run fills it, and Campaign.arenas places its
+// checkpoints; from then on it is read-only, so one capture serves every
+// arena of the call on any goroutine (newArenaClone). Checkpoint snapshots
+// are plain data, restorable into any SoC built from the image.
 type capture struct {
 	img   *soc.Image
 	entry uint32
@@ -798,10 +798,10 @@ func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob
 
 // RunCampaignOpts fault-simulates job on core id for every site, in the
 // replay environment cfg with the given per-run cycle budget: one
-// Campaign.Run on a campaign that lives for this call only, so it
-// captures the golden run once per call. Record supplies the environment
-// and budget; a caller holding the recorded Campaign calls its Run
-// instead, so only cmd/bench and tests call this.
+// Campaign.Run on a campaign built by hand, which assembles job's program
+// and captures the golden run, as every Run call does. Record supplies the
+// environment and budget; a caller holding the recorded Campaign calls its
+// Run instead, so only cmd/bench and tests call this.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
 	c := &Campaign{Cfg: cfg, Core: id, Job: job, Sites: sites, Budget: budget}
 	return c.Run(sites, opt)

@@ -1,12 +1,12 @@
 package core
 
 // CheckpointPlacement builds c's capture arena with the auto checkpoint
-// interval, as the first Campaign.Run on n arenas does, and returns the
+// interval, as a Campaign.Run of c.Sites on n arenas does, and returns the
 // cycles of the uniform checkpoints its capture run took, the activation
 // cycles of c.Sites, the placement that minimises their replay for as many
 // checkpoints, and the checkpoint cycles the capture keeps.
 func CheckpointPlacement(c *Campaign, n int) (uniform, acts, planned, kept []int64, err error) {
-	prog, err := c.program()
+	prog, err := buildProgram(c.Job)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

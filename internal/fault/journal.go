@@ -137,8 +137,8 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 // header that does not match, a conflicting duplicate verdict, or a
 // malformed line anywhere but the very end is an error — the journal is
 // either trusted whole or refused, never silently merged. A truncated final
-// line (the signature of a mid-append SIGKILL) is dropped and its site
-// recomputed.
+// line (the signature of a mid-append SIGKILL), which is any final line
+// without its newline, is dropped and its site recomputed.
 func ResumeJournal(path string, h JournalHeader) (*Journal, error) {
 	h.Version = JournalVersion
 	blob, err := os.ReadFile(path)
@@ -177,15 +177,20 @@ func (j *Journal) load(blob []byte) error {
 	for len(lines) > 0 && lines[len(lines)-1] == "" {
 		lines = lines[:len(lines)-1]
 	}
+	// A final line without its newline never completed, even when what
+	// was written of it parses: appending after it would join the next
+	// line onto it.
+	torn := len(blob) > 0 && blob[len(blob)-1] != '\n'
 	for n, raw := range lines {
 		var ln journalLine
-		if err := json.Unmarshal([]byte(raw), &ln); err != nil {
-			if n == len(lines)-1 {
-				// Mid-append kill: the final line never completed. Its
-				// verdict is simply recomputed.
-				j.dropped++
-				continue
-			}
+		err := json.Unmarshal([]byte(raw), &ln)
+		if n == len(lines)-1 && (torn || err != nil) {
+			// Mid-append kill: the final line never completed. Its
+			// verdict is simply recomputed.
+			j.dropped++
+			continue
+		}
+		if err != nil {
 			return fmt.Errorf("fault: journal %s: line %d corrupt (not at end of file): %v", j.path, n+1, err)
 		}
 		j.keep += int64(len(raw)) + 1 // the line and its newline

@@ -209,6 +209,57 @@ func TestJournalTruncatedFinalLineDropped(t *testing.T) {
 	}
 }
 
+// TestJournalWithoutFinalNewlineResumes covers a journal cut by exactly
+// its last byte, the newline: the final line parses, but it never
+// completed, so resume drops it like any torn line. Otherwise the next
+// append would join that line, and the resume after it would refuse the
+// whole journal as corrupt mid-file.
+func TestJournalWithoutFinalNewlineResumes(t *testing.T) {
+	sites := syntheticSites()[:4]
+	h := testHeader(sites)
+	path := filepath.Join(t.TempDir(), "j.journal")
+	j, err := CreateJournal(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if err := j.Record(i, SiteResult{Site: sites[i], Signature: uint32(i)}, "", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob[:len(blob)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err = ResumeJournal(path, h)
+	if err != nil {
+		t.Fatalf("resume refused: %v", err)
+	}
+	if j.SettledCount() != 2 || j.Dropped() != 1 {
+		t.Errorf("resume settles %d and drops %d, want 2 and 1", j.SettledCount(), j.Dropped())
+	}
+	for _, i := range []int{2, 3} {
+		if err := j.Record(i, SiteResult{Site: sites[i], Signature: uint32(i)}, "", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	j, err = ResumeJournal(path, h)
+	if err != nil {
+		t.Fatalf("second resume refused: %v", err)
+	}
+	defer j.Close()
+	if j.SettledCount() != len(sites) || j.Dropped() != 0 {
+		t.Errorf("second resume settles %d and drops %d, want %d and 0", j.SettledCount(), j.Dropped(), len(sites))
+	}
+}
+
 // TestJournalWithoutHeaderStartsFresh covers what a kill between
 // CreateJournal's truncating open and its header write leaves: an empty
 // file, or a lone torn header line. Neither settles a verdict, so resume

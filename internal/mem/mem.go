@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Physical memory map of the SoC. The uncached SRAM alias maps to the same
@@ -51,12 +52,31 @@ type Device interface {
 // device (a run typically dirties a few data pages of the 256 KiB SRAM).
 const dirtyPageBits = 12
 
-// dirtyMap tracks written pages of a byte-addressed device.
+// dirtyMap tracks written pages of a byte-addressed device. Every store
+// writes it, so it is per-cycle state and owns its host cache lines.
 type dirtyMap []uint64
 
 func newDirtyMap(size uint32) dirtyMap {
 	pages := (size + (1 << dirtyPageBits) - 1) >> dirtyPageBits
-	return make(dirtyMap, (pages+63)/64)
+	return WholeLines[uint64](int(pages+63) / 64)
+}
+
+// hostLine is the host cache line size the simulator's per-cycle state is
+// laid out for.
+const hostLine = 64
+
+// WholeLines returns n zero Ts over a backing array of whole 64-byte host
+// cache lines. For a T that holds no pointers the allocator starts such an
+// array on a line, so no other object shares a line with the per-cycle
+// state it holds. (An array with pointers of more than 512 bytes starts
+// 8 bytes into one, behind the allocator's type header.)
+func WholeLines[T any](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	c := n
+	for c*size%hostLine != 0 {
+		c++
+	}
+	return make([]T, n, c)
 }
 
 func (d dirtyMap) mark(off uint32, n int) {

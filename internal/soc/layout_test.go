@@ -15,8 +15,9 @@ import (
 const hostLine = 64
 
 // TestHotStateOwnsCacheLines pins the layout of the state a SoC writes
-// every cycle: every object of the types below, and the bus's per-master
-// request and statistics arrays, starts on a 64-byte line and spans whole
+// every cycle: every object of the types below, the bus's per-master
+// request and statistics arrays, each cache's ways and line data, and
+// each memory's dirty-page map, starts on a 64-byte line and spans whole
 // lines, so no other object shares a line with it. Two arenas stepped on
 // two CPUs otherwise slow each other down through lines they share,
 // depending only on the order their objects were allocated in.
@@ -28,7 +29,7 @@ func TestHotStateOwnsCacheLines(t *testing.T) {
 	} {
 		owners[reflect.TypeOf(v)] = true
 	}
-	arrays := map[string]bool{"Stats": true, "request": true}
+	arrays := map[string]bool{"[]bus.Stats": true, "[]bus.request": true, "[]cache.line": true, "mem.dirtyMap": true}
 	found := map[string]int{}
 	check := func(what string, addr, size uintptr) {
 		found[what]++
@@ -45,8 +46,13 @@ func TestHotStateOwnsCacheLines(t *testing.T) {
 			switch t := v.Type(); {
 			case t.Kind() == reflect.Pointer && owners[t.Elem()]:
 				check(t.Elem().String(), v.Pointer(), t.Elem().Size())
-			case t.Kind() == reflect.Slice && t.Elem().PkgPath() == "repro/internal/bus" && arrays[t.Elem().Name()]:
-				check("[]"+t.Elem().String(), v.Pointer(), uintptr(v.Cap())*t.Elem().Size())
+				if t.Elem() == reflect.TypeOf(cache.Cache{}) {
+					// The line data is a plain []byte: check it by field.
+					data := v.Elem().FieldByName("data")
+					check("cache.Cache.data", data.Pointer(), uintptr(data.Cap()))
+				}
+			case t.Kind() == reflect.Slice && arrays[t.String()]:
+				check(t.String(), v.Pointer(), uintptr(v.Cap())*t.Elem().Size())
 			}
 		})
 	}
@@ -56,8 +62,8 @@ func TestHotStateOwnsCacheLines(t *testing.T) {
 		}
 	}
 	for name := range arrays {
-		if found["[]bus."+name] == 0 {
-			t.Errorf("no []bus.%s in the built SoCs", name)
+		if found[name] == 0 {
+			t.Errorf("no %s in the built SoCs", name)
 		}
 	}
 }

@@ -152,8 +152,9 @@ func (l *EventLog) Err() error {
 	return l.err
 }
 
-// DecodeEvents parses a JSONL event stream strictly: every line must be a
-// well-formed Event with a known kind and no unknown fields. It is the
+// DecodeEvents parses a JSONL event stream strictly: every line must be
+// one well-formed Event, with a known kind, no unknown fields and nothing
+// after it. It is the
 // schema validator the round-trip test and the CI smoke leg share.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	var out []Event
@@ -171,6 +172,9 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 		var e Event
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("telemetry: events line %d: %w", line, err)
+		}
+		if rest := raw[dec.InputOffset():]; len(rest) != 0 {
+			return nil, fmt.Errorf("telemetry: events line %d: trailing data %.20q after the event", line, rest)
 		}
 		if !knownKinds[e.Kind] {
 			return nil, fmt.Errorf("telemetry: events line %d: unknown kind %q", line, e.Kind)

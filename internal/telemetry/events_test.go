@@ -76,6 +76,20 @@ func TestDecodeRejectsGarbageLine(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData pins that each line holds one event and
+// nothing else: a second value or garbage after the first is refused.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for _, in := range []string{
+		`{"kind":"start","sites":3}{"kind":"nonsense","bogus":1}`,
+		`{"kind":"start"} trailing garbage`,
+		`{"kind":"start"} }`,
+	} {
+		if got, err := DecodeEvents(strings.NewReader(in + "\n")); err == nil {
+			t.Errorf("%s: decoded as %d event(s), want refused", in, len(got))
+		}
+	}
+}
+
 func TestDecodeSkipsBlankLines(t *testing.T) {
 	in := "\n" + `{"kind":"start"}` + "\n\n" + `{"kind":"finish"}` + "\n"
 	got, err := DecodeEvents(strings.NewReader(in))
