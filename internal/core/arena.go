@@ -14,18 +14,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Arena is a reusable fault-simulation worker: one long-lived SoC with the
-// program assembled and loaded exactly once, serving thousands of fault runs
-// as reset + plane-swap instead of soc.New + reassemble + reload. A run,
-// Reset and Start included, allocates nothing (TestArenaRunAllocationFree,
-// TestResetStartAllocationFree, TestTCMClientAllocationFree).
+// Arena is a reusable fault-simulation worker: one long-lived SoC over its
+// golden capture's sealed program image, serving thousands of fault runs
+// as reset + plane-swap instead of soc.New + reassemble + reload. An arena
+// holds only one worker's state: its SoC, the divergence monitor and its
+// counters; everything its Run call's arenas share is in the capture. A
+// run, Reset and Start included, allocates nothing
+// (TestArenaRunAllocationFree, TestResetStartAllocationFree,
+// TestTCMClientAllocationFree).
 //
 // An Arena additionally supports early exit on observable divergence: the
-// golden capture (NewArena's, shared by every arena of a Run call) holds
-// the golden run's observable trace (every data-side store the core under
-// test performs, with value and cycle), and faulty runs are watched
-// against that trace. Two watchdogs bound runs that can no longer reach a
-// clean outcome long before the full cycle budget:
+// golden capture holds the golden run's observable trace (every data-side
+// store the core under test performs, with value and cycle), and faulty
+// runs are watched against that trace. Two watchdogs bound runs that can
+// no longer reach a clean outcome long before the full cycle budget:
 //
 //   - hang: no observable store for more than 8x the golden run's largest
 //     store-to-store gap (and at least one whole golden run) plus slack —
@@ -42,33 +44,22 @@ import (
 // the exact full-budget reference semantics. Runs that halt (cleanly or
 // wedged) are never cut short, so their signatures are exact.
 type Arena struct {
-	s      *soc.SoC
-	id     int
-	budget int64
-
-	// Construction inputs, kept so a quarantined arena can rebuild itself
-	// and a dead one can fall back to rebuild-per-fault runs.
-	cfg soc.Config
-	job *CoreJob
-	opt ArenaOptions
+	s *soc.SoC
 
 	// gold is the golden capture the arena's runs are checked and
 	// shortcut against, shared read-only with every arena of its Run call.
 	gold *capture
 
 	// Per-run monitor state (reset by Run).
-	capturing bool
-	idx       int
-	count     int
-	diverged  bool
-	lastObs   int64
+	idx      int
+	count    int
+	diverged bool
+	lastObs  int64
 
-	// Failure-domain state. inRun is true while runOnce executes; finding
-	// it still set on the next Run means the previous run panicked out
-	// through the campaign's recover boundary. dead marks an arena whose
-	// rebuild failed: it serves every remaining site via fallbackRun.
+	// inRun is true while runOnce executes; finding it still set on the
+	// next Run means the previous run panicked out through the campaign's
+	// recover boundary.
 	inRun bool
-	dead  bool
 
 	// testPoison, when set (same-package tests only), runs after every
 	// Reset inside runOnce — the hook the quarantine tests use to corrupt
@@ -91,8 +82,8 @@ type Arena struct {
 // Arena.Stats). Campaign code folds the per-worker snapshots into campaign
 // totals (fault.Report.Dispatch) and the run-summary JSON.
 type ArenaStats struct {
-	// Runs counts plane-swap runs served by the long-lived SoC, golden
-	// capture included.
+	// Runs counts the runs the arena stepped, health checks included;
+	// NewArena's arena counts the golden capture as its run 1.
 	Runs int64
 	// EarlyExits counts runs the divergence watchdogs terminated before
 	// the full budget.
@@ -108,10 +99,8 @@ type ArenaStats struct {
 	Checkpoints int
 	// GoldenEvents is the length of the captured observable trace.
 	GoldenEvents int
-	// GoldenOK reports a clean construction-time golden capture.
+	// GoldenOK reports a clean golden capture.
 	GoldenOK bool
-	// Dead reports an arena that gave up on reuse (rebuild failed).
-	Dead bool
 }
 
 // Stats snapshots the arena's lifetime counters.
@@ -120,19 +109,27 @@ func (a *Arena) Stats() ArenaStats {
 	st.Checkpoints = len(a.gold.ckpts)
 	st.GoldenEvents = len(a.gold.trace)
 	st.GoldenOK = a.gold.ok
-	st.Dead = a.dead
 	return st
 }
 
-// capture is a Run call's golden capture: the sealed memory image its
-// arenas run from, and what the fault-free capture run over that image
-// recorded — the observable trace with the watchdog bounds derived from
-// it, the activation probe, the checkpoints and the run's result.
-// NewArena's capture run fills it, and Campaign.arenas places its
-// checkpoints; from then on it is read-only, so one capture serves every
-// arena of the call on any goroutine (newArenaClone). Checkpoint snapshots
-// are plain data, restorable into any SoC built from the image.
+// capture is a Run call's golden capture: what every arena of the call
+// shares. It holds the normalised replay configuration, the core under
+// test, its job, the cycle budget and the engine mode, the sealed memory
+// image the arenas run from, and what the fault-free capture run over that
+// image recorded — the observable trace with the watchdog bounds derived
+// from it, the activation probe, the checkpoints and the run's result.
+// newCapture fills it, and Campaign.arenas places its checkpoints
+// (capture.place); from then on it is read-only, so one capture serves
+// every arena of the call on any goroutine, and a quarantined arena is
+// rebuilt over it. Checkpoint snapshots are plain data, restorable into
+// any SoC built from the image.
 type capture struct {
+	cfg    soc.Config
+	id     int
+	job    *CoreJob
+	budget int64
+	opt    ArenaOptions
+
 	img   *soc.Image
 	entry uint32
 
@@ -153,7 +150,7 @@ type capture struct {
 	// Checkpointing state: nil/empty when ArenaOptions.CheckpointInterval
 	// is zero or the capture failed. ckpts is ascending by cycle: one every
 	// interval, or where Campaign.Run's capture placed them
-	// (Arena.placeCheckpoints).
+	// (capture.place).
 	probe *fault.Probe
 	ckpts []checkpoint
 }
@@ -165,16 +162,15 @@ type arenaMetrics struct {
 	enabled      bool
 	dispatch     [fault.NumDispatchPaths]*telemetry.Counter
 	runNs        [fault.NumDispatchPaths]*telemetry.Histogram
-	captures     *telemetry.Counter
 	earlyExits   *telemetry.Counter
 	healthChecks *telemetry.Counter
 	quarantines  *telemetry.Counter
 	prefix       *telemetry.Counter
 }
 
-// newArenaMetrics resolves the arena metric names once. Worker arenas
-// cloned from one prototype share the registry, so they land on the same
-// atomic handles and their updates aggregate campaign-wide.
+// newArenaMetrics resolves the arena metric names once. The arenas of one
+// Run call share the registry, so they land on the same atomic handles and
+// their updates aggregate campaign-wide.
 func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 	if reg == nil {
 		return arenaMetrics{}
@@ -184,7 +180,6 @@ func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 		m.dispatch[p] = reg.Counter("arena_dispatch_" + p.String() + "_total")
 		m.runNs[p] = reg.Histogram("arena_run_ns_" + p.String())
 	}
-	m.captures = reg.Counter("arena_golden_captures_total")
 	m.earlyExits = reg.Counter("arena_early_exits_total")
 	m.healthChecks = reg.Counter("arena_health_checks_total")
 	m.quarantines = reg.Counter("arena_quarantines_total")
@@ -247,21 +242,36 @@ type ArenaOptions struct {
 	Events *telemetry.EventLog
 }
 
-// NewArena assembles the SoC once and runs the fault-free golden once to
-// capture the observable trace. cfg should carry the replayed background
-// traffic; only core id is activated regardless of cfg's Active flags.
+// NewArena assembles job's program into a fresh SoC and runs the golden
+// capture on it. The arena it returns is that SoC, left where the capture
+// ended: the capture is its run 1 and Last() is the golden result. cfg
+// should carry the replayed background traffic; only core id is activated
+// regardless of cfg's Active flags.
 func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions) (*Arena, error) {
 	prog, err := buildProgram(job)
 	if err != nil {
 		return nil, fmt.Errorf("arena core%d: %w", id, err)
 	}
-	return newArena(cfg, id, job, prog, budget, opt)
+	g, s, err := newCapture(cfg, id, job, prog, budget, opt)
+	if err != nil {
+		return nil, err
+	}
+	a := g.arena(s)
+	a.st.Runs, a.last = 1, g.res
+	return a, nil
 }
 
-// newArena is NewArena over job's assembled program prog: it loads prog
-// and the routine data into a fresh SoC, seals the image, and runs the
-// golden capture on that SoC.
-func newArena(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget int64, opt ArenaOptions) (*Arena, error) {
+// newCapture loads job's assembled program prog and the routine data into
+// a fresh SoC, seals the image and runs the golden capture on that SoC,
+// which it returns with the capture. The capture run records the
+// observable trace and calibrates the watchdog bounds. With checkpointing
+// on, it also carries the activation probe and snapshots the SoC every
+// CheckpointInterval cycles. When the capture fails (the campaign will
+// reject the golden anyway) early exit stays disabled, runs simply use the
+// full budget, the health check has no reference to replay against, and
+// the checkpoints are dropped — restored runs would have no golden
+// reference to be equivalent to.
+func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget int64, opt ArenaOptions) (*capture, *soc.SoC, error) {
 	for k := 0; k < soc.NumCores; k++ {
 		cfg.Cores[k].Active = k == id
 		cfg.Cores[k].Plane = nil // planes are swapped per run
@@ -274,59 +284,76 @@ func newArena(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget in
 	}
 	s := soc.New(cfg)
 	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
+		return nil, nil, fmt.Errorf("arena core%d: %w", id, err)
 	}
 	for _, r := range job.routines() {
 		loadRoutineData(s, r)
 	}
 	s.SealBaseline()
-	g := &capture{img: s.Image(), entry: prog.Base}
-	a := (&Arena{s: s, id: id, budget: budget, cfg: cfg, job: job, opt: opt, gold: g}).attach()
-
-	// Golden capture run: records the observable trace and calibrates the
-	// watchdog bounds. With checkpointing on, the run additionally carries
-	// the activation probe (an identity plane, so the run is still the
-	// golden run) and snapshots the SoC every CheckpointInterval cycles.
-	// When the capture fails (the campaign will reject the golden anyway)
-	// early exit stays disabled, runs simply use the full budget, the
-	// health check has no reference to replay against, and the
-	// checkpoints are dropped — restored runs would have no golden
-	// reference to be equivalent to.
-	capturePlane := fault.Plane(fault.None)
-	if opt.CheckpointInterval > 0 {
-		g.probe = fault.NewProbe(s.Cycle)
-		capturePlane = g.probe
+	if opt.Plan.Enabled() {
+		s.SetInjector(id, archint.NewInjector(opt.Plan))
 	}
-	a.capturing = true
-	_, g.ok, _ = a.runOnce(capturePlane)
-	a.capturing = false
-	a.met.captures.Inc()
-	g.res = a.last
-	if !g.ok {
+	g := &capture{cfg: cfg, id: id, job: job, budget: budget, opt: opt, img: s.Image(), entry: prog.Base}
+	var at []int64
+	if iv := opt.CheckpointInterval; iv > 0 {
+		g.probe = fault.NewProbe(s.Cycle)
+		for c := iv; c <= budget; c += iv {
+			at = append(at, c)
+		}
+	}
+	g.trace, g.ckpts = g.goldenPass(s, g.probe, budget, at)
+	opt.Telemetry.Counter("arena_golden_captures_total").Inc()
+	g.res = coreResult(s.Cores[id], s.Done())
+	if g.ok = g.res.OK; !g.ok {
 		g.probe, g.ckpts = nil, nil
 	} else if !opt.NoEarlyExit {
 		g.calibrate()
 	}
-	return a, nil
+	return g, s, nil
 }
 
-// newArenaClone builds an additional worker arena over capture g without
-// running a capture of its own: a fresh SoC sharing g's image, with g's
-// trace, watchdog bounds, probe and checkpoints. cfg and opt are the
-// capture arena's (normalised by newArena); only opt's telemetry sinks may
-// differ.
-func newArenaClone(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions, g *capture) *Arena {
-	return (&Arena{s: soc.NewFromImage(cfg, g.img), id: id, budget: budget, cfg: cfg, job: job, opt: opt, gold: g}).attach()
+// goldenPass runs the fault-free program on s from cycle 0 until it drains
+// or reaches cycle stop, under probe unless it is nil (a probe is an
+// identity plane, so the run is still the golden run). It returns the
+// run's observable trace and a checkpoint at each cycle of the ascending
+// list at that the run reaches before it drains: the SoC state, the trace
+// position and last store cycle the divergence monitor resumes with, and
+// the probe's edge history, which seeds the Transition runs restored
+// there.
+func (g *capture) goldenPass(s *soc.SoC, probe *fault.Probe, stop int64, at []int64) (trace []obsEvent, ckpts []checkpoint) {
+	var lastObs int64
+	s.Cores[g.id].Core.SetStoreObserver(func(addr uint32, val uint64, size int) {
+		lastObs = s.Cycle()
+		trace = append(trace, obsEvent{addr: addr, val: val, size: size, cycle: lastObs})
+	})
+	plane := fault.Plane(fault.None)
+	if probe != nil {
+		plane = probe
+	}
+	s.Reset()
+	s.SetPlane(g.id, plane)
+	s.Start(g.id, g.entry)
+	for s.Cycle() < stop && !s.Done() {
+		s.Step()
+		if len(at) > 0 && s.Cycle() == at[0] {
+			at = at[1:]
+			if !s.Done() {
+				ckpts = append(ckpts, checkpoint{cycle: s.Cycle(), state: s.Snapshot(),
+					obsIdx: len(trace), lastObs: lastObs, hist: probe.History()})
+			}
+		}
+	}
+	return trace, ckpts
 }
 
-// attach wires a new arena to its SoC: the store observer, any interrupt
-// plan and the metric handles.
-func (a *Arena) attach() *Arena {
-	a.met = newArenaMetrics(a.opt.Telemetry)
-	a.s.Cores[a.id].Core.SetStoreObserver(a.observe)
-	if a.opt.Plan.Enabled() {
+// arena builds a worker arena over the capture and SoC s, which is either
+// the SoC the capture ran on or a fresh one from the capture's image.
+func (g *capture) arena(s *soc.SoC) *Arena {
+	a := &Arena{s: s, gold: g, met: newArenaMetrics(g.opt.Telemetry)}
+	s.Cores[g.id].Core.SetStoreObserver(a.observe)
+	if g.opt.Plan.Enabled() {
 		// The attachment survives Reset; the cursor rewinds with the core.
-		a.s.SetInjector(a.id, archint.NewInjector(a.opt.Plan))
+		s.SetInjector(g.id, archint.NewInjector(g.opt.Plan))
 	}
 	return a
 }
@@ -365,10 +392,6 @@ func (g *capture) calibrate() {
 // observe receives every completed store of the core under test.
 func (a *Arena) observe(addr uint32, val uint64, size int) {
 	a.lastObs = a.s.Cycle()
-	if a.capturing {
-		a.gold.trace = append(a.gold.trace, obsEvent{addr: addr, val: val, size: size, cycle: a.lastObs})
-		return
-	}
 	if !a.diverged {
 		if a.idx >= len(a.gold.trace) {
 			a.diverged = true
@@ -388,12 +411,11 @@ func (a *Arena) observe(addr uint32, val uint64, size int) {
 // anomalously — panicked out through the campaign's recover boundary, or
 // cut by a watchdog (early exit or budget exhaustion) — may have left state
 // behind that Reset cannot rewind, so before the verdict stands the arena
-// replays the golden run and requires the construction-time RunResult
-// exactly. A failed health check quarantines the arena: it is rebuilt from
-// scratch and the suspect site is re-run on a fresh SoC (rebuild-per-fault
-// semantics), so one corrupt Reset can never silently
-// skew subsequent verdicts. If even the rebuild fails the arena is dead
-// and serves every remaining site via fresh-SoC runs.
+// replays the golden run and requires the capture's RunResult exactly. A
+// failed health check quarantines the arena: it is rebuilt over a fresh
+// SoC from its capture's image and the suspect site is re-run on a fresh
+// SoC (rebuild-per-fault semantics), so one corrupt Reset can never
+// silently skew subsequent verdicts.
 func (a *Arena) Run(p fault.Plane) (sig uint32, ok bool) {
 	// Classify the site by the path that ends up serving it (the serving
 	// paths overwrite a.path) and time the whole service, health checks
@@ -418,9 +440,6 @@ func (a *Arena) Run(p fault.Plane) (sig uint32, ok bool) {
 
 // serve is the Run body: failure-domain validation around the dispatch.
 func (a *Arena) serve(p fault.Plane) (sig uint32, ok bool) {
-	if a.dead {
-		return a.fallbackRun(p)
-	}
 	if a.inRun {
 		// The previous run never returned: it panicked and the campaign's
 		// recover boundary caught it. Validate the arena before serving
@@ -428,9 +447,6 @@ func (a *Arena) serve(p fault.Plane) (sig uint32, ok bool) {
 		a.inRun = false
 		if !a.healthy() {
 			a.quarantine()
-			if a.dead {
-				return a.fallbackRun(p)
-			}
 		}
 	}
 	a.inRun = true
@@ -445,7 +461,7 @@ func (a *Arena) serve(p fault.Plane) (sig uint32, ok bool) {
 
 // dispatch picks the cheapest sound way to serve plane p. A single
 // stuck-at or transition fault is transparent until its site's first
-// activation, which the construction-time probe recorded: sites that never
+// activation, which the capture's probe recorded: sites that never
 // activate are served the golden verdict outright, and activating sites
 // start from the last golden checkpoint before their activation cycle.
 // Everything else — activation before the first checkpoint, composite
@@ -510,7 +526,7 @@ func (a *Arena) runFrom(ck *checkpoint, p fault.Plane) (sig uint32, ok, cut bool
 	if t, isTransition := p.(*fault.Transition); isTransition {
 		t.SeedHistory(ck.hist.For(t.S))
 	}
-	s.SetPlane(a.id, p)
+	s.SetPlane(a.gold.id, p)
 	a.idx, a.count, a.diverged, a.lastObs = ck.obsIdx, ck.obsIdx, false, ck.lastObs
 	a.st.Runs++
 	a.path = fault.DispatchCheckpoint
@@ -521,7 +537,7 @@ func (a *Arena) runFrom(ck *checkpoint, p fault.Plane) (sig uint32, ok, cut bool
 // anomalous ending: a watchdog abort or budget exhaustion before the SoC
 // drained (wedged cores halt and drain normally, so they are not cut).
 func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
-	s := a.s
+	s, g := a.s, a.gold
 	s.Reset()
 	if a.testPoison != nil {
 		a.testPoison(s)
@@ -530,8 +546,8 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 	// paths); stale Transition edge history — directly or inside a
 	// Composite — must not leak into this run.
 	fault.ResetPlaneState(p)
-	s.SetPlane(a.id, p)
-	s.Start(a.id, a.gold.entry)
+	s.SetPlane(g.id, p)
+	s.Start(g.id, g.entry)
 	a.idx, a.count, a.diverged, a.lastObs = 0, 0, false, 0
 	a.st.Runs++
 	return a.stepRun()
@@ -545,25 +561,12 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 	s, g := a.s, a.gold
 	aborted := false
 	cycles := s.Cycle()
-	for cycles < a.budget {
+	for cycles < g.budget {
 		if s.Done() {
 			break
 		}
 		s.Step()
 		cycles = s.Cycle()
-		if a.capturing {
-			if iv := a.opt.CheckpointInterval; g.probe != nil && iv > 0 &&
-				cycles%iv == 0 && !s.Done() {
-				g.ckpts = append(g.ckpts, checkpoint{
-					cycle:   cycles,
-					state:   s.Snapshot(),
-					obsIdx:  len(g.trace),
-					lastObs: a.lastObs,
-					hist:    g.probe.History(),
-				})
-			}
-			continue
-		}
 		if g.early {
 			if cycles-a.lastObs > g.hangLimit || (a.diverged && a.count > g.floodCap) {
 				aborted = true
@@ -575,12 +578,12 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 	}
 
 	done := s.Done() && !aborted
-	a.last = coreResult(s.Cores[a.id], done)
+	a.last = coreResult(s.Cores[g.id], done)
 	return a.last.Signature, a.last.OK, !done
 }
 
 // healthy replays the golden run and compares the full RunResult against
-// the construction-time capture — the same equivalence the
+// the capture's — the same equivalence the
 // TestArenaResetMatchesFreshSoC family pins for normal runs, applied as an
 // online probe. Without a golden reference (capture failed) the check is
 // vacuous: the campaign rejects such goldens wholesale.
@@ -601,46 +604,26 @@ func (a *Arena) healthy() (healthy bool) {
 	return ok && !cut && a.last == a.gold.res
 }
 
-// quarantine retires the poisoned SoC and rebuilds the arena in place,
-// keeping the lifetime counters. A failed rebuild marks the arena dead.
+// quarantine retires the poisoned SoC and rebuilds the arena in place over
+// a fresh SoC from its capture's image, keeping the capture and the
+// lifetime counters, and reports it to the telemetry sinks (counter and
+// event stream).
 func (a *Arena) quarantine() {
-	st := a.st
+	g, st := a.gold, a.st
 	st.Quarantines++
-	fresh, err := NewArena(a.cfg, a.id, a.job, a.budget, a.opt)
-	if err != nil {
-		a.dead = true
-		a.st.Quarantines = st.Quarantines
-		a.noteQuarantine()
-		return
-	}
-	// fresh ran its own golden capture: its run counters fold into the
-	// lifetime stats, everything else carries over unchanged.
-	st.Runs += fresh.st.Runs
-	st.EarlyExits += fresh.st.EarlyExits
-	*a = *fresh
+	*a = *g.arena(soc.NewFromImage(g.cfg, g.img))
 	a.st = st
-	// The copied SoC still notifies fresh's observer; re-point it at this
+	// The new SoC notifies the constructor's arena; re-point it at this
 	// arena so the monitor state it updates is the state Run consults.
-	a.s.Cores[a.id].Core.SetStoreObserver(a.observe)
-	a.noteQuarantine()
-}
-
-// noteQuarantine reports a quarantine to the telemetry sinks (counter and
-// event stream), including whether the rebuild failed and left the arena
-// dead.
-func (a *Arena) noteQuarantine() {
+	a.s.Cores[g.id].Core.SetStoreObserver(a.observe)
 	a.met.quarantines.Inc()
-	if a.opt.Events != nil {
-		a.opt.Events.Emit(telemetry.Event{
-			Kind: telemetry.EventQuarantine, Core: a.id, Dead: a.dead,
-		})
-	}
+	g.opt.Events.Emit(telemetry.Event{Kind: telemetry.EventQuarantine, Core: g.id})
 }
 
 // fallbackRun serves one site with rebuild-per-fault semantics: a
 // fresh SoC, freshly assembled program and the full cycle budget. Used for
-// the site whose run poisoned the arena and for every site after the arena
-// died. Planes that keep state are reset first: the plane object may
+// the site whose run poisoned the arena. Planes that keep state are reset
+// first: the plane object may
 // already have executed on the poisoned arena, and its edge history must
 // not leak into the fresh-SoC verdict. A failed rebuild panics (into the
 // campaign's recover boundary, which records a Panicked verdict and counts
@@ -649,23 +632,23 @@ func (a *Arena) noteQuarantine() {
 func (a *Arena) fallbackRun(p fault.Plane) (sig uint32, ok bool) {
 	a.path = fault.DispatchFallback
 	fault.ResetPlaneState(p)
-	c := a.cfg
-	c.Cores[a.id].Plane = p
+	g := a.gold
+	c := g.cfg
+	c.Cores[g.id].Plane = p
 	var jobs [soc.NumCores]*CoreJob
-	jobs[a.id] = a.job
+	jobs[g.id] = g.job
 	var setup func(*soc.SoC)
-	if a.opt.Plan.Enabled() {
-		plan := a.opt.Plan
-		setup = func(s *soc.SoC) { s.SetInjector(a.id, archint.NewInjector(plan)) }
+	if plan := g.opt.Plan; plan.Enabled() {
+		setup = func(s *soc.SoC) { s.SetInjector(g.id, archint.NewInjector(plan)) }
 	}
-	res, _, err := RunJobsSetup(c, jobs, a.budget, setup)
+	res, _, err := RunJobsSetup(c, jobs, g.budget, setup)
 	if err != nil {
-		panic(fmt.Sprintf("arena core%d: fallback run failed: %v", a.id, err))
+		panic(fmt.Sprintf("arena core%d: fallback run failed: %v", g.id, err))
 	}
-	if res[a.id] == nil {
-		panic(fmt.Sprintf("arena core%d: fallback run produced no result", a.id))
+	if res[g.id] == nil {
+		panic(fmt.Sprintf("arena core%d: fallback run produced no result", g.id))
 	}
-	return res[a.id].Signature, res[a.id].OK
+	return res[g.id].Signature, res[g.id].OK
 }
 
 // SoC exposes the underlying system (cache statistics, bus state) for
@@ -743,7 +726,7 @@ type CampaignOptions struct {
 // clamped below so snapshot traffic stays negligible next to stepping on
 // long runs and above so short campaigns still get useful prefix-skip
 // granularity. The interval also sets how many checkpoints the capture
-// places (Arena.placeCheckpoints).
+// places (capture.place).
 func resolveCheckpointInterval(opt int64, budget int64) int64 {
 	switch {
 	case opt < 0:
@@ -782,7 +765,7 @@ func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob
 	}
 	eh := fnv.New64a()
 	for k := 0; k < soc.NumCores; k++ {
-		// Normalise exactly like NewArena/fallbackRun: only core id is
+		// Normalise exactly like newCapture: only core id is
 		// active and planes are per-run state, not environment.
 		cfg.Cores[k].Active = k == id
 		cfg.Cores[k].Plane = nil

@@ -76,7 +76,8 @@ var trampleSites = []fault.Site{
 // Reset() arena SoC reproduces the exact golden signature, cycle count,
 // performance counters and cache statistics of a freshly built SoC —
 // including immediately after a faulty (possibly wedged) run has trampled
-// caches, memories and architectural state.
+// caches, memories and architectural state. The SoC NewArena returns, left
+// where its capture ended, already holds that result and those statistics.
 func TestArenaResetMatchesFreshSoC(t *testing.T) {
 	for _, strat := range stateStrategies {
 		name := strat.Name()
@@ -105,6 +106,14 @@ func TestArenaResetMatchesFreshSoC(t *testing.T) {
 					t.Errorf("strategy=%s active=%d %s: arena cache stats %+v != fresh %+v",
 						name, active, when, got, wantStats)
 				}
+			}
+			// NewArena leaves its SoC where the capture ended, which
+			// cmd/bench's probe reads right after construction.
+			if got := a.Last(); got != wantRes {
+				t.Errorf("strategy=%s active=%d: capture result %+v != fresh %+v", name, active, got, wantRes)
+			}
+			if got := socCacheStats(a.SoC()); got != wantStats {
+				t.Errorf("strategy=%s active=%d: cache stats after the capture %+v != fresh %+v", name, active, got, wantStats)
 			}
 			check("first run")
 			for i, site := range trampleSites {

@@ -101,7 +101,7 @@ func Record(cfg soc.Config, jobs [soc.NumCores]*CoreJob, underTest int, sites []
 // Each call runs its own golden capture and builds its own worker arenas
 // on it (Campaign.arenas), and drops both when it returns. The capture
 // places its checkpoints where the call's sites activate, less those a
-// resumed journal settles (Arena.placeCheckpoints). The report's golden
+// resumed journal settles (capture.place). The report's golden
 // verdict is the capture's, and its Dispatch sums the call's arenas.
 // Concurrent calls are safe.
 func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, error) {
@@ -187,33 +187,34 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 	return rep, nil
 }
 
-// arenas builds a Run call's n worker arenas in engine mode opt: the
-// capture arena, its checkpoints placed where the sites that journal j
-// (nil for none) leaves unsettled activate, then n-1 clones of its
-// capture, built concurrently.
+// arenas builds a Run call's n worker arenas in engine mode opt over one
+// golden capture, its checkpoints placed where the sites that journal j
+// (nil for none) leaves unsettled activate: the first arena over the SoC
+// the capture ran on, the other n-1 over fresh SoCs from its image, built
+// concurrently.
 func (c *Campaign) arenas(prog *asm.Program, opt ArenaOptions, sites []fault.Site, j *fault.Journal, n int) ([]*Arena, error) {
-	a, err := newArena(c.Cfg, c.Core, c.Job, prog, c.Budget, opt)
+	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, opt)
 	if err != nil {
 		return nil, err
 	}
 	place := sites
 	if j != nil {
 		place = make([]fault.Site, 0, len(sites))
-		for i, s := range sites {
+		for i, site := range sites {
 			if _, _, _, ok := j.Settled(i); !ok {
-				place = append(place, s)
+				place = append(place, site)
 			}
 		}
 	}
-	a.placeCheckpoints(place, n)
+	g.place(s, place, n)
 	arenas := make([]*Arena, n)
-	arenas[0] = a
+	arenas[0] = g.arena(s)
 	var wg sync.WaitGroup
 	for w := 1; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			arenas[w] = newArenaClone(a.cfg, c.Core, c.Job, c.Budget, a.opt, a.gold)
+			arenas[w] = g.arena(soc.NewFromImage(g.cfg, g.img))
 		}(w)
 	}
 	wg.Wait()

@@ -162,14 +162,14 @@ func campaignCheckpointsMatchSteppedSoC(t *testing.T, active int, strat Strategy
 	sites := universe(append(fault.TransitionFaults(opts), fault.ForwardingLogic(opts)...))
 	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
 	arenas := callArenas(t, c, autoMode(c), sites, nil, 2)
-	a, g := arenas[0], arenas[0].gold
+	g := arenas[0].gold
 	simulate(t, arenas, sites)
 	iv := resolveCheckpointInterval(0, budget)
 	if len(g.ckpts) == 0 || evenlySpaced(g, iv) {
 		t.Fatalf("strategy=%s active=%d: capture kept its uniform checkpoints %v (interval %d)",
 			strat.Name(), active, g.cycles(), iv)
 	}
-	s := soc.NewFromImage(a.cfg, g.img)
+	s := soc.NewFromImage(g.cfg, g.img)
 	var stores int
 	var lastStore int64
 	s.Cores[0].Core.SetStoreObserver(func(uint32, uint64, int) { stores, lastStore = stores+1, s.Cycle() })

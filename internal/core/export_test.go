@@ -1,6 +1,6 @@
 package core
 
-// CheckpointPlacement builds c's capture arena with the auto checkpoint
+// CheckpointPlacement runs c's golden capture with the auto checkpoint
 // interval, as a Campaign.Run of c.Sites on n arenas does, and returns the
 // cycles of the uniform checkpoints its capture run took, the activation
 // cycles of c.Sites, the placement that minimises their replay for as many
@@ -10,16 +10,15 @@ func CheckpointPlacement(c *Campaign, n int) (uniform, acts, planned, kept []int
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	opt := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(0, c.Budget)}
-	a, err := newArena(c.Cfg, c.Core, c.Job, prog, c.Budget, opt)
+	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, autoMode(c))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	uniform = a.gold.cycles()
-	acts = a.gold.activations(c.Sites)
+	uniform = g.cycles()
+	acts = g.activations(c.Sites)
 	planned = placement(acts, len(uniform))
-	a.placeCheckpoints(c.Sites, n)
-	return uniform, acts, planned, a.gold.cycles(), nil
+	g.place(s, c.Sites, n)
+	return uniform, acts, planned, g.cycles(), nil
 }
 
 // PrefixCycles is prefixCycles: the pre-activation replay of runs

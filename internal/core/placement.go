@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/soc"
 )
 
 // Checkpoint placement. A stuck-at or transition run is the golden run
@@ -15,7 +16,7 @@ import (
 // distinct cycles, most of them early in the golden run, which evenly
 // spaced checkpoints miss. Campaign.Run's capture therefore keeps the
 // number of checkpoints the interval takes and moves them to where the
-// sites of its call activate (Arena.placeCheckpoints).
+// sites of its call activate (capture.place).
 
 // activations returns the first-activation cycle of every site of sites
 // that activates in the capture run; sites that never activate take the
@@ -123,17 +124,16 @@ func placement(acts []int64, k int) []int64 {
 	return pos
 }
 
-// placeCheckpoints moves the capture's uniform checkpoints to the
-// placement that minimises the pre-activation replay of sites, keeping
-// their number. Snapshotting there takes a second golden pass from cycle 0
-// to the last new checkpoint while the campaign's n arenas wait, and a
-// probed golden cycle costs about two replay cycles, so the checkpoints
-// move only when the replay saved exceeds 2·n times that last cycle. Any
-// golden checkpoint before an activation is sound, so keeping the uniform
-// ones changes no verdict. A capture without checkpoints (checkpointing
-// off, reference mode, a failed capture) is left as it is.
-func (a *Arena) placeCheckpoints(sites []fault.Site, n int) {
-	g := a.gold
+// place moves the capture's uniform checkpoints to the placement that
+// minimises the pre-activation replay of sites, keeping their number, by a
+// second golden pass on s, the SoC the capture ran on. That pass runs from
+// cycle 0 to the last new checkpoint while the campaign's n arenas wait,
+// and a probed golden cycle costs about two replay cycles, so the
+// checkpoints move only when the replay saved exceeds 2·n times that last
+// cycle. Any golden checkpoint before an activation is sound, so keeping
+// the uniform ones changes no verdict. A capture without checkpoints
+// (checkpointing off, reference mode, a failed capture) is left as it is.
+func (g *capture) place(s *soc.SoC, sites []fault.Site, n int) {
 	if len(g.ckpts) == 0 {
 		return
 	}
@@ -146,34 +146,6 @@ func (a *Arena) placeCheckpoints(sites []fault.Site, n int) {
 	if saved <= 2*int64(n)*pos[len(pos)-1] {
 		return
 	}
-	a.snapshotAt(pos)
-}
-
-// snapshotAt replaces the capture's checkpoints with snapshots at the
-// ascending cycles pos, each before the golden run ends: a second golden
-// run from cycle 0 under a fresh probe, whose edge history seeds the
-// Transition runs restored there, while the arena's monitor counts the
-// golden stores for each checkpoint's trace position.
-func (a *Arena) snapshotAt(pos []int64) {
-	g, s := a.gold, a.s
 	g.ckpts = nil
-	probe := fault.NewProbe(s.Cycle)
-	s.Reset()
-	s.SetPlane(a.id, probe)
-	s.Start(a.id, g.entry)
-	a.idx, a.count, a.diverged, a.lastObs = 0, 0, false, 0
-	ckpts := make([]checkpoint, 0, len(pos))
-	for _, p := range pos {
-		for s.Cycle() < p {
-			s.Step()
-		}
-		ckpts = append(ckpts, checkpoint{
-			cycle:   p,
-			state:   s.Snapshot(),
-			obsIdx:  a.idx,
-			lastObs: a.lastObs,
-			hist:    probe.History(),
-		})
-	}
-	g.ckpts = ckpts
+	_, g.ckpts = g.goldenPass(s, fault.NewProbe(s.Cycle), pos[len(pos)-1], pos)
 }

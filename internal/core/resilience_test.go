@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/soc"
+	"repro/internal/telemetry"
 )
 
 // poisonData returns a testPoison hook that corrupts the first word of
@@ -62,9 +64,6 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 	if a.Stats().Quarantines != 1 {
 		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", a.Stats().Quarantines)
 	}
-	if a.Stats().Dead {
-		t.Fatal("rebuild failed")
-	}
 	if n := a.Stats().Dispatch[fault.DispatchFallback]; n != 1 {
 		t.Errorf("suspect site not served by fallback (fallbacks=%d)", n)
 	}
@@ -86,6 +85,60 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 		if got := a.Last(); got != wantRes {
 			t.Errorf("rebuilt arena result %+v != fresh %+v", got, wantRes)
 		}
+	}
+}
+
+// TestArenaQuarantineKeepsCallCapture pins a quarantine inside a
+// multi-arena Run call: the poisoned arena is rebuilt over the call's
+// capture, the same one its sibling runs on, with the checkpoints placed
+// for the call's sites, and no second capture runs. The cut site settles
+// as on a fresh SoC, and the universe then settles on both arenas at
+// once, the rebuilt arena's fresh SoC beside its sibling over the shared
+// image, to the reference mode's verdicts.
+func TestArenaQuarantineKeepsCallCapture(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
+	sites := campaignSites()
+	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
+	want, err := c.Run(sites, CampaignOptions{Workers: 2, Reference: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshHang, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(hangSite))
+
+	reg := telemetry.NewRegistry()
+	mode := autoMode(c)
+	mode.Telemetry = reg
+	arenas := callArenas(t, c, mode, sites, nil, 2)
+	g := arenas[0].gold
+	placed := g.cycles()
+	if len(placed) == 0 || evenlySpaced(g, mode.CheckpointInterval) {
+		t.Fatalf("capture kept its uniform checkpoints %v; the test cannot tell them from a re-capture's", placed)
+	}
+
+	a := arenas[1]
+	a.testPoison = poisonData(job)
+	sig, ok := a.Run(fault.PlaneFor(hangSite))
+	if ok != freshHang.OK || (ok && sig != freshHang.Signature) {
+		t.Errorf("quarantined site verdict (%08x, %v) != fresh-SoC (%08x, %v)",
+			sig, ok, freshHang.Signature, freshHang.OK)
+	}
+	if n := a.Stats().Quarantines; n != 1 {
+		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", n)
+	}
+	if a.gold != g || !slices.Equal(a.gold.cycles(), placed) {
+		t.Errorf("quarantined arena restores from %v, the call's capture from %v", a.gold.cycles(), placed)
+	}
+	if n := captures(reg); n != 1 {
+		t.Errorf("%d golden captures in one call with a quarantine, want 1", n)
+	}
+
+	runners := []fault.RunFunc{arenas[0].Run, a.Run}
+	got, err := fault.Simulate(sites, runners, fault.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.SameVerdicts(want) {
+		t.Error("the call's arenas settle differently from the reference mode after a quarantine")
 	}
 }
 
@@ -155,9 +208,7 @@ func TestArenaFallbackResetsStaleTransitionPlane(t *testing.T) {
 		if _, seen := p.History(); seen {
 			staleSeen = true
 		}
-		a.dead = true // simulate a failed rebuild: every site falls back
-		sig, ok := a.Run(p)
-		a.dead = false
+		sig, ok := a.fallbackRun(p)
 		fresh, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(site))
 		if ok != fresh.OK || (ok && sig != fresh.Signature) {
 			t.Errorf("%v: fallback of a used plane (%08x, %v) != clean run (%08x, %v)",
@@ -181,8 +232,7 @@ func TestArenaFallbackSurfacesBuildError(t *testing.T) {
 	}
 	bad := *job
 	bad.CodeBase = mem.FlashSize // program lands outside flash: build fails
-	a.job = &bad
-	a.dead = true
+	a.gold.job = &bad
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -192,7 +242,7 @@ func TestArenaFallbackSurfacesBuildError(t *testing.T) {
 			t.Errorf("panic does not identify the fallback path: %v", r)
 		}
 	}()
-	a.Run(fault.None)
+	a.fallbackRun(fault.None)
 }
 
 // campaignSites returns a small deterministic universe for campaign-level

@@ -238,8 +238,8 @@ func TestArenaQuarantineEvent(t *testing.T) {
 	for _, e := range events {
 		if e.Kind == telemetry.EventQuarantine {
 			quars++
-			if e.Core != 0 || e.Dead {
-				t.Errorf("quarantine event %+v, want core 0, not dead", e)
+			if e.Core != 0 {
+				t.Errorf("quarantine event %+v, want core 0", e)
 			}
 		}
 	}
@@ -263,7 +263,7 @@ func TestArenaStatsSnapshot(t *testing.T) {
 		a.Run(fault.PlaneFor(s))
 	}
 	st := a.Stats()
-	if !st.GoldenOK || st.Dead || st.Quarantines != 0 || st.GoldenEvents == 0 || st.Checkpoints == 0 {
+	if !st.GoldenOK || st.Quarantines != 0 || st.GoldenEvents == 0 || st.Checkpoints == 0 {
 		t.Fatalf("want a healthy checkpointed arena, Stats() = %+v", st)
 	}
 	if st.Dispatch.Total() != int64(len(sites)) {

@@ -25,8 +25,8 @@ const (
 	// DispatchGolden is a site served the golden verdict outright because
 	// its fault never activates.
 	DispatchGolden
-	// DispatchFallback is a rebuild-per-fault run on a fresh SoC
-	// (quarantined or dead arena).
+	// DispatchFallback is a rebuild-per-fault run on a fresh SoC (the
+	// site whose run poisoned a quarantined arena).
 	DispatchFallback
 	// NumDispatchPaths sizes per-path arrays.
 	NumDispatchPaths

@@ -223,8 +223,10 @@ func (m *simMetrics) settle(res SiteResult, fromJournal bool) {
 	}
 }
 
-// siteEvent renders one settled verdict as an event-stream line.
-func siteEvent(idx int, res SiteResult, fromJournal bool) telemetry.Event {
+// SiteEvent renders the settled verdict res of site idx as an
+// event-stream line; fromJournal marks a verdict that was not simulated
+// for this stream but read back from a journal or the service's store.
+func SiteEvent(idx int, res SiteResult, fromJournal bool) telemetry.Event {
 	return telemetry.Event{
 		Kind:        telemetry.EventSite,
 		Index:       idx,
@@ -327,7 +329,7 @@ func Simulate(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 						msgs[idx], stacks[idx] = msg, stack
 						met.settle(res, true)
 						if opt.Events != nil {
-							opt.Events.Emit(siteEvent(idx, res, true))
+							opt.Events.Emit(SiteEvent(idx, res, true))
 						}
 						if opt.OnSettle != nil {
 							opt.OnSettle(idx, res, true)
@@ -371,7 +373,7 @@ func Simulate(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 				}
 				met.settle(res, false)
 				if opt.Events != nil {
-					opt.Events.Emit(siteEvent(idx, res, false))
+					opt.Events.Emit(SiteEvent(idx, res, false))
 				}
 				if opt.OnSettle != nil {
 					opt.OnSettle(idx, res, false)

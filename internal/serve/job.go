@@ -150,21 +150,7 @@ func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 		j.met.detected.Inc()
 	}
 	if !j.fullHit {
-		j.events.Emit(siteEvent(i, res, fromCache))
-	}
-}
-
-// siteEvent is the event of site i's settled verdict.
-func siteEvent(i int, res fault.SiteResult, fromCache bool) telemetry.Event {
-	return telemetry.Event{
-		Kind:        telemetry.EventSite,
-		Index:       i,
-		Site:        res.Site.String(),
-		Sig:         res.Signature,
-		Detected:    res.Detected,
-		Crashed:     res.Crashed,
-		Panicked:    res.Panicked,
-		FromJournal: fromCache,
+		j.events.Emit(fault.SiteEvent(i, res, fromCache))
 	}
 }
 

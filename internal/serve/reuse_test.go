@@ -140,14 +140,30 @@ func postBody(t *testing.T, url string, body []byte) int {
 	return resp.StatusCode
 }
 
-// TestRequestBodyLimits pins the body limits of the three decoding POST
-// handlers: an over-limit submit, lease or verdict batch gets 413, and
-// the rejected batch leaves the job's journal byte for byte unchanged.
+// TestRequestBodyLimits pins the body rules of the three decoding POST
+// handlers: an over-limit submit, lease or verdict batch gets 413, and a
+// body holding more than one JSON value, data after its value or a field
+// the request does not have gets 400. No refused body creates a job or a
+// lease, and the refused batches leave the job's journal byte for byte
+// unchanged.
 func TestRequestBodyLimits(t *testing.T) {
 	dir := t.TempDir()
 	_, hs := startServer(t, Config{StoreDir: dir, ShardSize: 64})
 	st := submit(t, hs.URL, quickSpec(), "")
-	l := leaseAll(t, hs.URL, "w")[0]
+	if st.Shards < 2 {
+		t.Fatalf("%d shard(s); the test needs one left pending", st.Shards)
+	}
+	leaseReq, _ := json.Marshal(LeaseRequest{Worker: "w"})
+	resp, err := http.Post(hs.URL+"/v1/lease", "application/json", bytes.NewReader(leaseReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l Lease
+	err = json.NewDecoder(resp.Body).Decode(&l)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	verdicts := fmt.Sprintf("%s/v1/jobs/%s/shards/%s/verdicts", hs.URL, l.Job, l.Shard)
 	batch := VerdictBatch{Worker: "w", Golden: 1, GoldenOK: true,
 		Verdicts: []Verdict{{I: l.Shard.Lo, Sig: 2, Detected: true}}}
@@ -167,16 +183,27 @@ func TestRequestBodyLimits(t *testing.T) {
 	hugeBatch, _ := json.Marshal(huge)
 	hugeSpec, _ := json.Marshal(Spec{Routine: pad[:maxSpecBytes]})
 	hugeLease, _ := json.Marshal(LeaseRequest{Worker: pad[:maxLeaseBytes]})
+	spec, _ := json.Marshal(quickSpec())
+	next := batch
+	next.Verdicts = []Verdict{{I: l.Shard.Lo + 1, Sig: 2, Detected: true}}
+	nextBatch, _ := json.Marshal(next)
 	for _, c := range []struct {
 		name, url string
 		body      []byte
+		want      int
 	}{
-		{"submit", hs.URL + "/v1/jobs", hugeSpec},
-		{"lease", hs.URL + "/v1/lease", hugeLease},
-		{"verdicts", verdicts, hugeBatch},
+		{"over-limit submit", hs.URL + "/v1/jobs", hugeSpec, http.StatusRequestEntityTooLarge},
+		{"over-limit lease", hs.URL + "/v1/lease", hugeLease, http.StatusRequestEntityTooLarge},
+		{"over-limit verdicts", verdicts, hugeBatch, http.StatusRequestEntityTooLarge},
+		{"two specs", hs.URL + "/v1/jobs", []byte(`{"routine":"icu","bitstep":8} {"routine":"hdcu"}`), http.StatusBadRequest},
+		{"spec and garbage", hs.URL + "/v1/jobs", append(spec, " garbage"...), http.StatusBadRequest},
+		{"lease and trailing data", hs.URL + "/v1/lease", []byte(`{"worker":"w"} trailing`), http.StatusBadRequest},
+		{"lease with an unknown field", hs.URL + "/v1/lease", []byte(`{"worker":"w","bogus":1}`), http.StatusBadRequest},
+		{"two batches", verdicts, append(append(nextBatch, ' '), nextBatch...), http.StatusBadRequest},
+		{"batch with an unknown field", verdicts, append(nextBatch[:len(nextBatch)-1], `,"bogus":1}`...), http.StatusBadRequest},
 	} {
-		if code := postBody(t, c.url, c.body); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a %d-byte body: %d, want 413", c.name, len(c.body), code)
+		if code := postBody(t, c.url, c.body); code != c.want {
+			t.Errorf("%s (%d bytes): %d, want %d", c.name, len(c.body), code, c.want)
 		}
 	}
 	after, err := os.ReadFile(journal)
@@ -184,12 +211,20 @@ func TestRequestBodyLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Error("a rejected verdict batch changed the journal")
+		t.Error("a refused verdict batch changed the journal")
 	}
 	var now JobStatus
 	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
 	if now.Simulated != 1 {
 		t.Errorf("job counts %d simulated sites, want the small batch's 1", now.Simulated)
+	}
+	var jobs []JobStatus
+	getJSON(t, hs.URL, "/v1/jobs", &jobs)
+	if len(jobs) != 1 {
+		t.Errorf("%d jobs after the refused submissions, want 1", len(jobs))
+	}
+	if n := len(leaseAll(t, hs.URL, "w2")); n != st.Shards-1 {
+		t.Errorf("%d of %d shards left to lease after the refused lease requests, want %d", n, st.Shards, st.Shards-1)
 	}
 }
 

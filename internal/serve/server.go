@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -209,16 +210,32 @@ func badBody(w http.ResponseWriter, what string, err error) {
 	httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
 }
 
+// decodeBody decodes r's body, at most limit bytes, into v. The body must
+// hold exactly one JSON value, white space around it aside, with no field
+// v does not know. Otherwise decodeBody answers through badBody and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("more than one JSON value")
+		} else if err == io.EOF {
+			return true
+		}
+	}
+	badBody(w, what, err)
+	return false
+}
+
 // handleSubmit is POST /v1/jobs: body is a Spec; the reply is the job's
 // status document (201 for a new job, 200 when attaching to the running
 // job of the same campaign). With ?wait=1 the reply is deferred until the
 // job leaves the running state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
-		badBody(w, "spec", err)
+	if !decodeBody(w, r, maxSpecBytes, "spec", &spec) {
 		return
 	}
 	spec, err := spec.Normalized()
@@ -533,7 +550,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		for i, site := range j.c.Sites {
 			res, _, _, _ := j.journal.Settled(i)
 			res.Site = site
-			e := siteEvent(i, res, true)
+			e := fault.SiteEvent(i, res, true)
 			e.T = evs[0].T
 			if err := enc.Encode(e); err != nil {
 				return
@@ -592,8 +609,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 // leases on the way) to it, or answer 204 when no work is pending.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBytes)).Decode(&req); err != nil {
-		badBody(w, "lease request", err)
+	if !decodeBody(w, r, maxLeaseBytes, "lease request", &req) {
 		return
 	}
 	now := time.Now()
@@ -684,8 +700,7 @@ func splitRange(s string) (lo, hi int, ok bool) {
 // else.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	var batch VerdictBatch
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&batch); err != nil {
-		badBody(w, "verdict batch", err)
+	if !decodeBody(w, r, maxBatchBytes, "verdict batch", &batch) {
 		return
 	}
 	s.mu.Lock()

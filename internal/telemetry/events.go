@@ -80,8 +80,6 @@ type Event struct {
 
 	// Core is the arena's core under test (quarantine).
 	Core int `json:"core,omitempty"`
-	// Dead marks a quarantine whose rebuild failed (quarantine).
-	Dead bool `json:"dead,omitempty"`
 
 	// Name is the span name (span).
 	Name string `json:"name,omitempty"`

@@ -20,7 +20,7 @@ func TestEventSchemaRoundTrip(t *testing.T) {
 		{Kind: EventSite, T: 30, Index: 7, Site: "fwd/EX-MEM.l0.a bit3 SA1",
 			Sig: 0xdeadbeef, Detected: true, Crashed: true, Panicked: true,
 			FromJournal: true},
-		{Kind: EventQuarantine, T: 40, Core: 2, Dead: true},
+		{Kind: EventQuarantine, T: 40, Core: 2},
 		{Kind: EventSpan, T: 50, Name: "table2_coreA", ElapsedNs: 900},
 		{Kind: EventFinish, T: 60, Sites: 96, Settled: 96, DetectedTotal: 80,
 			ElapsedNs: 7_000_000_000},

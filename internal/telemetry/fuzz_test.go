@@ -34,7 +34,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		{Kind: telemetry.EventStart, Sites: 3, Workers: 2},
 		{Kind: telemetry.EventProgress, Settled: 1, DetectedTotal: 1, Rate: 12.5, ETANs: 3, ElapsedNs: 4},
 		{Kind: telemetry.EventSite, Index: 2, Site: "fwd", Sig: 7, Detected: true, Crashed: true, Panicked: true, FromJournal: true},
-		{Kind: telemetry.EventQuarantine, Core: 1, Dead: true},
+		{Kind: telemetry.EventQuarantine, Core: 1},
 		{Kind: telemetry.EventSpan, Name: "t2", ElapsedNs: 9},
 		{Kind: telemetry.EventFinish, Sites: 3, Settled: 3, DetectedTotal: 2, ElapsedNs: 10},
 	} {
