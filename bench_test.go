@@ -9,7 +9,6 @@ import (
 	"io"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -144,12 +143,10 @@ func BenchmarkDelayFaultExtension(b *testing.B) {
 }
 
 // BenchmarkCheckpointSpeedup times the quick transition-fault sweep under
-// the reference arena mode, the optimized mode with checkpointing
-// disabled, and the default checkpointed mode (checkpoints placed where
-// each campaign's sites activate), verifies all three produce identical
-// rows, and reports the wall-clock speedups. The ckpt-vs-plain-arena
-// metric isolates the checkpointing machinery's own contribution, which
-// the detected-fault runs bound: every sound engine must simulate their
+// the reference arena mode and the optimized mode (early exit, with
+// checkpoints placed where each campaign's sites activate), verifies both
+// produce identical rows, and reports the wall-clock speedup. The
+// detected-fault runs bound it: every sound engine must simulate their
 // diverged suffixes (PERF.md records the measured ratios).
 func BenchmarkCheckpointSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -161,25 +158,16 @@ func BenchmarkCheckpointSpeedup(b *testing.B) {
 		ref := time.Since(t0)
 
 		t0 = time.Now()
-		plainRows, err := experiments.DelayFaults(experiments.Options{Quick: true, CheckpointInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain := time.Since(t0)
-
-		t0 = time.Now()
 		ckptRows, err := experiments.DelayFaults(quick)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ckpt := time.Since(t0)
 
-		if !reflect.DeepEqual(refRows, ckptRows) || !reflect.DeepEqual(plainRows, ckptRows) {
-			b.Fatalf("modes disagree:\nreference %+v\nplain  %+v\nckpt   %+v",
-				refRows, plainRows, ckptRows)
+		if !reflect.DeepEqual(refRows, ckptRows) {
+			b.Fatalf("modes disagree:\nreference %+v\nckpt   %+v", refRows, ckptRows)
 		}
 		b.ReportMetric(ref.Seconds()/ckpt.Seconds(), "speedup-vs-reference")
-		b.ReportMetric(plain.Seconds()/ckpt.Seconds(), "ckpt-vs-plain-arena")
 		b.ReportMetric(ckpt.Seconds(), "ckpt-s")
 	}
 }
@@ -453,7 +441,7 @@ func BenchmarkSoCStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true})
+		a, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Reference: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -472,52 +460,5 @@ func BenchmarkSoCStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 			})
 		}
-	}
-}
-
-// BenchmarkArenaPair reports the per-cycle cost of two arenas stepped at
-// once, each on its own goroutine, next to one arena alone. The arenas are
-// built one after the other, as a campaign builds its capture arena and a
-// clone, so their objects are as close in the heap as a campaign's. The
-// pair's ns/cycle is wall time over one arena's cycles: on a host with two
-// free CPUs it equals the alone figure unless the two arenas slow each
-// other down, as they do when their per-cycle state shares cache lines.
-func BenchmarkArenaPair(b *testing.B) {
-	for _, strategy := range []string{"plain", "cache", "tcm"} {
-		c, err := serve.Spec{Routine: "hdcu", Strategy: strategy, BitStep: 8}.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var arenas [2]*core.Arena
-		for k := range arenas {
-			arenas[k], err = core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		run := func(a *core.Arena, n int) (cycles int64) {
-			for range n {
-				a.Run(fault.None)
-				cycles += a.SoC().Cycle()
-			}
-			return cycles
-		}
-		b.Run(strategy+"/alone", func(b *testing.B) {
-			cycles := run(arenas[0], b.N)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
-		})
-		b.Run(strategy+"/pair", func(b *testing.B) {
-			var cycles [2]int64
-			var wg sync.WaitGroup
-			for k, a := range arenas {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					cycles[k] = run(a, b.N)
-				}()
-			}
-			wg.Wait()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles[0]), "ns/cycle")
-		})
 	}
 }

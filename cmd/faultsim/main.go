@@ -21,7 +21,6 @@ func main() {
 	bitStep := flag.Int("bitstep", 1, "enumerate every Nth data bit (campaign reduction)")
 	faults := flag.String("faults", "stuckat", "fault model: stuckat or transition (forwarding routine only)")
 	engine := flag.String("engine", "arena", "campaign mode: arena (optimized: early exit, checkpointing) or reference (full budget, no shortcuts)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "arena golden-run checkpoint interval: 0 = auto, N > 0 = N cycles, negative = off; the interval sets the checkpoint count, placed where the universe's sites activate when that pays, else evenly spaced")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	journal := flag.String("journal", "", "append-only verdict journal file (line-delimited JSON; survives SIGKILL)")
 	resume := flag.Bool("resume", false, "resume from -journal: skip settled sites and reproduce the bit-identical report")
@@ -35,10 +34,6 @@ func main() {
 	flag.Parse()
 	if *checkEvents != "" {
 		os.Exit(checkEventStream(*checkEvents))
-	}
-	if *engine == "legacy" {
-		fmt.Fprintln(os.Stderr, "faultsim: the legacy rebuild-per-fault engine was retired; use -engine reference for the full-budget reference-arena semantics")
-		os.Exit(2)
 	}
 	if *engine != "arena" && *engine != "reference" {
 		fmt.Fprintf(os.Stderr, "faultsim: unknown engine %q\n", *engine)
@@ -83,14 +78,13 @@ func main() {
 	}
 
 	rep, err := c.Run(c.Sites, core.CampaignOptions{
-		Workers:            *workers,
-		Reference:          *engine == "reference",
-		Journal:            *journal,
-		Resume:             *resume,
-		CheckpointInterval: *ckptInterval,
-		Telemetry:          reg,
-		Events:             events,
-		Progress:           *progress,
+		Workers:   *workers,
+		Reference: *engine == "reference",
+		Journal:   *journal,
+		Resume:    *resume,
+		Telemetry: reg,
+		Events:    events,
+		Progress:  *progress,
 	})
 	fail(err)
 	fail(events.Err())

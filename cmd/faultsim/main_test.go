@@ -72,8 +72,9 @@ func sameFile(t *testing.T, a, b string) {
 // written, resume it from its torn journal, and require the resumed report
 // to be byte-identical to the uninterrupted one. The reference leg runs
 // the full-budget mode on one worker, slow enough that the journal grows
-// line by line; the checkpointed leg runs the transition universe with
-// golden-run checkpoints and must also match a checkpoint-off run.
+// line by line; the checkpointed leg runs the transition universe in the
+// optimized mode, with its golden-run checkpoints, and must also match a
+// reference-mode run.
 func TestKillResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -83,8 +84,8 @@ func TestKillResumeBitIdentical(t *testing.T) {
 		{name: "reference",
 			args: "-routine forwarding -core 0 -strategy plain -bitstep 1 -engine reference -workers 1"},
 		{name: "checkpointed",
-			args: "-routine forwarding -core 0 -strategy cache -faults transition -bitstep 1 -engine arena -workers 1 -checkpoint-interval 512",
-			off:  "-routine forwarding -core 0 -strategy cache -faults transition -bitstep 1 -engine arena -workers 1 -checkpoint-interval -1"},
+			args: "-routine forwarding -core 0 -strategy cache -faults transition -bitstep 1 -engine arena -workers 1",
+			off:  "-routine forwarding -core 0 -strategy cache -faults transition -bitstep 1 -engine reference -workers 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

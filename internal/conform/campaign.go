@@ -13,7 +13,7 @@ import (
 
 // Campaign-level conformance: the optimized arena (early exit on
 // observable divergence, golden-run checkpointing, golden-verdict
-// shortcuts) and the reference arena (NoEarlyExit: full budget per run, no
+// shortcuts) and the reference arena (Reference: full budget per run, no
 // shortcuts) must produce bit-identical fault reports on any universe, in
 // any environment. The fuzz scenario draws random environments and checks
 // the *full* universe — no site cap — which is affordable precisely

@@ -83,7 +83,7 @@ func compareGroups(c *core.Campaign, plan archint.Plan, groups [][]fault.Site) (
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
-	ref, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true, Plan: plan})
+	ref, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Reference: true, Plan: plan})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}

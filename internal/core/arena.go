@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/archint"
@@ -40,9 +41,10 @@ import (
 // Record) embodies, at store-gap rather than whole-run granularity, so
 // both modes misclassify only runs slowed by more than 8x — and the
 // mode-equivalence tests pin that they agree on every site of the shipped
-// universes. ArenaOptions.NoEarlyExit restores
-// the exact full-budget reference semantics. Runs that halt (cleanly or
-// wedged) are never cut short, so their signatures are exact.
+// universes. ArenaOptions.Reference restores the exact full-budget
+// reference semantics. Runs that halt (cleanly or wedged) are never cut
+// short, so their signatures are exact. An optimized Campaign.Run call's
+// arenas also restore golden checkpoints; NewArena's arena has none.
 type Arena struct {
 	s *soc.SoC
 
@@ -118,11 +120,11 @@ func (a *Arena) Stats() ArenaStats {
 // image the arenas run from, and what the fault-free capture run over that
 // image recorded — the observable trace with the watchdog bounds derived
 // from it, the activation probe, the checkpoints and the run's result.
-// newCapture fills it, and Campaign.arenas places its checkpoints
-// (capture.place); from then on it is read-only, so one capture serves
-// every arena of the call on any goroutine, and a quarantined arena is
-// rebuilt over it. Checkpoint snapshots are plain data, restorable into
-// any SoC built from the image.
+// newCapture fills it, taking checkpoints when its caller passes an
+// interval, and Campaign.arenas places them (capture.place); from then on
+// it is read-only, so one capture serves every arena of the call on any
+// goroutine, and a quarantined arena is rebuilt over it. Checkpoint
+// snapshots are plain data, restorable into any SoC built from the image.
 type capture struct {
 	cfg    soc.Config
 	id     int
@@ -147,9 +149,9 @@ type capture struct {
 	res RunResult
 	ok  bool
 
-	// Checkpointing state: nil/empty when ArenaOptions.CheckpointInterval
-	// is zero or the capture failed. ckpts is ascending by cycle: one every
-	// interval, or where Campaign.Run's capture placed them
+	// Checkpointing state: nil/empty when the capture took no checkpoints
+	// (reference mode, NewArena) or failed. ckpts is ascending by cycle:
+	// one every interval, or where Campaign.Run's capture placed them
 	// (capture.place).
 	probe *fault.Probe
 	ckpts []checkpoint
@@ -211,26 +213,18 @@ type obsEvent struct {
 
 // ArenaOptions tunes an Arena.
 type ArenaOptions struct {
-	// NoEarlyExit disables the divergence watchdogs; every run then uses
-	// the full cycle budget. Together with checkpointing off this is the
-	// reference mode: no early exit, no checkpoint restore, no
+	// Reference selects the reference mode: no divergence watchdogs, so
+	// every run uses the full cycle budget, and no checkpoint restore or
 	// golden-verdict shortcut — the semantics every arena optimization is
-	// differentially pinned against.
-	NoEarlyExit bool
-	// CheckpointInterval > 0 snapshots the golden capture run every that
-	// many cycles and starts each stuck-at or transition run from the last
-	// checkpoint before the site's first activation instead of replaying
-	// the golden prefix from cycle 0 (sites that never activate are served
-	// the golden verdict outright). Composite planes take the full replay.
-	// Zero disables checkpointing; campaigns enable it by default, and
-	// Campaign.Run's capture keeps the count but may move the checkpoints to
-	// where its sites activate (see CampaignOptions.CheckpointInterval).
-	CheckpointInterval int64
+	// differentially pinned against (see CampaignOptions.Reference).
+	Reference bool
 	// Plan, when enabled, drives a deterministic interrupt-event plan into
 	// the core under test on every run (golden capture included) — the
-	// fault x planned-interrupt cross of the multifault scenario. The
+	// fault x planned-interrupt cross of the multifault scenario. Only
+	// NewArena takes a plan, and its capture takes no checkpoints: the
 	// injector's delivery cursor rewinds with Reset but is not part of
-	// soc.State snapshots, so an enabled plan forces checkpointing off.
+	// soc.State, so a run restored from a checkpoint would resume with a
+	// stale cursor.
 	Plan archint.Plan
 	// Telemetry, when non-nil, receives the arena's dispatch-path
 	// counters and per-path run-latency histograms. Nil (the default)
@@ -246,13 +240,15 @@ type ArenaOptions struct {
 // capture on it. The arena it returns is that SoC, left where the capture
 // ended: the capture is its run 1 and Last() is the golden result. cfg
 // should carry the replayed background traffic; only core id is activated
-// regardless of cfg's Active flags.
+// regardless of cfg's Active flags. The capture takes no checkpoints: only
+// a Campaign.Run call knows the sites to place them for, so every run of
+// this arena replays from cycle 0, cut early unless opt.Reference.
 func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptions) (*Arena, error) {
 	prog, err := buildProgram(job)
 	if err != nil {
 		return nil, fmt.Errorf("arena core%d: %w", id, err)
 	}
-	g, s, err := newCapture(cfg, id, job, prog, budget, opt)
+	g, s, err := newCapture(cfg, id, job, prog, budget, opt, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -264,23 +260,17 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 // newCapture loads job's assembled program prog and the routine data into
 // a fresh SoC, seals the image and runs the golden capture on that SoC,
 // which it returns with the capture. The capture run records the
-// observable trace and calibrates the watchdog bounds. With checkpointing
-// on, it also carries the activation probe and snapshots the SoC every
-// CheckpointInterval cycles. When the capture fails (the campaign will
-// reject the golden anyway) early exit stays disabled, runs simply use the
-// full budget, the health check has no reference to replay against, and
-// the checkpoints are dropped — restored runs would have no golden
-// reference to be equivalent to.
-func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget int64, opt ArenaOptions) (*capture, *soc.SoC, error) {
+// observable trace and calibrates the watchdog bounds. With an interval
+// iv > 0, it also carries the activation probe and snapshots the SoC every
+// iv cycles. When the capture fails (the campaign will reject the golden
+// anyway) early exit stays disabled, runs simply use the full budget, the
+// health check has no reference to replay against, and the checkpoints
+// are dropped — restored runs would have no golden reference to be
+// equivalent to.
+func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget int64, opt ArenaOptions, iv int64) (*capture, *soc.SoC, error) {
 	for k := 0; k < soc.NumCores; k++ {
 		cfg.Cores[k].Active = k == id
 		cfg.Cores[k].Plane = nil // planes are swapped per run
-	}
-	if opt.Plan.Enabled() {
-		// soc.State snapshots do not cover the injector's delivery cursor
-		// (see cpu.CoreState), so checkpoint restores would resume with a
-		// stale cursor; plans force the full-replay path.
-		opt.CheckpointInterval = 0
 	}
 	s := soc.New(cfg)
 	if err := s.Load(prog); err != nil {
@@ -294,19 +284,22 @@ func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget 
 		s.SetInjector(id, archint.NewInjector(opt.Plan))
 	}
 	g := &capture{cfg: cfg, id: id, job: job, budget: budget, opt: opt, img: s.Image(), entry: prog.Base}
+	s.Cores[id].Core.SetStoreObserver(func(addr uint32, val uint64, size int) {
+		g.trace = append(g.trace, obsEvent{addr: addr, val: val, size: size, cycle: s.Cycle()})
+	})
 	var at []int64
-	if iv := opt.CheckpointInterval; iv > 0 {
+	if iv > 0 {
 		g.probe = fault.NewProbe(s.Cycle)
 		for c := iv; c <= budget; c += iv {
 			at = append(at, c)
 		}
 	}
-	g.trace, g.ckpts = g.goldenPass(s, g.probe, budget, at)
+	g.ckpts = g.goldenPass(s, g.probe, budget, at)
 	opt.Telemetry.Counter("arena_golden_captures_total").Inc()
 	g.res = coreResult(s.Cores[id], s.Done())
 	if g.ok = g.res.OK; !g.ok {
 		g.probe, g.ckpts = nil, nil
-	} else if !opt.NoEarlyExit {
+	} else if !opt.Reference {
 		g.calibrate()
 	}
 	return g, s, nil
@@ -314,18 +307,14 @@ func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget 
 
 // goldenPass runs the fault-free program on s from cycle 0 until it drains
 // or reaches cycle stop, under probe unless it is nil (a probe is an
-// identity plane, so the run is still the golden run). It returns the
-// run's observable trace and a checkpoint at each cycle of the ascending
-// list at that the run reaches before it drains: the SoC state, the trace
-// position and last store cycle the divergence monitor resumes with, and
-// the probe's edge history, which seeds the Transition runs restored
-// there.
-func (g *capture) goldenPass(s *soc.SoC, probe *fault.Probe, stop int64, at []int64) (trace []obsEvent, ckpts []checkpoint) {
-	var lastObs int64
-	s.Cores[g.id].Core.SetStoreObserver(func(addr uint32, val uint64, size int) {
-		lastObs = s.Cycle()
-		trace = append(trace, obsEvent{addr: addr, val: val, size: size, cycle: lastObs})
-	})
+// identity plane, so the run is still the golden run). It returns a
+// checkpoint at each cycle of the ascending list at that the run reaches
+// before it drains: the SoC state, the trace position and last store
+// cycle the divergence monitor resumes with, and the probe's edge
+// history, which seeds the Transition runs restored there. It installs no
+// store observer: the trace position comes from the capture's trace, which
+// holds every store up to the checkpoint, on the capture pass too.
+func (g *capture) goldenPass(s *soc.SoC, probe *fault.Probe, stop int64, at []int64) (ckpts []checkpoint) {
 	plane := fault.Plane(fault.None)
 	if probe != nil {
 		plane = probe
@@ -338,12 +327,18 @@ func (g *capture) goldenPass(s *soc.SoC, probe *fault.Probe, stop int64, at []in
 		if len(at) > 0 && s.Cycle() == at[0] {
 			at = at[1:]
 			if !s.Done() {
-				ckpts = append(ckpts, checkpoint{cycle: s.Cycle(), state: s.Snapshot(),
-					obsIdx: len(trace), lastObs: lastObs, hist: probe.History()})
+				// A store is stamped with the cycle it completes in.
+				c := s.Cycle()
+				ck := checkpoint{cycle: c, state: s.Snapshot(), hist: probe.History()}
+				ck.obsIdx = sort.Search(len(g.trace), func(i int) bool { return g.trace[i].cycle > c })
+				if ck.obsIdx > 0 {
+					ck.lastObs = g.trace[ck.obsIdx-1].cycle
+				}
+				ckpts = append(ckpts, ck)
 			}
 		}
 	}
-	return trace, ckpts
+	return ckpts
 }
 
 // arena builds a worker arena over the capture and SoC s, which is either
@@ -663,13 +658,16 @@ func (a *Arena) Last() RunResult { return a.last }
 type CampaignOptions struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Reference runs the arenas in reference mode: full cycle budget per
-	// run (no early exit), no checkpoint restore, no golden-verdict
-	// shortcut. Reports are bit-identical to the optimized mode — that
-	// equivalence is what the conformance oracle checks over full
-	// universes. (The reference mode inherited its own pin from the
-	// retired rebuild-per-fault legacy engine; see
-	// TestArenaNoEarlyExitMatchesLegacy.)
+	// Reference selects the engine's reference mode: full cycle budget per
+	// run (no early exit), no checkpoints, no golden-verdict shortcut. The
+	// optimized mode, the default, always takes the automatic golden
+	// checkpoints (checkpointInterval) and places them where the call's
+	// sites activate (capture.place). Reports are bit-identical across the
+	// two modes — that equivalence is what the conformance oracle checks
+	// over full universes — so the mode does not enter the campaign
+	// fingerprint and journals transfer between them. (The reference mode
+	// inherited its own pin from the retired rebuild-per-fault legacy
+	// engine; see TestArenaNoEarlyExitMatchesLegacy.)
 	Reference bool
 	// Journal, when non-empty, is the path of the verdict journal.
 	// Combined with Resume, settled sites are folded in from the file;
@@ -678,18 +676,6 @@ type CampaignOptions struct {
 	// Resume loads Journal (which must carry this campaign's fingerprint)
 	// and skips its settled sites. Resume without a Journal is an error.
 	Resume bool
-	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized mode: 0 picks an automatic interval from the cycle budget,
-	// a positive value is the interval in cycles, and a negative one
-	// disables checkpointing. The capture takes as many checkpoints as the
-	// interval gives and places them where the sites the call simulates
-	// activate, when that saves enough replay to pay for a second golden
-	// pass; otherwise they stay every interval cycles. Checkpointing is a
-	// pure execution-strategy choice — reports are bit-identical either
-	// way — so it does not enter the campaign fingerprint and journals
-	// transfer across settings. Ignored in reference mode, which never
-	// checkpoints.
-	CheckpointInterval int64
 	// Telemetry, when non-nil, receives the campaign metrics: arena
 	// dispatch-path counters and latency histograms, settle rates and
 	// verdict-class counts, journal-append latency. All workers share the
@@ -719,29 +705,16 @@ type CampaignOptions struct {
 	ProgressWriter io.Writer
 }
 
-// resolveCheckpointInterval maps the CampaignOptions knob to the
-// ArenaOptions value. The automatic interval targets a restore point
-// roughly every 1/8 of a golden run (the budget is stallFactor = 8 times
-// the golden run plus slack, so budget/64 approximates goldenCycles/8),
-// clamped below so snapshot traffic stays negligible next to stepping on
-// long runs and above so short campaigns still get useful prefix-skip
-// granularity. The interval also sets how many checkpoints the capture
-// places (capture.place).
-func resolveCheckpointInterval(opt int64, budget int64) int64 {
-	switch {
-	case opt < 0:
-		return 0
-	case opt > 0:
-		return opt
-	}
-	iv := budget / 64
-	if iv < 256 {
-		iv = 256
-	}
-	if iv > 16_384 {
-		iv = 16_384
-	}
-	return iv
+// checkpointInterval is the golden checkpoint interval of an optimized
+// Campaign.Run call. It targets a restore point roughly every 1/8 of a
+// golden run (the budget is stallFactor = 8 times the golden run plus
+// slack, so budget/64 approximates goldenCycles/8), clamped below so
+// snapshot traffic stays negligible next to stepping on long runs and
+// above so short campaigns still get useful prefix-skip granularity. The
+// interval also sets how many checkpoints the capture places
+// (capture.place).
+func checkpointInterval(budget int64) int64 {
+	return min(max(budget/64, 256), 16_384)
 }
 
 // CampaignFingerprint content-addresses the campaign as a pure function:

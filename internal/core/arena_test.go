@@ -181,7 +181,7 @@ func TestArenaRunAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for mode, opt := range map[string]ArenaOptions{"reference": {NoEarlyExit: true}, "early-exit": {}} {
+		for mode, opt := range map[string]ArenaOptions{"reference": {Reference: true}, "early-exit": {}} {
 			a, err := NewArena(rc.Cfg, 0, rc.Job, rc.Budget, opt)
 			if err != nil {
 				t.Fatal(err)

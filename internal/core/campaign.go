@@ -137,14 +137,13 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 		defer j.Close()
 		simOpt.Journal = j
 	}
-	mode := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(opt.CheckpointInterval, c.Budget)}
-	if opt.Reference {
-		mode = ArenaOptions{NoEarlyExit: true}
+	mode := ArenaOptions{Reference: opt.Reference, Telemetry: reg, Events: opt.Events}
+	var iv int64
+	if !opt.Reference {
+		iv = checkpointInterval(c.Budget)
 	}
-	mode.Telemetry = reg
-	mode.Events = opt.Events
 	n := fault.Workers(opt.Workers, len(sites))
-	arenas, err := c.arenas(prog, mode, sites, simOpt.Journal, n)
+	arenas, err := c.arenas(prog, mode, iv, sites, simOpt.Journal, n)
 	if err != nil {
 		return fault.Report{}, err
 	}
@@ -188,12 +187,12 @@ func (c *Campaign) Run(sites []fault.Site, opt CampaignOptions) (fault.Report, e
 }
 
 // arenas builds a Run call's n worker arenas in engine mode opt over one
-// golden capture, its checkpoints placed where the sites that journal j
-// (nil for none) leaves unsettled activate: the first arena over the SoC
-// the capture ran on, the other n-1 over fresh SoCs from its image, built
-// concurrently.
-func (c *Campaign) arenas(prog *asm.Program, opt ArenaOptions, sites []fault.Site, j *fault.Journal, n int) ([]*Arena, error) {
-	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, opt)
+// golden capture with checkpoints every iv cycles (none when iv is 0),
+// then placed where the sites that journal j (nil for none) leaves
+// unsettled activate: the first arena over the SoC the capture ran on,
+// the other n-1 over fresh SoCs from its image, built concurrently.
+func (c *Campaign) arenas(prog *asm.Program, opt ArenaOptions, iv int64, sites []fault.Site, j *fault.Journal, n int) ([]*Arena, error) {
+	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, opt, iv)
 	if err != nil {
 		return nil, err
 	}

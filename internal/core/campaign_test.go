@@ -34,15 +34,11 @@ func captures(reg *telemetry.Registry) int64 {
 	return reg.Counter("arena_golden_captures_total").Value()
 }
 
-// autoMode is the engine mode of a Run call on c with the default options.
-func autoMode(c *Campaign) ArenaOptions {
-	return ArenaOptions{CheckpointInterval: resolveCheckpointInterval(0, c.Budget)}
-}
-
 // callArenas builds the n arenas a Run call of c over sites builds in
-// engine mode opt, its capture placed for the sites journal j (nil for
-// none) leaves unsettled.
-func callArenas(t *testing.T, c *Campaign, opt ArenaOptions, sites []fault.Site, j *fault.Journal, n int) []*Arena {
+// engine mode opt, its capture checkpointed every iv cycles (an optimized
+// call passes checkpointInterval(c.Budget), a reference one 0) and placed
+// for the sites journal j (nil for none) leaves unsettled.
+func callArenas(t *testing.T, c *Campaign, opt ArenaOptions, iv int64, sites []fault.Site, j *fault.Journal, n int) []*Arena {
 	t.Helper()
 	prog := c.prog
 	if prog == nil {
@@ -51,7 +47,7 @@ func callArenas(t *testing.T, c *Campaign, opt ArenaOptions, sites []fault.Site,
 			t.Fatal(err)
 		}
 	}
-	arenas, err := c.arenas(prog, opt, sites, j, n)
+	arenas, err := c.arenas(prog, opt, iv, sites, j, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +55,18 @@ func callArenas(t *testing.T, c *Campaign, opt ArenaOptions, sites []fault.Site,
 }
 
 // simulate settles sites on arenas, one worker goroutine each, as Run
-// does.
-func simulate(t *testing.T, arenas []*Arena, sites []fault.Site) {
+// does, and returns the report.
+func simulate(t *testing.T, arenas []*Arena, sites []fault.Site) fault.Report {
 	t.Helper()
 	runners := make([]fault.RunFunc, len(arenas))
 	for w, a := range arenas {
 		runners[w] = a.Run
 	}
-	if _, err := fault.Simulate(sites, runners, fault.SimOptions{}); err != nil {
+	rep, err := fault.Simulate(sites, runners, fault.SimOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
 }
 
 // TestCampaignShardedRunsMatchOneCall pins one capture per call: a
@@ -213,7 +211,7 @@ func TestSharedImageSurvivesWildStores(t *testing.T) {
 	want := imageSum(pristine.gold.img)
 
 	// The universe is wild: its runs store into every region.
-	probe, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{NoEarlyExit: true})
+	probe, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +232,16 @@ func TestSharedImageSurvivesWildStores(t *testing.T) {
 
 	sites := append(append([]fault.Site(nil), wildSites...), campaignSites()...)
 	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
-	for _, mode := range []ArenaOptions{autoMode(c), {NoEarlyExit: true}} {
-		arenas := callArenas(t, c, mode, sites, nil, 3)
+	for _, ref := range []bool{false, true} {
+		var iv int64
+		if !ref {
+			iv = checkpointInterval(budget)
+		}
+		arenas := callArenas(t, c, ArenaOptions{Reference: ref}, iv, sites, nil, 3)
 		img := arenas[0].gold.img
 		simulate(t, arenas, sites)
 		if got := imageSum(img); got != want {
-			t.Fatalf("reference=%v: shared image hash %x after the campaign, pristine %x", mode.NoEarlyExit, got, want)
+			t.Fatalf("reference=%v: shared image hash %x after the campaign, pristine %x", ref, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -32,11 +33,7 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 		for active := 1; active <= soc.NumCores; active++ {
 			campaignCheckpointsMatchSteppedSoC(t, active, strat)
 			replayCfg, job, budget := arenaEnv(t, active, strat)
-			a, err := NewArena(replayCfg, 0, job, budget,
-				ArenaOptions{CheckpointInterval: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := checkpointedArena(t, replayCfg, job, budget, 512)
 			if a.Stats().Checkpoints == 0 {
 				t.Fatalf("strategy=%s active=%d: no checkpoints captured", name, active)
 			}
@@ -98,10 +95,7 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	fault.SortSites(sites)
 	sites = fault.Sample(sites, 11)
 
-	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := checkpointedArena(t, replayCfg, job, budget, 256)
 	if a.Stats().Checkpoints == 0 {
 		t.Fatal("no checkpoints captured")
 	}
@@ -136,10 +130,7 @@ func TestArenaCheckpointedStuckAtRunsMatchFreshSoC(t *testing.T) {
 		sites = append(sites, fault.Sample(u, 9)...)
 	}
 
-	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := checkpointedArena(t, replayCfg, job, budget, 256)
 	for _, site := range sites {
 		fresh, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(site))
 		sig, ok := a.Run(fault.PlaneFor(site))
@@ -153,26 +144,48 @@ func TestArenaCheckpointedStuckAtRunsMatchFreshSoC(t *testing.T) {
 	}
 }
 
+// checkpointedArena is NewArena with its capture checkpointed every iv
+// cycles: the dense, evenly spaced checkpoints the equivalence pins step
+// through, which no Campaign.Run call takes.
+func checkpointedArena(t *testing.T, cfg soc.Config, job *CoreJob, budget, iv int64) *Arena {
+	t.Helper()
+	prog, err := buildProgram(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, s, err := newCapture(cfg, 0, job, prog, budget, ArenaOptions{}, iv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := g.arena(s)
+	a.st.Runs, a.last = 1, g.res
+	return a
+}
+
 // campaignCheckpointsMatchSteppedSoC is the campaign half of
 // TestArenaCheckpointRestoreMatchesSteppedSoC for one replay environment.
+// It also pins that the placement pass recorded no trace: the capture's
+// trace is the store list of a fresh SoC stepped through the whole golden
+// run.
 func campaignCheckpointsMatchSteppedSoC(t *testing.T, active int, strat Strategy) {
 	t.Helper()
 	replayCfg, job, budget := arenaEnv(t, active, strat)
 	opts := fault.ListOptions{DataBits: 32, BitStep: 4}
 	sites := universe(append(fault.TransitionFaults(opts), fault.ForwardingLogic(opts)...))
 	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
-	arenas := callArenas(t, c, autoMode(c), sites, nil, 2)
+	iv := checkpointInterval(budget)
+	arenas := callArenas(t, c, ArenaOptions{}, iv, sites, nil, 2)
 	g := arenas[0].gold
 	simulate(t, arenas, sites)
-	iv := resolveCheckpointInterval(0, budget)
 	if len(g.ckpts) == 0 || evenlySpaced(g, iv) {
 		t.Fatalf("strategy=%s active=%d: capture kept its uniform checkpoints %v (interval %d)",
 			strat.Name(), active, g.cycles(), iv)
 	}
 	s := soc.NewFromImage(g.cfg, g.img)
-	var stores int
-	var lastStore int64
-	s.Cores[0].Core.SetStoreObserver(func(uint32, uint64, int) { stores, lastStore = stores+1, s.Cycle() })
+	var stores []obsEvent
+	s.Cores[0].Core.SetStoreObserver(func(addr uint32, val uint64, size int) {
+		stores = append(stores, obsEvent{addr: addr, val: val, size: size, cycle: s.Cycle()})
+	})
 	probe := fault.NewProbe(s.Cycle)
 	s.SetPlane(0, probe)
 	s.Start(0, g.entry)
@@ -185,9 +198,20 @@ func campaignCheckpointsMatchSteppedSoC(t *testing.T, active int, strat Strategy
 			t.Fatalf("strategy=%s active=%d: placed checkpoint %d (cycle %d) differs from a fresh SoC stepped there",
 				strat.Name(), active, i, ck.cycle)
 		}
-		if ck.obsIdx != stores || ck.lastObs != lastStore || ck.hist != probe.History() {
-			t.Fatalf("strategy=%s active=%d: placed checkpoint %d (cycle %d) resumes at store %d (cycle %d), stepped SoC at %d (cycle %d), or its edge history differs",
-				strat.Name(), active, i, ck.cycle, ck.obsIdx, ck.lastObs, stores, lastStore)
+		var lastStore int64
+		if len(stores) > 0 {
+			lastStore = stores[len(stores)-1].cycle
 		}
+		if ck.obsIdx != len(stores) || ck.lastObs != lastStore || ck.hist != probe.History() {
+			t.Fatalf("strategy=%s active=%d: placed checkpoint %d (cycle %d) resumes at store %d (cycle %d), stepped SoC at %d (cycle %d), or its edge history differs",
+				strat.Name(), active, i, ck.cycle, ck.obsIdx, ck.lastObs, len(stores), lastStore)
+		}
+	}
+	for s.Cycle() < budget && !s.Done() {
+		s.Step()
+	}
+	if !slices.Equal(g.trace, stores) {
+		t.Fatalf("strategy=%s active=%d: capture trace holds %d stores, the golden run %d",
+			strat.Name(), active, len(g.trace), len(stores))
 	}
 }

@@ -10,7 +10,7 @@ func CheckpointPlacement(c *Campaign, n int) (uniform, acts, planned, kept []int
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, autoMode(c))
+	g, s, err := newCapture(c.Cfg, c.Core, c.Job, prog, c.Budget, ArenaOptions{}, checkpointInterval(c.Budget))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -24,3 +24,14 @@ func CheckpointPlacement(c *Campaign, n int) (uniform, acts, planned, kept []int
 // PrefixCycles is prefixCycles: the pre-activation replay of runs
 // activating at acts with checkpoints at the ascending cycles ckpts.
 var PrefixCycles = prefixCycles
+
+// ReferenceArenas builds the n arenas a reference-mode Run call of c's
+// universe builds: the first over the SoC its golden capture ran on, the
+// others over fresh SoCs from the capture's image.
+func ReferenceArenas(c *Campaign, n int) ([]*Arena, error) {
+	prog, err := buildProgram(c.Job)
+	if err != nil {
+		return nil, err
+	}
+	return c.arenas(prog, ArenaOptions{Reference: true}, 0, c.Sites, nil, n)
+}

@@ -132,7 +132,8 @@ func placement(acts []int64, k int) []int64 {
 // checkpoints move only when the replay saved exceeds 2·n times that last
 // cycle. Any golden checkpoint before an activation is sound, so keeping
 // the uniform ones changes no verdict. A capture without checkpoints
-// (checkpointing off, reference mode, a failed capture) is left as it is.
+// (reference mode, a failed capture) is left as it is. The pass records
+// no trace: the capture's holds every golden store already.
 func (g *capture) place(s *soc.SoC, sites []fault.Site, n int) {
 	if len(g.ckpts) == 0 {
 		return
@@ -147,5 +148,6 @@ func (g *capture) place(s *soc.SoC, sites []fault.Site, n int) {
 		return
 	}
 	g.ckpts = nil
-	_, g.ckpts = g.goldenPass(s, fault.NewProbe(s.Cycle), pos[len(pos)-1], pos)
+	s.Cores[g.id].Core.SetStoreObserver(nil)
+	g.ckpts = g.goldenPass(s, fault.NewProbe(s.Cycle), pos[len(pos)-1], pos)
 }

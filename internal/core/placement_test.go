@@ -96,8 +96,9 @@ func TestPrefixCounterMatchesPlacement(t *testing.T) {
 	if _, err := c.Run(c.Sites, CampaignOptions{Workers: 2, Telemetry: reg}); err != nil {
 		t.Fatal(err)
 	}
-	g := callArenas(t, c, autoMode(c), c.Sites, nil, 2)[0].gold
-	if iv := resolveCheckpointInterval(0, c.Budget); len(g.ckpts) == 0 || evenlySpaced(g, iv) {
+	iv := checkpointInterval(c.Budget)
+	g := callArenas(t, c, ArenaOptions{}, iv, c.Sites, nil, 2)[0].gold
+	if len(g.ckpts) == 0 || evenlySpaced(g, iv) {
 		t.Fatalf("capture kept its uniform checkpoints %v (interval %d)", g.cycles(), iv)
 	}
 	want := prefixCycles(g.activations(c.Sites), g.cycles())
@@ -106,7 +107,7 @@ func TestPrefixCounterMatchesPlacement(t *testing.T) {
 	}
 
 	part := c.Sites[:len(c.Sites)/3]
-	gp := callArenas(t, c, autoMode(c), part, nil, 2)[0].gold
+	gp := callArenas(t, c, ArenaOptions{}, iv, part, nil, 2)[0].gold
 	want = prefixCycles(gp.activations(part), gp.cycles())
 	if prefixCycles(g.activations(part), g.cycles()) == want {
 		t.Fatal("placing for the universe and for the part predict the same replay; the test cannot tell them apart")
@@ -146,8 +147,8 @@ func TestResumePlacesForUnsettledSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := resolveCheckpointInterval(0, c.Budget)
-	all := callArenas(t, c, autoMode(c), sites, nil, 2)[0].gold
+	iv := checkpointInterval(c.Budget)
+	all := callArenas(t, c, ArenaOptions{}, iv, sites, nil, 2)[0].gold
 	if len(all.ckpts) == 0 || evenlySpaced(all, iv) {
 		t.Fatalf("fresh run kept its uniform checkpoints %v (interval %d)", all.cycles(), iv)
 	}
@@ -165,7 +166,7 @@ func TestResumePlacesForUnsettledSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := callArenas(t, c, autoMode(c), sites, j, 2)[0].gold
+	half := callArenas(t, c, ArenaOptions{}, iv, sites, j, 2)[0].gold
 	var rest []fault.Site
 	for i, s := range sites {
 		if _, _, _, ok := j.Settled(i); !ok {
@@ -194,7 +195,7 @@ func TestResumePlacesForUnsettledSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if g := callArenas(t, c, autoMode(c), sites, j, 2)[0].gold; len(g.ckpts) == 0 || !evenlySpaced(g, iv) {
+	if g := callArenas(t, c, ArenaOptions{}, iv, sites, j, 2)[0].gold; len(g.ckpts) == 0 || !evenlySpaced(g, iv) {
 		t.Errorf("a capture over a settled journal placed checkpoints at %v (interval %d)", g.cycles(), iv)
 	}
 }

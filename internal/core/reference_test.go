@@ -9,14 +9,16 @@ import (
 )
 
 // TestArenaNoEarlyExitMatchesLegacy pins the reference arena mode
-// (NoEarlyExit, no checkpointing, no golden-verdict shortcut) as the
-// campaign reference semantics. It was first run against the retired
-// rebuild-per-fault legacy engine to inherit its pin: reference-arena
-// reports were bit-identical to legacy reports on these universes before
-// the legacy code was deleted. The pin now targets the optimized arena —
-// plain and checkpointed — against the reference mode, over the same quick
-// universes (stuck-at, transition and hang sites). The -race CI job runs
-// this test under the race detector.
+// (ArenaOptions.Reference: no early exit, no checkpointing, no
+// golden-verdict shortcut) as the campaign reference semantics. It was
+// first run against the retired rebuild-per-fault legacy engine to inherit
+// its pin: reference-arena reports were bit-identical to legacy reports on
+// these universes before the legacy code was deleted. The pin now targets
+// the optimized arena against the reference mode, over the same quick
+// universes (stuck-at, transition and hang sites): early exit alone, on
+// NewArena's arenas, and early exit with a Run call's arenas checkpointed
+// every 512 cycles. The -race CI job runs this test under the race
+// detector.
 func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 	for _, env := range []struct {
 		name   string
@@ -36,26 +38,23 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Optimized arena, checkpointing off: early exit and the
+			// Early exit without checkpoints, NewArena's mode: the
 			// divergence watchdogs must not change a single verdict.
-			plain, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-				CampaignOptions{Workers: 2, CheckpointInterval: -1})
-			if err != nil {
-				t.Fatal(err)
+			plain := make([]*Arena, 2)
+			for w := range plain {
+				if plain[w], err = NewArena(replayCfg, 0, job, budget, ArenaOptions{}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !ref.SameVerdicts(plain) {
-				t.Fatalf("optimized arena report differs from reference:\nref %+v\nopt %+v", ref, plain)
+			if rep := simulate(t, plain, sites); !ref.SameVerdicts(rep) {
+				t.Fatalf("optimized arena report differs from reference:\nref %+v\nopt %+v", ref, rep)
 			}
 
 			// Checkpointed leg: golden-run checkpoint restores and the
 			// golden-verdict shortcut are pure execution strategy.
-			ck, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-				CampaignOptions{Workers: 2, CheckpointInterval: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ref.SameVerdicts(ck) {
-				t.Fatalf("checkpointed arena report differs from reference:\nref  %+v\nckpt %+v", ref, ck)
+			c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
+			if rep := simulate(t, callArenas(t, c, ArenaOptions{}, 512, sites, nil, 2), sites); !ref.SameVerdicts(rep) {
+				t.Fatalf("checkpointed arena report differs from reference:\nref  %+v\nckpt %+v", ref, rep)
 			}
 		})
 	}

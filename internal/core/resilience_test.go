@@ -106,12 +106,11 @@ func TestArenaQuarantineKeepsCallCapture(t *testing.T) {
 	freshHang, _ := freshRun(t, replayCfg, job, budget, fault.PlaneFor(hangSite))
 
 	reg := telemetry.NewRegistry()
-	mode := autoMode(c)
-	mode.Telemetry = reg
-	arenas := callArenas(t, c, mode, sites, nil, 2)
+	iv := checkpointInterval(budget)
+	arenas := callArenas(t, c, ArenaOptions{Telemetry: reg}, iv, sites, nil, 2)
 	g := arenas[0].gold
 	placed := g.cycles()
-	if len(placed) == 0 || evenlySpaced(g, mode.CheckpointInterval) {
+	if len(placed) == 0 || evenlySpaced(g, iv) {
 		t.Fatalf("capture kept its uniform checkpoints %v; the test cannot tell them from a re-capture's", placed)
 	}
 
@@ -308,23 +307,6 @@ func TestCampaignJournalResumeBitIdentical(t *testing.T) {
 	}
 	if !full.SameVerdicts(ref) {
 		t.Fatal("reference-mode resume differs from optimized report")
-	}
-
-	// Checkpointing is a pure engine optimisation, so it stays out of the
-	// campaign fingerprint: a torn journal written by the (auto-
-	// checkpointed) run above resumes under an engine with checkpointing
-	// forced off and still reproduces the identical report.
-	plainPath := filepath.Join(dir, "plain.journal")
-	if err := os.WriteFile(plainPath, []byte(partial), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-		CampaignOptions{Workers: 2, Journal: plainPath, Resume: true, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.SameVerdicts(plain) {
-		t.Fatal("checkpoint-off resume differs from checkpointed report")
 	}
 }
 

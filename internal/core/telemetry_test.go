@@ -254,10 +254,7 @@ func TestArenaQuarantineEvent(t *testing.T) {
 // each site served neither the golden verdict nor a fallback run.
 func TestArenaStatsSnapshot(t *testing.T) {
 	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
-	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := checkpointedArena(t, replayCfg, job, budget, 512)
 	sites := campaignSites()
 	for _, s := range sites {
 		a.Run(fault.PlaneFor(s))

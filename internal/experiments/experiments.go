@@ -20,19 +20,12 @@ type Options struct {
 	Quick bool
 	// Workers bounds fault-simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Reference runs the campaigns in the arena's full-budget reference
-	// mode (no early exit, no checkpointing, no golden-verdict shortcut)
-	// instead of the optimized default. Reports are bit-identical across
-	// modes; see core.CampaignOptions.Reference.
+	// Reference runs the campaigns in the engine's reference mode (full
+	// budget, no early exit, no checkpoints, no golden-verdict shortcut)
+	// instead of the optimized default, which takes the automatic golden
+	// checkpoints. Reports are bit-identical across the two modes; see
+	// core.CampaignOptions.Reference.
 	Reference bool
-	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized campaign mode: 0 = automatic interval from the cycle
-	// budget, positive = interval in cycles, negative = off. The interval
-	// sets the checkpoint count; the checkpoints move to where the
-	// campaign's sites activate when that pays, else stay evenly spaced.
-	// Reports are bit-identical across settings; see
-	// core.CampaignOptions.
-	CheckpointInterval int64
 	// Telemetry, when non-nil, receives every campaign's metrics plus a
 	// per-table span histogram (experiment_<table>_ns). Nil disables
 	// metrics at zero cost; see core.CampaignOptions.Telemetry.
@@ -208,8 +201,7 @@ func (c campaign) run(sites []fault.Site) (fault.Report, error) {
 		return fault.Report{}, fmt.Errorf("experiments: %w", err)
 	}
 	opt := core.CampaignOptions{Workers: c.opts.Workers, Reference: c.opts.Reference,
-		CheckpointInterval: c.opts.CheckpointInterval,
-		Telemetry:          c.opts.Telemetry, Events: c.opts.Events, Progress: c.opts.Progress}
+		Telemetry: c.opts.Telemetry, Events: c.opts.Events, Progress: c.opts.Progress}
 	rep, err := rc.Run(rc.Sites, opt)
 	if err != nil {
 		return fault.Report{}, err

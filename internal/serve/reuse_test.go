@@ -246,22 +246,10 @@ func TestVerdictBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const golden = 0x1234
-	i := l.Shard.Lo
-	for _, c := range []struct {
-		name string
-		bad  Verdict
-	}{
-		{"outside the shard", Verdict{I: l.Shard.Hi, Sig: golden}},
-		{"detected inconsistent", Verdict{I: i, Sig: golden, Detected: true}},
-		{"crashed with a signature", Verdict{I: i, Sig: 7, Detected: true, Crashed: true}},
-		{"panicked but not crashed", Verdict{I: i, Sig: 7, Detected: true, Panicked: true}},
-	} {
-		batch := VerdictBatch{Worker: "w", Golden: golden, GoldenOK: true,
-			Verdicts: []Verdict{{I: i + 1, Sig: golden}, c.bad}}
-		body, _ := json.Marshal(batch)
+	names, bodies := refusedBatches(l.Shard.Lo, l.Shard.Hi)
+	for k, body := range bodies {
 		if code := postBody(t, url, body); code != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", c.name, code)
+			t.Errorf("%s: %d, want 400", names[k], code)
 		}
 	}
 	after, err := os.ReadFile(journal)
@@ -278,6 +266,29 @@ func TestVerdictBatchValidation(t *testing.T) {
 	}
 }
 
+// refusedBatches returns the bodies of the verdict batches the handler
+// refuses whole for the shard [lo, hi), with what is wrong with each: beside
+// a valid verdict, each holds one outside the shard, one whose detected
+// flag contradicts its signature, a crashed one with a non-zero signature
+// or a panicked one that is not crashed.
+func refusedBatches(lo, hi int) (names []string, bodies [][]byte) {
+	const golden = 0x1234
+	for _, c := range []struct {
+		name string
+		bad  Verdict
+	}{
+		{"outside the shard", Verdict{I: hi, Sig: golden}},
+		{"detected inconsistent", Verdict{I: lo, Sig: golden, Detected: true}},
+		{"crashed with a signature", Verdict{I: lo, Sig: 7, Detected: true, Crashed: true}},
+		{"panicked but not crashed", Verdict{I: lo, Sig: 7, Detected: true, Panicked: true}},
+	} {
+		body, _ := json.Marshal(VerdictBatch{Worker: "w", Golden: golden, GoldenOK: true,
+			Verdicts: []Verdict{{I: lo + 1, Sig: golden}, c.bad}})
+		names, bodies = append(names, c.name), append(bodies, body)
+	}
+	return names, bodies
+}
+
 // deepPanic panics depth frames down, with a runtime error under a long
 // message, so the recovered stack is as long as the Go runtime prints.
 func deepPanic(depth int) {
@@ -290,6 +301,33 @@ func deepPanic(depth int) {
 		panic(fmt.Sprintf("%s: %v", strings.Repeat("arena core0: fallback run failed ", 32), recover()))
 	}()
 	_ = empty[depth]
+}
+
+// panickedBatch is a batch of n panicked verdicts for the sites from lo
+// on, each carrying the message and stack the engine's recover boundary
+// records for a deep panic, under the golden of that simulation.
+func panickedBatch(t testing.TB, n, lo int) VerdictBatch {
+	t.Helper()
+	run := func(p fault.Plane) (uint32, bool) {
+		if p == fault.None {
+			return 1, true
+		}
+		deepPanic(1000)
+		return 0, true
+	}
+	rep, err := fault.Simulate(make([]fault.Site, n), []fault.RunFunc{run}, fault.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Anomalies) != n {
+		t.Fatalf("%d anomalies, want %d", len(rep.Anomalies), n)
+	}
+	batch := VerdictBatch{Worker: "w", Golden: rep.Golden, GoldenOK: rep.GoldenOK}
+	for k, a := range rep.Anomalies {
+		batch.Verdicts = append(batch.Verdicts, Verdict{I: lo + k, Detected: true,
+			Crashed: true, Panicked: true, Msg: a.Msg, Stack: a.Stack})
+	}
+	return batch
 }
 
 // TestVerdictPosterBatchesAtMostBatchSize pins the poster's half of the
@@ -337,31 +375,10 @@ func TestVerdictPosterBatchesAtMostBatchSize(t *testing.T) {
 // and stack the engine's recover boundary records for a deep panic,
 // encode to under a quarter of maxBatchBytes and are accepted whole.
 func TestWorstCaseVerdictBatchFits(t *testing.T) {
-	sites := make([]fault.Site, batchSize)
-	run := func(p fault.Plane) (uint32, bool) {
-		if p == fault.None {
-			return 1, true
-		}
-		deepPanic(1000)
-		return 0, true
-	}
-	rep, err := fault.Simulate(sites, []fault.RunFunc{run}, fault.SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Anomalies) != batchSize {
-		t.Fatalf("%d anomalies, want %d", len(rep.Anomalies), batchSize)
-	}
-
 	_, hs := startServer(t, Config{ShardSize: batchSize})
 	st := submit(t, hs.URL, quickSpec(), "")
 	l := leaseAll(t, hs.URL, "w")[0]
-	batch := VerdictBatch{Worker: "w", Golden: rep.Golden, GoldenOK: rep.GoldenOK}
-	for k, a := range rep.Anomalies {
-		batch.Verdicts = append(batch.Verdicts, Verdict{I: l.Shard.Lo + k, Detected: true,
-			Crashed: true, Panicked: true, Msg: a.Msg, Stack: a.Stack})
-	}
-	body, _ := json.Marshal(batch)
+	body, _ := json.Marshal(panickedBatch(t, batchSize, l.Shard.Lo))
 	t.Logf("worst-case batch: %d bytes, limit %d", len(body), maxBatchBytes)
 	if 4*len(body) > maxBatchBytes {
 		t.Errorf("worst-case batch is %d bytes, more than a quarter of the %d-byte limit", len(body), maxBatchBytes)

@@ -12,9 +12,9 @@ import (
 
 // Spec is the wire form of a campaign request: the paper-shaped knobs that
 // fully determine a campaign as a pure function. Everything else about a
-// job — worker count, shard size, engine mode, checkpoint interval — is
-// execution strategy and deliberately kept out, so it can vary between
-// submissions without changing the campaign's content address.
+// job — worker count, shard size, engine mode — is execution strategy and
+// deliberately kept out, so it can vary between submissions without
+// changing the campaign's content address.
 type Spec struct {
 	// Routine is the self-test routine name (sbst.NewRoutineByName);
 	// empty means "forwarding".
