@@ -8,6 +8,7 @@ package repro_test
 import (
 	"io"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -460,5 +461,86 @@ func BenchmarkSoCStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 			})
 		}
+	}
+}
+
+// replaySpec is the campaign whose replay configuration BenchmarkSoCNew
+// and TestSoCNewAllocation build SoCs of: forwarding on core 0 alone,
+// plain strategy, bitstep 8.
+var replaySpec = serve.Spec{Routine: "forwarding", Strategy: "plain", BitStep: 8}
+
+// BenchmarkSoCNew measures SoC construction, the layer every golden
+// recording, capture and worker arena starts with: soc.New of the replay
+// configuration (empty memories, nothing loaded) and soc.NewFromImage
+// over the image a campaign's capture seals (shared flash, copied
+// baselines). Read B/op beside ns/op: construction time is mostly the
+// zeroing and copying of the memories it allocates.
+func BenchmarkSoCNew(b *testing.B) {
+	c, err := replaySpec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Reference: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := a.SoC().Image()
+	b.Run("New", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			soc.New(c.Cfg)
+		}
+	})
+	b.Run("NewFromImage", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			soc.NewFromImage(c.Cfg, img)
+		}
+	})
+}
+
+// BenchmarkSpecBuild measures campaign construction end to end:
+// serve.Spec.Build, which every benchmark workload times as setup_s and a
+// cold service job pays on the server and again on the worker. It covers
+// the golden recording run, the program assembly and the content key.
+func BenchmarkSpecBuild(b *testing.B) {
+	for _, spec := range []serve.Spec{
+		{Routine: "forwarding", Strategy: "plain", BitStep: 8},
+		{Routine: "forwarding", Strategy: "plain", Multicore: true, BitStep: 8},
+		{Routine: "hdcu", Strategy: "cache", Multicore: true, BitStep: 8},
+		{Routine: "icu", Strategy: "tcm", Multicore: true, BitStep: 1},
+	} {
+		mc := "sc"
+		if spec.Multicore {
+			mc = "mc"
+		}
+		b.Run(spec.Routine+"/"+spec.Strategy+"/"+mc, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := spec.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSoCNewAllocation pins what one soc.New of the replay configuration
+// allocates below 512 KiB: the 256 KiB SRAM and six 16 KiB TCMs, but not
+// a 1 MiB flash, which backs only the range its programs are loaded into.
+func TestSoCNewAllocation(t *testing.T) {
+	c, err := replaySpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		soc.New(c.Cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 512<<10 {
+		t.Errorf("soc.New allocates %d B, want under %d", per, 512<<10)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -715,41 +714,6 @@ type CampaignOptions struct {
 // (capture.place).
 func checkpointInterval(budget int64) int64 {
 	return min(max(budget/64, 256), 16_384)
-}
-
-// CampaignFingerprint content-addresses the campaign as a pure function:
-// the assembled program image prog (job's, as Campaign assembles it once)
-// and the routine data tables, the ordered fault universe, and the
-// execution environment (core, budget, SoC configuration with replayed
-// traffic). Two campaigns with equal fingerprints compute identical
-// reports, which is what makes journaled verdicts transferable across
-// process restarts.
-func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64) fault.JournalHeader {
-	ph := fnv.New64a()
-	fmt.Fprintf(ph, "base %08x:", prog.Base)
-	for _, w := range prog.Words {
-		fmt.Fprintf(ph, "%08x", w)
-	}
-	for _, r := range job.routines() {
-		fmt.Fprintf(ph, "|data %08x:", r.DataBase)
-		for _, w := range r.DataWords {
-			fmt.Fprintf(ph, "%08x", w)
-		}
-	}
-	eh := fnv.New64a()
-	for k := 0; k < soc.NumCores; k++ {
-		// Normalise exactly like newCapture: only core id is
-		// active and planes are per-run state, not environment.
-		cfg.Cores[k].Active = k == id
-		cfg.Cores[k].Plane = nil
-	}
-	fmt.Fprintf(eh, "core %d budget %d cfg %+v", id, budget, cfg)
-	return fault.JournalHeader{
-		Program:  fmt.Sprintf("%016x", ph.Sum64()),
-		Universe: fault.HashSites(sites),
-		Env:      fmt.Sprintf("%016x", eh.Sum64()),
-		Sites:    len(sites),
-	}
 }
 
 // RunCampaignOpts fault-simulates job on core id for every site, in the

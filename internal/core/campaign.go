@@ -66,8 +66,14 @@ func Record(cfg soc.Config, jobs [soc.NumCores]*CoreJob, underTest int, sites []
 	if underTest < 0 || underTest >= soc.NumCores || jobs[underTest] == nil {
 		return nil, fmt.Errorf("no job on core under test %d", underTest)
 	}
+	var progs [soc.NumCores]*asm.Program
+	prog, err := buildProgram(jobs[underTest])
+	if err != nil {
+		return nil, fmt.Errorf("golden run: core%d: %w", underTest, err)
+	}
+	progs[underTest] = prog
 	var rec *bus.Recorder
-	results, _, err := RunJobsSetup(cfg, jobs, maxGoldenCycles, func(s *soc.SoC) {
+	results, _, err := runJobs(cfg, jobs, progs, maxGoldenCycles, func(s *soc.SoC) {
 		rec = s.AttachRecorder(underTest)
 	})
 	if err != nil {
@@ -76,10 +82,6 @@ func Record(cfg soc.Config, jobs [soc.NumCores]*CoreJob, underTest int, sites []
 	golden := results[underTest]
 	if !golden.OK {
 		return nil, fmt.Errorf("golden run failed on core %d", underTest)
-	}
-	prog, err := buildProgram(jobs[underTest])
-	if err != nil {
-		return nil, fmt.Errorf("fingerprint: %w", err)
 	}
 	c := &Campaign{Cfg: cfg, Core: underTest, Job: jobs[underTest], Sites: sites,
 		Budget: golden.Cycles*stallFactor + earlySlack, prog: prog}

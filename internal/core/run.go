@@ -59,6 +59,13 @@ func RunJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64) ([soc
 // cores start — the hook Record uses to attach the bus-traffic recorder
 // and the Figure 1 reproduction uses to attach a pipeline tracer.
 func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
+	return runJobs(cfg, jobs, [soc.NumCores]*asm.Program{}, maxCycles, setup)
+}
+
+// runJobs is RunJobsSetup with progs[id], where non-nil, as job id's
+// program already assembled, so Record assembles the program under test
+// once for its golden run and its fingerprint.
+func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*asm.Program, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
 	var results [soc.NumCores]*RunResult
 	for id, job := range jobs {
 		cfg.Cores[id].Active = job != nil
@@ -72,9 +79,12 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 		if job == nil {
 			continue
 		}
-		prog, err := buildProgram(job)
-		if err != nil {
-			return results, nil, fmt.Errorf("core%d: %w", id, err)
+		prog := progs[id]
+		if prog == nil {
+			var err error
+			if prog, err = buildProgram(job); err != nil {
+				return results, nil, fmt.Errorf("core%d: %w", id, err)
+			}
 		}
 		if err := s.Load(prog); err != nil {
 			return results, nil, fmt.Errorf("core%d: %w", id, err)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -60,13 +61,23 @@ func (h JournalHeader) diff(o JournalHeader) string {
 	return ""
 }
 
-// HashSites content-addresses an ordered fault universe.
+// HashSites content-addresses an ordered fault universe. It hashes the
+// bytes fmt's "%d.%d.%d.%d.%d.%d.%d.%d;" of each site's fields would
+// print, gathered a few KiB at a time.
 func HashSites(sites []Site) string {
 	h := fnv.New64a()
+	buf := make([]byte, 0, 4096)
 	for _, s := range sites {
-		fmt.Fprintf(h, "%d.%d.%d.%d.%d.%d.%d.%d;",
-			s.Unit, s.Signal, s.Kind, s.Lane, s.Operand, s.Path, s.Bit, s.Stuck)
+		if len(buf) > cap(buf)-64 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		for _, v := range [...]uint8{uint8(s.Unit), uint8(s.Signal), uint8(s.Kind), s.Lane, s.Operand, s.Path, s.Bit, s.Stuck} {
+			buf = append(strconv.AppendUint(buf, uint64(v), 10), '.')
+		}
+		buf[len(buf)-1] = ';'
 	}
+	h.Write(buf)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

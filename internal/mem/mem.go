@@ -218,7 +218,15 @@ func (r *RAM) ApplyDelta(d *PageDelta) {
 // read-only from the bus, with per-bank wait states. Bank latencies differ
 // slightly, which is one reason the paper's "code position in memory"
 // scenario knob affects timing.
+//
+// The flash keeps backing bytes only for the range its programs were
+// loaded into, rounded out to whole host cache lines; every other offset
+// below Size reads as zeros, as unprogrammed flash would. A campaign's
+// programs take a few KiB of the 1 MiB device, and every SoC build would
+// otherwise allocate and zero all of it.
 type Flash struct {
+	size     uint32
+	base     uint32 // offset of data[0]: the programmed range is [base, base+len(data))
 	data     []byte
 	bankSize uint32
 	lat      []int
@@ -234,15 +242,32 @@ func NewFlash(size uint32, bankLatencies []int) *Flash {
 		panic("mem: flash size not divisible by bank count")
 	}
 	return &Flash{
-		data:     make([]byte, size),
+		size:     size,
 		bankSize: size / uint32(len(bankLatencies)),
 		lat:      append([]int(nil), bankLatencies...),
 	}
 }
 
-func (f *Flash) Size() uint32 { return uint32(len(f.data)) }
+func (f *Flash) Size() uint32 { return f.size }
 
-func (f *Flash) Read(off uint32, dst []byte) { copy(dst, f.data[off:]) }
+// Read copies the flash bytes at off into dst, as far as the device
+// reaches: outside the programmed range they are zeros.
+func (f *Flash) Read(off uint32, dst []byte) {
+	if rest := f.size - off; uint32(len(dst)) > rest {
+		dst = dst[:rest]
+	}
+	end := off + uint32(len(dst))
+	lo, hi := f.base, f.base+uint32(len(f.data))
+	if off >= lo && end <= hi {
+		copy(dst, f.data[off-lo:])
+		return
+	}
+	clear(dst)
+	if off < hi && end > lo {
+		from, to := max(off, lo), min(end, hi)
+		copy(dst[from-off:to-off], f.data[from-lo:])
+	}
+}
 
 // Write is ignored: flash is not bus-writable (mirrors real hardware, and
 // keeps wild stores from a faulty program from corrupting code).
@@ -257,16 +282,39 @@ func (f *Flash) AccessCycles(off uint32, _ int) int {
 }
 
 // LoadWords programs the flash image at the given offset (loader path, not
-// a bus access).
+// a bus access), widening the programmed range to cover it.
 func (f *Flash) LoadWords(off uint32, words []uint32) error {
 	end := uint64(off) + uint64(len(words))*4
-	if end > uint64(len(f.data)) {
-		return fmt.Errorf("mem: flash image [%#x,%#x) exceeds size %#x", off, end, len(f.data))
+	if end > uint64(f.size) {
+		return fmt.Errorf("mem: flash image [%#x,%#x) exceeds size %#x", off, end, f.size)
 	}
+	if len(words) == 0 {
+		return nil
+	}
+	f.cover(off, uint32(end))
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(f.data[off+uint32(i)*4:], w)
+		binary.LittleEndian.PutUint32(f.data[off-f.base+uint32(i)*4:], w)
 	}
 	return nil
+}
+
+// cover widens the programmed range to include [lo, hi), rounded out to
+// whole host lines within the device, keeping the bytes already loaded.
+func (f *Flash) cover(lo, hi uint32) {
+	lo = lo &^ (hostLine - 1)
+	hi = min(f.size, (hi+hostLine-1)&^(hostLine-1))
+	if len(f.data) != 0 {
+		end := f.base + uint32(len(f.data))
+		if lo >= f.base && hi <= end {
+			return
+		}
+		lo, hi = min(lo, f.base), max(hi, end)
+	}
+	data := make([]byte, hi-lo)
+	if len(f.data) != 0 {
+		copy(data[f.base-lo:], f.data)
+	}
+	f.base, f.data = lo, data
 }
 
 // NewTCM returns a single-cycle tightly-coupled memory of the given size,

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
 
 func TestRAMReadWrite(t *testing.T) {
 	r := NewRAM(1024, 2)
@@ -78,5 +82,99 @@ func TestLineAddr(t *testing.T) {
 	}
 	if LineAddr(0x1230) != 0x1230 {
 		t.Error("aligned address changed")
+	}
+}
+
+// TestFlashSizedReads loads a program into the middle of a full-size flash
+// and reads before, across and past its range: the programmed bytes come
+// back where they were loaded and zeros everywhere else below Size, as
+// they did when the flash backed all of it.
+func TestFlashSizedReads(t *testing.T) {
+	f := NewFlash(FlashSize, []int{8, 9, 10, 9})
+	const at = 0x1_0008
+	words := []uint32{0x11223344, 0x55667788, 0x99aabbcc}
+	if err := f.LoadWords(at, words); err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != FlashSize {
+		t.Fatalf("Size %#x, want %#x", f.Size(), FlashSize)
+	}
+	want := make([]byte, FlashSize)
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(want[at+4*i:], w)
+	}
+	for _, r := range []struct{ off, n uint32 }{
+		{0, 16},              // far before
+		{at - 64, 16},        // just before the rounded range
+		{at - 8, 8},          // before, inside the rounded range
+		{at - 4, 8},          // across the start
+		{at, 12},             // exactly the program
+		{at + 6, 16},         // across the end
+		{at + 12, 16},        // past the end, inside the rounded range
+		{at + 0x1_0000, 16},  // 64 KiB past the end
+		{0, FlashSize},       // the whole device
+		{FlashSize - 16, 16}, // the last line
+	} {
+		got := make([]byte, r.n)
+		for i := range got {
+			got[i] = 0xee // stale bytes a read must overwrite
+		}
+		f.Read(r.off, got)
+		if !bytes.Equal(got, want[r.off:r.off+r.n]) {
+			t.Errorf("Read(%#x, %d) = % x, want % x", r.off, r.n, got, want[r.off:r.off+r.n])
+		}
+	}
+	// A read running off the device fills only the bytes below Size.
+	tail := []byte{0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee}
+	f.Read(FlashSize-4, tail)
+	if !bytes.Equal(tail, []byte{0, 0, 0, 0, 0xee, 0xee, 0xee, 0xee}) {
+		t.Errorf("read across the device end = % x", tail)
+	}
+}
+
+// TestFlashBankLatencyFullRange pins each bank's latency at its first and
+// last offset: banks split the full 1 MiB by offset, whatever range the
+// programs occupy.
+func TestFlashBankLatencyFullRange(t *testing.T) {
+	lat := []int{8, 9, 10, 9}
+	f := NewFlash(FlashSize, lat)
+	if err := f.LoadWords(0x1000, []uint32{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	bank := uint32(FlashSize / len(lat))
+	for i, want := range lat {
+		first, last := uint32(i)*bank, uint32(i+1)*bank-1
+		if got := f.AccessCycles(first, 16); got != want {
+			t.Errorf("bank %d first offset %#x: latency %d, want %d", i, first, got, want)
+		}
+		if got := f.AccessCycles(last, 1); got != want {
+			t.Errorf("bank %d last offset %#x: latency %d, want %d", i, last, got, want)
+		}
+	}
+}
+
+// TestFlashLoadRanges loads past the device end, which is refused, and
+// then a second program below the first one, which keeps both.
+func TestFlashLoadRanges(t *testing.T) {
+	f := NewFlash(FlashSize, []int{8, 9, 10, 9})
+	if err := f.LoadWords(FlashSize-4, []uint32{1, 2}); err == nil {
+		t.Error("load past FlashSize accepted")
+	}
+	if err := f.LoadWords(FlashSize, []uint32{1}); err == nil {
+		t.Error("load at FlashSize accepted")
+	}
+	if err := f.LoadWords(0x2_1000, []uint32{0xaaaa, 0xbbbb}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LoadWords(0x1000, []uint32{0xcccc}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ off, v uint32 }{
+		{0x2_1000, 0xaaaa}, {0x2_1004, 0xbbbb}, {0x1000, 0xcccc},
+		{0x1004, 0}, {0x1_1000, 0}, {0x2_1008, 0}, {0xffc, 0},
+	} {
+		if got := ReadWord(f, w.off); got != w.v {
+			t.Errorf("word at %#x = %#x, want %#x", w.off, got, w.v)
+		}
 	}
 }

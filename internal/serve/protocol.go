@@ -49,9 +49,15 @@ type Lease struct {
 	// mid-shard) — the worker skips them, which is what makes shard
 	// resume site-granular.
 	Settled []int `json:"settled,omitempty"`
-	// Sites is the universe size, so the worker can sanity-check its
-	// build against the server's before simulating.
+	// Sites is the universe size.
 	Sites int `json:"sites"`
+	// Key is the job's content address, the Header.Key() of the
+	// server's build, which covers the universe size too. A worker
+	// simulates the shard only when its own build of Spec has this key:
+	// a build that compiles the spec into another program, universe or
+	// environment must not have its verdicts journaled under the job's
+	// key.
+	Key string `json:"key"`
 	// LeaseNs is the lease duration in nanoseconds; a verdict batch for
 	// the shard or a lease request that lists it in Renew renews it, and a
 	// silent worker forfeits the shard when it expires.

@@ -647,6 +647,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 				Shard:   sh.r,
 				Settled: settled,
 				Sites:   len(j.c.Sites),
+				Key:     j.key,
 				LeaseNs: s.cfg.Lease.Nanoseconds(),
 			}
 			s.mu.Unlock()

@@ -131,6 +131,50 @@ func TestWorkerStreamsTwoSpecs(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesLeaseOfAnotherKey pins the worker's key check: a lease
+// whose content key differs from the worker's own build of its spec, or
+// carries none, fails its shard in worker_shard_errors_total, and no
+// verdict is posted or settled; with the server's key the same lease
+// streams the job to a report byte-identical to the direct run.
+func TestWorkerRefusesLeaseOfAnotherKey(t *testing.T) {
+	spec := quickSpec()
+	hs, sp := startSpied(t, Config{ShardSize: 200}, 0)
+	st := submit(t, hs.URL, spec, "")
+	leases := leaseAll(t, hs.URL, "w1")
+	if len(leases) != 1 || leases[0].Key != st.Key {
+		t.Fatalf("leases %+v, want one carrying the job's key %s", leases, st.Key)
+	}
+	reg := telemetry.NewRegistry()
+	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Telemetry: reg}
+	for i, key := range []string{"0123456789abcdef", ""} {
+		l := leases[0]
+		l.Key = key
+		_, err := w.RunLease(context.Background(), l)
+		if err == nil || !strings.Contains(err.Error(), "content key") {
+			t.Errorf("lease with key %q: RunLease returned %v, want a content key mismatch", key, err)
+		}
+		if n := reg.Counter("worker_shard_errors_total").Value(); n != int64(i+1) {
+			t.Errorf("after %d refused leases worker_shard_errors_total = %d", i+1, n)
+		}
+	}
+	if n := sp.count("/verdicts"); n != 0 {
+		t.Errorf("%d verdict posts for refused leases, want 0", n)
+	}
+	var now JobStatus
+	getJSON(t, hs.URL, "/v1/jobs/"+st.ID, &now)
+	if now.Settled != 0 {
+		t.Errorf("%d sites settled from refused leases, want 0", now.Settled)
+	}
+
+	if _, err := w.RunLease(context.Background(), leases[0]); err != nil {
+		t.Fatalf("lease with the job's key: %v", err)
+	}
+	code, got := getRaw(t, hs.URL, "/v1/jobs/"+st.ID+"/report")
+	if code != http.StatusOK || !bytes.Equal(got, directReport(t, spec)) {
+		t.Fatalf("report differs from the direct run (code %d)", code)
+	}
+}
+
 // TestDrainReturnsShardError pins that a Drain run reports a failed
 // shard: when every verdict post answers 500, each shard fails after
 // postAttempts posts, and Run drains the rest of the job and returns the

@@ -171,7 +171,7 @@ func (w *Worker) RunLease(ctx context.Context, lease Lease) (*Lease, error) {
 		w.Telemetry.Counter("worker_shard_errors_total").Inc()
 		return nil, fmt.Errorf("serve: worker: lease %s/%s: %w", lease.Job, lease.Shard, err)
 	}
-	s := &stream{w: w, ctx: ctx, c: c, spec: lease.Spec, next: &lease, owner: make([]*verdictPoster, len(c.Sites))}
+	s := &stream{w: w, ctx: ctx, c: c, key: c.Header.Key(), spec: lease.Spec, next: &lease, owner: make([]*verdictPoster, len(c.Sites))}
 	simulated := w.Telemetry.Counter("worker_sites_simulated_total")
 	_, err = c.Run(c.Sites, core.CampaignOptions{
 		Workers:   w.Workers,
@@ -201,7 +201,8 @@ type stream struct {
 	w    *Worker
 	ctx  context.Context
 	c    *Campaign
-	spec Spec // the first lease's spec, which every fed lease carries
+	key  string // c's content address, which every fed lease must carry
+	spec Spec   // the first lease's spec, which every fed lease carries
 	// golden and goldenOK are the campaign's golden verdict, set before
 	// the first claim.
 	golden   uint32
@@ -265,14 +266,17 @@ func (s *stream) claim() (int, bool) {
 
 // feed queues the unsettled sites of l's shard that the stream does not
 // hold yet (a shard whose lease expired under this worker can come back
-// to it) and starts the shard's poster. Caller holds s.mu.
+// to it) and starts the shard's poster. A lease whose key is not the
+// local build's fails the shard: the worker would simulate another
+// campaign than the job's (the key covers the universe size too).
+// Caller holds s.mu.
 func (s *stream) feed(l Lease) {
-	n := len(s.c.Sites)
-	if l.Sites != n {
-		s.fail(fmt.Errorf("serve: worker: lease %s/%s: universe size %d does not match the local build's %d",
-			l.Job, l.Shard, l.Sites, n))
+	if l.Key != s.key {
+		s.fail(fmt.Errorf("serve: worker: lease %s/%s: content key %q does not match the local build's %s",
+			l.Job, l.Shard, l.Key, s.key))
 		return
 	}
+	n := len(s.c.Sites)
 	if l.Shard.Lo < 0 || l.Shard.Hi > n || l.Shard.Lo > l.Shard.Hi {
 		s.fail(fmt.Errorf("serve: worker: lease %s/%s: shard outside universe of %d", l.Job, l.Shard, n))
 		return
