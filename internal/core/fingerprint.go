@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"strconv"
 
 	"repro/internal/asm"
@@ -33,15 +33,15 @@ func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob
 		cfg.Cores[k].Plane = nil
 	}
 	ph, eh := fnv.New64a(), fnv.New64a()
-	k := keyWriter{w: ph, buf: make([]byte, 0, 2*keySpill)}
-	k.program(prog)
+	w := bufio.NewWriterSize(ph, 4096)
+	writeProgram(w, prog)
 	for _, r := range job.routines() {
-		k.data(r)
+		writeData(w, r)
 	}
-	k.flush()
-	k.w = eh
-	k.env(id, budget, cfg)
-	k.flush()
+	w.Flush()
+	w.Reset(eh)
+	writeEnv(w, id, budget, cfg)
+	w.Flush()
 	return fault.JournalHeader{
 		Program:  fmt.Sprintf("%016x", ph.Sum64()),
 		Universe: fault.HashSites(sites),
@@ -50,51 +50,23 @@ func CampaignFingerprint(prog *asm.Program, cfg soc.Config, id int, job *CoreJob
 	}
 }
 
-// keySpill is how many bytes a keyWriter gathers before writing them out.
-const keySpill = 4096
-
-// keyWriter streams a content key's bytes to w through one reusable
-// buffer: the encoders append to buf and spill it whenever it holds
-// keySpill bytes, so a campaign's replay traffic never sits in memory
-// whole in its encoded form.
-type keyWriter struct {
-	w   io.Writer
-	buf []byte
+// writeProgram writes fmt's "base %08x:" of p's base, then "%08x" of each
+// of its words.
+func writeProgram(w *bufio.Writer, p *asm.Program) {
+	w.Write(append(appendHex8(append(w.AvailableBuffer(), "base "...), p.Base), ':'))
+	writeWords(w, p.Words)
 }
 
-// spill writes the buffer out once it holds keySpill bytes.
-func (k *keyWriter) spill() {
-	if len(k.buf) >= keySpill {
-		k.flush()
-	}
+// writeData writes fmt's "|data %08x:" of r's data base, then "%08x" of
+// each of its data words.
+func writeData(w *bufio.Writer, r *sbst.Routine) {
+	w.Write(append(appendHex8(append(w.AvailableBuffer(), "|data "...), r.DataBase), ':'))
+	writeWords(w, r.DataWords)
 }
 
-// flush writes the buffer out.
-func (k *keyWriter) flush() {
-	k.w.Write(k.buf)
-	k.buf = k.buf[:0]
-}
-
-// program writes fmt's "base %08x:" of p's base, then "%08x" of each of
-// its words.
-func (k *keyWriter) program(p *asm.Program) {
-	k.buf = appendHex8(append(k.buf, "base "...), p.Base)
-	k.buf = append(k.buf, ':')
-	k.words(p.Words)
-}
-
-// data writes fmt's "|data %08x:" of r's data base, then "%08x" of each
-// of its data words.
-func (k *keyWriter) data(r *sbst.Routine) {
-	k.buf = appendHex8(append(k.buf, "|data "...), r.DataBase)
-	k.buf = append(k.buf, ':')
-	k.words(r.DataWords)
-}
-
-func (k *keyWriter) words(ws []uint32) {
-	for _, w := range ws {
-		k.buf = appendHex8(k.buf, w)
-		k.spill()
+func writeWords(w *bufio.Writer, ws []uint32) {
+	for _, v := range ws {
+		w.Write(appendHex8(w.AvailableBuffer(), v))
 	}
 }
 
@@ -105,11 +77,11 @@ func appendHex8(b []byte, v uint32) []byte {
 		hex[v>>12&15], hex[v>>8&15], hex[v>>4&15], hex[v&15])
 }
 
-// env writes fmt's "core %d budget %d cfg %+v" of a normalised
+// writeEnv writes fmt's "core %d budget %d cfg %+v" of a normalised
 // configuration, whose cores carry no fault plane: field by field as %+v
 // prints them, in declaration order.
-func (k *keyWriter) env(id int, budget int64, cfg soc.Config) {
-	b := strconv.AppendInt(append(k.buf, "core "...), int64(id), 10)
+func writeEnv(w *bufio.Writer, id int, budget int64, cfg soc.Config) {
+	b := strconv.AppendInt(append(w.AvailableBuffer(), "core "...), int64(id), 10)
 	b = strconv.AppendInt(append(b, " budget "...), budget, 10)
 	b = strconv.AppendUint(append(b, " cfg {Arbitration:"...), uint64(cfg.Arbitration), 10)
 	b = append(b, " FlashBanks:["...)
@@ -134,25 +106,25 @@ func (k *keyWriter) env(id int, budget int64, cfg soc.Config) {
 		b = strconv.AppendInt(append(b, " Plane:<nil> StartDelay:"...), int64(c.StartDelay), 10)
 		b = append(b, '}')
 	}
-	k.buf = append(b, "] Replay:["...)
+	w.Write(append(b, "] Replay:["...))
 	for i, trace := range cfg.Replay {
 		if i > 0 {
-			k.buf = append(k.buf, ' ')
+			w.WriteByte(' ')
 		}
-		k.buf = append(k.buf, '[')
+		w.WriteByte('[')
 		for j, e := range trace {
+			b := w.AvailableBuffer()
 			if j > 0 {
-				k.buf = append(k.buf, ' ')
+				b = append(b, ' ')
 			}
-			b := strconv.AppendInt(append(k.buf, "{Cycle:"...), e.Cycle, 10)
+			b = strconv.AppendInt(append(b, "{Cycle:"...), e.Cycle, 10)
 			b = strconv.AppendInt(append(b, " Master:"...), int64(e.Master), 10)
 			b = strconv.AppendUint(append(b, " Addr:"...), uint64(e.Addr), 10)
 			b = strconv.AppendBool(append(b, " Write:"...), e.Write)
 			b = strconv.AppendInt(append(b, " N:"...), int64(e.N), 10)
-			k.buf = append(b, '}')
-			k.spill()
+			w.Write(append(b, '}'))
 		}
-		k.buf = append(k.buf, ']')
+		w.WriteByte(']')
 	}
-	k.buf = append(k.buf, "]}"...)
+	w.WriteString("]}")
 }

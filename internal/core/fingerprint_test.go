@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/fnv"
@@ -19,12 +20,13 @@ import (
 	"repro/internal/soc"
 )
 
-// encoded runs enc on a keyWriter and returns the bytes it wrote.
-func encoded(enc func(k *keyWriter)) string {
+// encoded runs enc on a small buffered writer, so that encoded items
+// straddle its flushes, and returns the bytes it wrote.
+func encoded(enc func(w *bufio.Writer)) string {
 	var out bytes.Buffer
-	k := keyWriter{w: &out}
-	enc(&k)
-	k.flush()
+	w := bufio.NewWriterSize(&out, 16)
+	enc(w)
+	w.Flush()
 	return out.String()
 }
 
@@ -124,7 +126,7 @@ func TestKeyEncodersMatchFmt(t *testing.T) {
 		for _, w := range p.Words {
 			fmt.Fprintf(&fm, "%08x", w)
 		}
-		if got, want := encoded(func(k *keyWriter) { k.program(p) }), fm.String(); got != want {
+		if got, want := encoded(func(w *bufio.Writer) { writeProgram(w, p) }), fm.String(); got != want {
 			t.Fatalf("trial %d: program encodes\n%q\nfmt printed\n%q", trial, got, want)
 		}
 
@@ -134,13 +136,13 @@ func TestKeyEncodersMatchFmt(t *testing.T) {
 		for _, w := range r.DataWords {
 			fmt.Fprintf(&fm, "%08x", w)
 		}
-		if got, want := encoded(func(k *keyWriter) { k.data(r) }), fm.String(); got != want {
+		if got, want := encoded(func(w *bufio.Writer) { writeData(w, r) }), fm.String(); got != want {
 			t.Fatalf("trial %d: data encodes\n%q\nfmt printed\n%q", trial, got, want)
 		}
 
 		id, budget, cfg := int(randInt(rng)), randInt(rng), randConfig(rng)
 		want := fmt.Sprintf("core %d budget %d cfg %+v", id, budget, cfg)
-		if got := encoded(func(k *keyWriter) { k.env(id, budget, cfg) }); got != want {
+		if got := encoded(func(w *bufio.Writer) { writeEnv(w, id, budget, cfg) }); got != want {
 			t.Fatalf("trial %d: environment encodes\n%q\nfmt printed\n%q", trial, got, want)
 		}
 
@@ -158,8 +160,8 @@ func TestKeyEncodersMatchFmt(t *testing.T) {
 
 // TestKeyEncodedTypes fails when a type the content key encodes gains,
 // loses, renames or retypes a field: the encoders write fields by name,
-// so a new one would otherwise drop out of every key. Update keyWriter.env
-// or fault.HashSites, then this list.
+// so a new one would otherwise drop out of every key. Update writeEnv or
+// fault.HashSites, then this list.
 func TestKeyEncodedTypes(t *testing.T) {
 	for _, tc := range []struct {
 		typ    reflect.Type

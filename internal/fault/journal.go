@@ -12,6 +12,7 @@ package fault
 // shard-checkpoint primitive the ROADMAP's campaign service consumes.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -63,21 +64,19 @@ func (h JournalHeader) diff(o JournalHeader) string {
 
 // HashSites content-addresses an ordered fault universe. It hashes the
 // bytes fmt's "%d.%d.%d.%d.%d.%d.%d.%d;" of each site's fields would
-// print, gathered a few KiB at a time.
+// print.
 func HashSites(sites []Site) string {
 	h := fnv.New64a()
-	buf := make([]byte, 0, 4096)
+	w := bufio.NewWriterSize(h, 4096)
 	for _, s := range sites {
-		if len(buf) > cap(buf)-64 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
+		b := w.AvailableBuffer()
 		for _, v := range [...]uint8{uint8(s.Unit), uint8(s.Signal), uint8(s.Kind), s.Lane, s.Operand, s.Path, s.Bit, s.Stuck} {
-			buf = append(strconv.AppendUint(buf, uint64(v), 10), '.')
+			b = append(strconv.AppendUint(b, uint64(v), 10), '.')
 		}
-		buf[len(buf)-1] = ';'
+		b[len(b)-1] = ';'
+		w.Write(b)
 	}
-	h.Write(buf)
+	w.Flush()
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"encoding/json"
-	"flag"
 	"os"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/soc"
 )
-
-var updateKeys = flag.Bool("update-keys", false, "rewrite testdata/bench_keys.json from this build")
 
 // benchKeysFile pins the content address of every benchmark spec.
 const benchKeysFile = "testdata/bench_keys.json"
@@ -77,8 +74,7 @@ func benchSpecs() []Spec {
 // journal header and content key benchKeysFile pins for it, so a change
 // to campaign construction — the flash, the golden recording, the
 // fingerprint's encoding — cannot move a key that journals and service
-// stores are filed under. Run with -update-keys only for a change that
-// means to re-key every campaign.
+// stores are filed under.
 func TestBenchSpecKeysPinned(t *testing.T) {
 	specs := benchSpecs()
 	if len(specs) != 81 {
@@ -91,15 +87,6 @@ func TestBenchSpecKeysPinned(t *testing.T) {
 			t.Fatalf("%+v: %v", spec, err)
 		}
 		got[i] = pinnedKey{Spec: spec, Header: c.Header, Key: c.Header.Key()}
-	}
-	if *updateKeys {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(benchKeysFile, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	blob, err := os.ReadFile(benchKeysFile)
 	if err != nil {

@@ -49,8 +49,6 @@ type Lease struct {
 	// mid-shard) — the worker skips them, which is what makes shard
 	// resume site-granular.
 	Settled []int `json:"settled,omitempty"`
-	// Sites is the universe size.
-	Sites int `json:"sites"`
 	// Key is the job's content address, the Header.Key() of the
 	// server's build, which covers the universe size too. A worker
 	// simulates the shard only when its own build of Spec has this key:

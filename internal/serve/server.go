@@ -646,7 +646,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 				Spec:    j.c.Spec,
 				Shard:   sh.r,
 				Settled: settled,
-				Sites:   len(j.c.Sites),
 				Key:     j.key,
 				LeaseNs: s.cfg.Lease.Nanoseconds(),
 			}

@@ -133,21 +133,25 @@ func TestWorkerStreamsTwoSpecs(t *testing.T) {
 
 // TestWorkerRefusesLeaseOfAnotherKey pins the worker's key check: a lease
 // whose content key differs from the worker's own build of its spec, or
-// carries none, fails its shard in worker_shard_errors_total, and no
+// carries none, fails its shard in worker_shard_errors_total and ends the
+// stream, so the worker leases none of the job's other shards, and no
 // verdict is posted or settled; with the server's key the same lease
 // streams the job to a report byte-identical to the direct run.
 func TestWorkerRefusesLeaseOfAnotherKey(t *testing.T) {
 	spec := quickSpec()
-	hs, sp := startSpied(t, Config{ShardSize: 200}, 0)
+	hs, sp := startSpied(t, Config{ShardSize: 7}, 0)
 	st := submit(t, hs.URL, spec, "")
-	leases := leaseAll(t, hs.URL, "w1")
-	if len(leases) != 1 || leases[0].Key != st.Key {
-		t.Fatalf("leases %+v, want one carrying the job's key %s", leases, st.Key)
+	if st.Shards < 2 {
+		t.Fatalf("job has %d shards, want several", st.Shards)
 	}
 	reg := telemetry.NewRegistry()
 	w := &Worker{Server: hs.URL, Name: "w1", Workers: 2, Telemetry: reg}
+	lease, err := w.lease(context.Background(), nil)
+	if err != nil || lease == nil || lease.Key != st.Key {
+		t.Fatalf("lease %+v (%v), want one carrying the job's key %s", lease, err, st.Key)
+	}
 	for i, key := range []string{"0123456789abcdef", ""} {
-		l := leases[0]
+		l := *lease
 		l.Key = key
 		_, err := w.RunLease(context.Background(), l)
 		if err == nil || !strings.Contains(err.Error(), "content key") {
@@ -156,6 +160,9 @@ func TestWorkerRefusesLeaseOfAnotherKey(t *testing.T) {
 		if n := reg.Counter("worker_shard_errors_total").Value(); n != int64(i+1) {
 			t.Errorf("after %d refused leases worker_shard_errors_total = %d", i+1, n)
 		}
+	}
+	if n := sp.count("/v1/lease"); n != 1 {
+		t.Errorf("%d lease calls, want 1: a refused lease must end the stream", n)
 	}
 	if n := sp.count("/verdicts"); n != 0 {
 		t.Errorf("%d verdict posts for refused leases, want 0", n)
@@ -166,7 +173,7 @@ func TestWorkerRefusesLeaseOfAnotherKey(t *testing.T) {
 		t.Errorf("%d sites settled from refused leases, want 0", now.Settled)
 	}
 
-	if _, err := w.RunLease(context.Background(), leases[0]); err != nil {
+	if _, err := w.RunLease(context.Background(), *lease); err != nil {
 		t.Fatalf("lease with the job's key: %v", err)
 	}
 	code, got := getRaw(t, hs.URL, "/v1/jobs/"+st.ID+"/report")

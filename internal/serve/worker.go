@@ -157,12 +157,14 @@ func (w *Worker) lease(ctx context.Context, renew []ShardRef) (*Lease, error) {
 // one core.Campaign.Run on it. The arenas claim the unsettled sites of the
 // shards the worker holds, starting with lease's; an arena that finds
 // none left leases the next shard while the others finish their sites,
-// and a lease for another spec or an idle poll ends the stream. Each
+// and a lease for another spec, a lease whose content key the local
+// build does not reproduce, or an idle poll ends the stream. Each
 // shard posts its verdicts through its own poster, which flushes when the
 // shard's last verdict settles without pausing simulation; RunLease
 // returns once every poster is done.
 // It returns the lease for another spec that ended the stream (nil when
-// an idle poll or a failed lease call did) and the stream's first error:
+// an idle poll, a failed lease call or a refused key did) and the
+// stream's first error:
 // a failed shard's or the failed lease call's. Each failed shard counts
 // in worker_shard_errors_total.
 func (w *Worker) RunLease(ctx context.Context, lease Lease) (*Lease, error) {
@@ -267,13 +269,15 @@ func (s *stream) claim() (int, bool) {
 // feed queues the unsettled sites of l's shard that the stream does not
 // hold yet (a shard whose lease expired under this worker can come back
 // to it) and starts the shard's poster. A lease whose key is not the
-// local build's fails the shard: the worker would simulate another
-// campaign than the job's (the key covers the universe size too).
+// local build's fails the shard and ends the stream: the worker would
+// simulate another campaign than the job's (the key covers the universe
+// size too), and every other shard of the job would fail the same way.
 // Caller holds s.mu.
 func (s *stream) feed(l Lease) {
 	if l.Key != s.key {
 		s.fail(fmt.Errorf("serve: worker: lease %s/%s: content key %q does not match the local build's %s",
 			l.Job, l.Shard, l.Key, s.key))
+		s.ended = true
 		return
 	}
 	n := len(s.c.Sites)
