@@ -472,9 +472,10 @@ var replaySpec = serve.Spec{Routine: "forwarding", Strategy: "plain", BitStep: 8
 // BenchmarkSoCNew measures SoC construction, the layer every golden
 // recording, capture and worker arena starts with: soc.New of the replay
 // configuration (empty memories, nothing loaded) and soc.NewFromImage
-// over the image a campaign's capture seals (shared flash, copied
-// baselines). Read B/op beside ns/op: construction time is mostly the
-// zeroing and copying of the memories it allocates.
+// over the image a campaign's capture seals (shared flash and baseline
+// pages). Read B/op beside ns/op: the memories allocate their pages on
+// first write, so construction allocates the page tables, the caches and
+// the wiring.
 func BenchmarkSoCNew(b *testing.B) {
 	c, err := replaySpec.Build()
 	if err != nil {
@@ -525,22 +526,37 @@ func BenchmarkSpecBuild(b *testing.B) {
 	}
 }
 
-// TestSoCNewAllocation pins what one soc.New of the replay configuration
-// allocates below 512 KiB: the 256 KiB SRAM and six 16 KiB TCMs, but not
-// a 1 MiB flash, which backs only the range its programs are loaded into.
+// TestSoCNewAllocation pins what one soc.New of the replay configuration,
+// and one soc.NewFromImage over the image its campaign's capture seals,
+// allocate below 64 KiB: neither the 1 MiB flash, which backs only the
+// ranges its programs are loaded into, nor the 256 KiB SRAM and six
+// 16 KiB TCMs, whose pages are allocated on their first write.
 func TestSoCNewAllocation(t *testing.T) {
 	c, err := replaySpec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range n {
-		soc.New(c.Cfg)
+	a, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Reference: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 512<<10 {
-		t.Errorf("soc.New allocates %d B, want under %d", per, 512<<10)
+	img := a.SoC().Image()
+	for _, build := range []struct {
+		name string
+		new  func() *soc.SoC
+	}{
+		{"soc.New", func() *soc.SoC { return soc.New(c.Cfg) }},
+		{"soc.NewFromImage", func() *soc.SoC { return soc.NewFromImage(c.Cfg, img) }},
+	} {
+		const n = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			build.new()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+			t.Errorf("%s allocates %d B, want under %d", build.name, per, 64<<10)
+		}
 	}
 }

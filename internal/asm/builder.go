@@ -3,6 +3,7 @@ package asm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/isa"
@@ -28,11 +29,11 @@ const (
 )
 
 type item struct {
-	kind  itemKind
-	inst  isa.Inst
-	word  uint32
-	align int    // for itemAlign: byte boundary
-	org   uint32 // for itemOrg: absolute target address
+	kind itemKind
+	inst isa.Inst
+	// arg is the data word of an itemWord, the byte boundary of an
+	// itemAlign and the absolute target address of an itemOrg.
+	arg uint32
 
 	// Label fixups, applied at assembly time.
 	immLabel string // branch/jump target or absolute-address label
@@ -53,6 +54,16 @@ func NewBuilder() *Builder {
 	return &Builder{labels: make(map[string]int)}
 }
 
+// Reset empties the builder for another program, keeping the space it
+// has grown so far. Programs it assembled before stay valid: they share
+// nothing with the builder.
+func (b *Builder) Reset() {
+	b.items = b.items[:0]
+	clear(b.labels)
+	b.errs = nil
+	b.nAuto = 0
+}
+
 // Label defines a label at the current position. Defining the same label
 // twice records an error reported by Assemble.
 func (b *Builder) Label(name string) {
@@ -66,14 +77,14 @@ func (b *Builder) Label(name string) {
 // AutoLabel returns a fresh label name unique within this builder.
 func (b *Builder) AutoLabel(prefix string) string {
 	b.nAuto++
-	return fmt.Sprintf(".%s%d", prefix, b.nAuto)
+	return "." + prefix + strconv.Itoa(b.nAuto)
 }
 
 // Emit appends a fully-formed instruction.
 func (b *Builder) Emit(i isa.Inst) { b.items = append(b.items, item{kind: itemInst, inst: i}) }
 
 // Word appends a raw 32-bit data word at the current position.
-func (b *Builder) Word(w uint32) { b.items = append(b.items, item{kind: itemWord, word: w}) }
+func (b *Builder) Word(w uint32) { b.items = append(b.items, item{kind: itemWord, arg: w}) }
 
 // Align pads with NOPs (encoded, so the padding is executable) until the
 // current position is a multiple of n bytes. n must be a power of two and a
@@ -83,7 +94,7 @@ func (b *Builder) Align(n int) {
 		b.errs = append(b.errs, fmt.Errorf("asm: bad alignment %d", n))
 		return
 	}
-	b.items = append(b.items, item{kind: itemAlign, align: n})
+	b.items = append(b.items, item{kind: itemAlign, arg: uint32(n)})
 }
 
 // Space reserves n bytes of zero-initialised data (n must be a multiple of
@@ -101,7 +112,7 @@ func (b *Builder) Space(n int) {
 // Org pads with NOPs up to absolute address addr; assembly fails if the
 // program has already passed it.
 func (b *Builder) Org(addr uint32) {
-	b.items = append(b.items, item{kind: itemOrg, org: addr})
+	b.items = append(b.items, item{kind: itemOrg, arg: addr})
 }
 
 // Convenience emitters. They keep generator code close to assembly text.
@@ -258,14 +269,14 @@ func (b *Builder) Assemble(base uint32) (*Program, error) {
 		addrOf[idx] = pc // for align/org items: address where padding starts
 		switch it.kind {
 		case itemAlign:
-			for pc%uint32(it.align) != 0 {
+			for pc%it.arg != 0 {
 				pc += uint32(isa.InstBytes)
 			}
 		case itemOrg:
-			if it.org < pc || it.org%uint32(isa.InstBytes) != 0 {
-				return nil, fmt.Errorf("asm: .org %#x behind current address %#x or misaligned", it.org, pc)
+			if it.arg < pc || it.arg%uint32(isa.InstBytes) != 0 {
+				return nil, fmt.Errorf("asm: .org %#x behind current address %#x or misaligned", it.arg, pc)
 			}
-			pc = it.org
+			pc = it.arg
 		default:
 			pc += uint32(isa.InstBytes)
 		}
@@ -285,15 +296,15 @@ func (b *Builder) Assemble(base uint32) (*Program, error) {
 	for idx, it := range b.items {
 		switch it.kind {
 		case itemAlign:
-			for a := addrOf[idx]; a%uint32(it.align) != 0; a += uint32(isa.InstBytes) {
+			for a := addrOf[idx]; a%it.arg != 0; a += uint32(isa.InstBytes) {
 				words = append(words, nopWord)
 			}
 		case itemOrg:
-			for a := addrOf[idx]; a < it.org; a += uint32(isa.InstBytes) {
+			for a := addrOf[idx]; a < it.arg; a += uint32(isa.InstBytes) {
 				words = append(words, nopWord)
 			}
 		case itemWord:
-			words = append(words, it.word)
+			words = append(words, it.arg)
 		case itemInst:
 			inst := it.inst
 			if it.immMode != fixNone {

@@ -19,9 +19,12 @@ import (
 // as reset + plane-swap instead of soc.New + reassemble + reload. An arena
 // holds only one worker's state: its SoC, the divergence monitor and its
 // counters; everything its Run call's arenas share is in the capture. A
-// run, Reset and Start included, allocates nothing
-// (TestArenaRunAllocationFree, TestResetStartAllocationFree,
-// TestTCMClientAllocationFree).
+// run, Reset and Start included, allocates only when its SoC writes a
+// memory page for the first time: the page, copied from the sealed
+// image's baseline or zeroed, then stays the SoC's own, so once every
+// page the sites write has been written, runs allocate nothing
+// (TestArenaFirstTouchAllocation, TestArenaRunAllocationFree,
+// TestResetStartAllocationFree, TestTCMClientAllocationFree).
 //
 // An Arena additionally supports early exit on observable divergence: the
 // golden capture holds the golden run's observable trace (every data-side

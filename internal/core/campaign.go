@@ -67,11 +67,10 @@ func Record(cfg soc.Config, jobs [soc.NumCores]*CoreJob, underTest int, sites []
 		return nil, fmt.Errorf("no job on core under test %d", underTest)
 	}
 	var progs [soc.NumCores]*asm.Program
-	prog, err := buildProgram(jobs[underTest])
-	if err != nil {
-		return nil, fmt.Errorf("golden run: core%d: %w", underTest, err)
+	if err := assembleJobs(jobs, &progs); err != nil {
+		return nil, fmt.Errorf("golden run: %w", err)
 	}
-	progs[underTest] = prog
+	prog := progs[underTest]
 	var rec *bus.Recorder
 	results, _, err := runJobs(cfg, jobs, progs, maxGoldenCycles, func(s *soc.SoC) {
 		rec = s.AttachRecorder(underTest)

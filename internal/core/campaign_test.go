@@ -2,6 +2,8 @@ package core
 
 import (
 	"crypto/sha256"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,16 +173,16 @@ func TestCampaignConcurrentRuns(t *testing.T) {
 }
 
 // imageSum hashes a shared image: the whole flash and every sealed
-// baseline.
+// baseline's bytes.
 func imageSum(img *soc.Image) [sha256.Size]byte {
 	h := sha256.New()
 	flash := make([]byte, img.Flash.Size())
 	img.Flash.Read(0, flash)
 	h.Write(flash)
-	h.Write(img.SRAM)
+	h.Write(img.SRAM.Bytes())
 	for _, tcm := range img.TCM {
-		h.Write(tcm[0])
-		h.Write(tcm[1])
+		h.Write(tcm[0].Bytes())
+		h.Write(tcm[1].Bytes())
 	}
 	var sum [sha256.Size]byte
 	copy(sum[:], h.Sum(nil))
@@ -243,6 +245,95 @@ func TestSharedImageSurvivesWildStores(t *testing.T) {
 		if got := imageSum(img); got != want {
 			t.Fatalf("reference=%v: shared image hash %x after the campaign, pristine %x", ref, got, want)
 		}
+	}
+}
+
+// TestArenaFirstTouchAllocation pins the allocation contract of a reused
+// arena: its runs allocate only when its SoC writes a memory page for the
+// first time. One arena of a Run call, a clone over the capture's image,
+// serves the wild sites (stores into flash, SRAM and TCM) and a campaign
+// slice twice, in both engine modes, and the second pass makes no heap
+// allocation at all. runtime.MemStats.Mallocs counts each one, where
+// testing.AllocsPerRun would divide a few first-touch pages over many
+// runs down to zero.
+func TestArenaFirstTouchAllocation(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
+	sites := append(append([]fault.Site(nil), wildSites...), campaignSites()...)
+	planes := make([]fault.Plane, len(sites))
+	for i, s := range sites {
+		planes[i] = fault.PlaneFor(s)
+	}
+	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: sites, Budget: budget}
+	for _, ref := range []bool{false, true} {
+		var iv int64
+		if !ref {
+			iv = checkpointInterval(budget)
+		}
+		a := callArenas(t, c, ArenaOptions{Reference: ref}, iv, sites, nil, 2)[1]
+		pass := func() {
+			for _, p := range planes {
+				a.Run(p)
+			}
+		}
+		pass()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("reference=%v: second pass over %d sites made %d heap allocations, want 0", ref, len(sites), n)
+		}
+	}
+}
+
+// TestArenasFirstWriteSharedBaselinePage pins copy-on-write over a shared
+// image: the arenas of one Run call write the same sealed SRAM baseline
+// page, the one holding the routine's pattern table, for the first time
+// and at once, each copying it into a page of its own. Under the race
+// detector (CI runs this ten times) a write to the shared page would
+// race; every arena must also return the golden verdict and leave the
+// image's hash as it was.
+func TestArenasFirstWriteSharedBaselinePage(t *testing.T) {
+	replayCfg, job, budget := arenaEnv(t, 1, Plain{})
+	c := &Campaign{Cfg: replayCfg, Core: 0, Job: job, Sites: campaignSites(), Budget: budget}
+	arenas := callArenas(t, c, ArenaOptions{}, checkpointInterval(budget), c.Sites, nil, 4)
+	g := arenas[0].gold
+	want := imageSum(g.img)
+
+	// The golden run stores into a page the baseline holds.
+	base := g.img.SRAM.Bytes()
+	shared := false
+	for _, e := range g.trace {
+		if e.addr >= mem.SRAMBase && e.addr < mem.SRAMBase+mem.SRAMSize {
+			pg := (e.addr - mem.SRAMBase) &^ (4<<10 - 1)
+			shared = shared || slices.ContainsFunc(base[pg:pg+4<<10], func(b byte) bool { return b != 0 })
+		}
+	}
+	if !shared {
+		t.Fatal("the golden run stores into no SRAM baseline page; the test needs one")
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	sigs := make([]uint32, len(arenas))
+	oks := make([]bool, len(arenas))
+	for w, a := range arenas[1:] { // the clones: none has written a page yet
+		wg.Add(1)
+		go func(w int, a *Arena) {
+			defer wg.Done()
+			<-start
+			sigs[w], oks[w] = a.Run(fault.None)
+		}(w, a)
+	}
+	close(start)
+	wg.Wait()
+	for w := range arenas[1:] {
+		if sigs[w] != g.res.Signature || !oks[w] {
+			t.Errorf("clone %d: golden %08x/%v, capture %08x/%v", w+1, sigs[w], oks[w], g.res.Signature, g.ok)
+		}
+	}
+	if got := imageSum(g.img); got != want {
+		t.Errorf("shared image hash %x after the clones' first writes, %x before", got, want)
 	}
 }
 

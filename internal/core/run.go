@@ -63,10 +63,13 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 }
 
 // runJobs is RunJobsSetup with progs[id], where non-nil, as job id's
-// program already assembled, so Record assembles the program under test
-// once for its golden run and its fingerprint.
+// program already assembled, so Record assembles each program once for
+// its golden run and its fingerprint.
 func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*asm.Program, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
 	var results [soc.NumCores]*RunResult
+	if err := assembleJobs(jobs, &progs); err != nil {
+		return results, nil, err
+	}
 	for id, job := range jobs {
 		cfg.Cores[id].Active = job != nil
 	}
@@ -74,29 +77,20 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*a
 	if setup != nil {
 		setup(s)
 	}
-	var entries [soc.NumCores]uint32
 	for id, job := range jobs {
 		if job == nil {
 			continue
 		}
-		prog := progs[id]
-		if prog == nil {
-			var err error
-			if prog, err = buildProgram(job); err != nil {
-				return results, nil, fmt.Errorf("core%d: %w", id, err)
-			}
-		}
-		if err := s.Load(prog); err != nil {
+		if err := s.Load(progs[id]); err != nil {
 			return results, nil, fmt.Errorf("core%d: %w", id, err)
 		}
 		for _, r := range job.routines() {
 			loadRoutineData(s, r)
 		}
-		entries[id] = prog.Base
 	}
 	for id, job := range jobs {
 		if job != nil {
-			s.Start(id, entries[id])
+			s.Start(id, progs[id].Base)
 		}
 	}
 	res := s.Run(maxCycles)
@@ -139,8 +133,31 @@ func RunSingle(cfg soc.Config, id int, job *CoreJob, maxCycles int64) (*RunResul
 	return results[id], s, nil
 }
 
-func buildProgram(job *CoreJob) (*asm.Program, error) {
-	b := asm.NewBuilder()
+func buildProgram(job *CoreJob) (*asm.Program, error) { return assemble(asm.NewBuilder(), job) }
+
+// assembleJobs assembles the program of every job that progs does not
+// hold one for yet, all through one builder.
+func assembleJobs(jobs [soc.NumCores]*CoreJob, progs *[soc.NumCores]*asm.Program) error {
+	var b *asm.Builder
+	for id, job := range jobs {
+		if job == nil || progs[id] != nil {
+			continue
+		}
+		if b == nil {
+			b = asm.NewBuilder()
+		}
+		prog, err := assemble(b, job)
+		if err != nil {
+			return fmt.Errorf("core%d: %w", id, err)
+		}
+		progs[id] = prog
+	}
+	return nil
+}
+
+// assemble emits job's program into b, emptied first, and assembles it.
+func assemble(b *asm.Builder, job *CoreJob) (*asm.Program, error) {
+	b.Reset()
 	for pad := uint32(0); pad < job.AlignPad; pad += isa.InstBytes {
 		b.Nop()
 	}

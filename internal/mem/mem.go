@@ -46,19 +46,35 @@ type Device interface {
 	AccessCycles(off uint32, n int) int
 }
 
-// dirtyPageBits is the log2 of the dirty-tracking page size: writable
-// memories remember which 4 KiB pages a run has touched, so restoring
-// between fault runs copies only the touched pages instead of the whole
-// device (a run typically dirties a few data pages of the 256 KiB SRAM).
-const dirtyPageBits = 12
+// pageBits is the log2 of the RAM page size. A RAM keeps its contents in
+// pages of this size and remembers which of them a run has written, so
+// rewinding between fault runs copies only those pages instead of the
+// whole device (a run typically writes a few data pages of the 256 KiB
+// SRAM).
+const pageBits = 12
+
+const (
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// page is one page of RAM contents.
+type page [pageSize]byte
+
+// zeroPage is what a page that holds no baseline reads as until it is
+// written. Nothing writes it.
+var zeroPage page
+
+// pageTable maps a RAM's page numbers to pages. Every access reads it, so
+// it owns its host cache lines.
+type pageTable []*page
 
 // dirtyMap tracks written pages of a byte-addressed device. Every store
 // writes it, so it is per-cycle state and owns its host cache lines.
 type dirtyMap []uint64
 
-func newDirtyMap(size uint32) dirtyMap {
-	pages := (size + (1 << dirtyPageBits) - 1) >> dirtyPageBits
-	return WholeLines[uint64](int(pages+63) / 64)
+func newDirtyMap(pages int) dirtyMap {
+	return WholeLines[uint64]((pages + 63) / 64)
 }
 
 // hostLine is the host cache line size the simulator's per-cycle state is
@@ -79,53 +95,21 @@ func WholeLines[T any](n int) []T {
 	return make([]T, n, c)
 }
 
-func (d dirtyMap) mark(off uint32, n int) {
-	first := off >> dirtyPageBits
-	last := (off + uint32(n) - 1) >> dirtyPageBits
-	for p := first; p <= last; p++ {
-		d[p/64] |= 1 << (p % 64)
-	}
-}
+func (d dirtyMap) set(p uint32) { d[p/64] |= 1 << (p % 64) }
 
-// sweep calls fn for every dirty page's byte range and clears the map.
-func (d dirtyMap) sweep(size uint32, fn func(lo, hi uint32)) {
-	for w := range d {
-		m := d[w]
-		d[w] = 0
+// each calls fn for every dirty page, in ascending order.
+func (d dirtyMap) each(fn func(p uint32)) {
+	for w, m := range d {
 		for m != 0 {
-			p := uint32(w*64 + bits.TrailingZeros64(m))
+			fn(uint32(w*64 + bits.TrailingZeros64(m)))
 			m &= m - 1
-			lo := p << dirtyPageBits
-			hi := lo + 1<<dirtyPageBits
-			if hi > size {
-				hi = size
-			}
-			fn(lo, hi)
-		}
-	}
-}
-
-// pages calls fn for every dirty page's byte range without clearing the
-// map (non-destructive counterpart of sweep, used for delta capture).
-func (d dirtyMap) pages(size uint32, fn func(lo, hi uint32)) {
-	for w := range d {
-		m := d[w]
-		for m != 0 {
-			p := uint32(w*64 + bits.TrailingZeros64(m))
-			m &= m - 1
-			lo := p << dirtyPageBits
-			hi := lo + 1<<dirtyPageBits
-			if hi > size {
-				hi = size
-			}
-			fn(lo, hi)
 		}
 	}
 }
 
 // PageDelta is the set of pages a run has written since the device's last
-// Reset/Restore sweep, with their contents — exactly the difference between
-// the current contents and the swept-to state, because sweeps are the only
+// Reset or Seal, with their contents — exactly the difference between the
+// current contents and the baseline, because Reset and Seal are the only
 // operations that clear the dirty map. Captured by RAM.CaptureDelta and
 // reapplied by RAM.ApplyDelta (checkpoint machinery).
 type PageDelta struct {
@@ -136,80 +120,183 @@ type PageDelta struct {
 
 // RAM is simple SRAM with uniform latency; a core-private TCM is a RAM
 // with single-cycle latency (see NewTCM).
+//
+// A RAM keeps its contents in 4 KiB pages, allocated on each page's first
+// write. Until then a page reads from the RAM's baseline (see Seal and
+// NewRAMFrom), whose pages every RAM built from it shares read-only, or
+// as zeros. A written page stays the RAM's own: Reset copies the baseline
+// back into it, so a reused RAM's runs allocate only when they write a
+// page for the first time.
 type RAM struct {
-	data    []byte
+	rd      pageTable // every page: the RAM's own if written, else the baseline's or zeroPage
+	wr      pageTable // the RAM's own pages, nil until first written
+	base    *Baseline // what Reset rewinds to; nil for zeros
 	dirty   dirtyMap
+	size    uint32
 	latency int
 }
 
-// NewRAM returns a RAM of the given size and access latency in cycles.
-func NewRAM(size uint32, latency int) *RAM {
-	return &RAM{data: make([]byte, size), dirty: newDirtyMap(size), latency: latency}
+// Baseline is a RAM's sealed contents (see RAM.Seal). Nothing writes its
+// pages, so any number of RAMs, on any goroutines, may share them.
+type Baseline struct {
+	size  uint32
+	pages []*page // nil pages read as zeros
 }
 
-// NewRAMFrom returns a RAM of the given latency holding a copy of img, a
-// baseline image: every page counts as clean, as after Restore(img), so
-// img must be the image later Restore calls rewind to.
-func NewRAMFrom(img []byte, latency int) *RAM {
-	return &RAM{data: append([]byte(nil), img...), dirty: newDirtyMap(uint32(len(img))), latency: latency}
+// Bytes returns a copy of the baseline's contents.
+func (b *Baseline) Bytes() []byte {
+	out := make([]byte, b.size)
+	for p, pg := range b.pages {
+		if pg != nil {
+			copy(out[p<<pageBits:], pg[:])
+		}
+	}
+	return out
 }
 
-func (r *RAM) Size() uint32 { return uint32(len(r.data)) }
+// NewRAM returns a zeroed RAM of the given size and access latency in
+// cycles.
+func NewRAM(size uint32, latency int) *RAM { return newRAM(size, latency, nil) }
 
-func (r *RAM) Read(off uint32, dst []byte) { copy(dst, r.data[off:]) }
+// NewRAMFrom returns a RAM of the given latency that holds b: it reads as
+// b until written, and Reset rewinds it to b. It shares b's pages rather
+// than copying them.
+func NewRAMFrom(b *Baseline, latency int) *RAM { return newRAM(b.size, latency, b) }
 
+func newRAM(size uint32, latency int, b *Baseline) *RAM {
+	n := int(size+pageMask) >> pageBits
+	r := &RAM{
+		rd:      WholeLines[*page](n),
+		wr:      WholeLines[*page](n),
+		base:    b,
+		dirty:   newDirtyMap(n),
+		size:    size,
+		latency: latency,
+	}
+	for p := range r.rd {
+		r.rd[p] = &zeroPage
+		if pg := r.baseline(uint32(p)); pg != nil {
+			r.rd[p] = pg
+		}
+	}
+	return r
+}
+
+// baseline returns page p of the RAM's baseline, nil for zeros.
+func (r *RAM) baseline(p uint32) *page {
+	if r.base == nil {
+		return nil
+	}
+	return r.base.pages[p]
+}
+
+func (r *RAM) Size() uint32 { return r.size }
+
+// Read copies the bytes at off into dst; off+len(dst) must not pass
+// Size.
+func (r *RAM) Read(off uint32, dst []byte) {
+	if o := off & pageMask; int(o)+len(dst) <= pageSize {
+		copy(dst, r.rd[off>>pageBits][o:])
+		return
+	}
+	r.readAcross(off, dst)
+}
+
+// readAcross is Read for a range that crosses a page boundary.
+func (r *RAM) readAcross(off uint32, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, r.rd[off>>pageBits][off&pageMask:])
+		off, dst = off+uint32(n), dst[n:]
+	}
+}
+
+// Write stores src at off; off+len(src) must not pass Size.
 func (r *RAM) Write(off uint32, src []byte) {
-	if len(src) != 0 {
-		r.dirty.mark(off, len(src))
-		copy(r.data[off:], src)
+	p, o := off>>pageBits, off&pageMask
+	if w := r.wr[p]; w != nil && int(o)+len(src) <= pageSize {
+		r.dirty.set(p)
+		copy(w[o:], src)
+		return
+	}
+	r.writeSlow(off, src)
+}
+
+// writeSlow is Write for a range that crosses a page boundary or reaches
+// a page the RAM has not written yet, which it first copies from the
+// baseline.
+func (r *RAM) writeSlow(off uint32, src []byte) {
+	for len(src) > 0 {
+		p := off >> pageBits
+		w := r.wr[p]
+		if w == nil {
+			w = new(page)
+			if b := r.baseline(p); b != nil {
+				*w = *b
+			}
+			r.wr[p], r.rd[p] = w, w
+		}
+		r.dirty.set(p)
+		n := copy(w[off&pageMask:], src)
+		off, src = off+uint32(n), src[n:]
 	}
 }
 
 func (r *RAM) AccessCycles(uint32, int) int { return r.latency }
 
-// Snapshot returns a copy of the RAM contents (baseline capture for
-// reusable-simulator resets).
-func (r *RAM) Snapshot() []byte { return append([]byte(nil), r.data...) }
-
-// Restore rewinds the RAM contents to a snapshot taken from a RAM of the
-// same size, copying only the pages written since the previous
-// Restore/Reset (writes before the snapshot was taken are content no-ops).
-func (r *RAM) Restore(img []byte) {
-	if len(img) != len(r.data) {
-		panic(fmt.Sprintf("mem: RAM restore size %d != %d", len(img), len(r.data)))
+// Seal freezes the RAM's contents as its baseline and returns it: Reset
+// rewinds to it from then on, and NewRAMFrom builds RAMs that share it.
+// The pages written since the last Reset or Seal become the baseline's
+// and are never written again; the RAM's next write to one copies it
+// into a page of its own first.
+func (r *RAM) Seal() *Baseline {
+	b := &Baseline{size: r.size, pages: make([]*page, len(r.rd))}
+	if r.base != nil {
+		copy(b.pages, r.base.pages)
 	}
-	r.dirty.sweep(r.Size(), func(lo, hi uint32) { copy(r.data[lo:hi], img[lo:hi]) })
+	r.dirty.each(func(p uint32) {
+		b.pages[p], r.wr[p] = r.wr[p], nil
+	})
+	clear(r.dirty)
+	r.base = b
+	return b
 }
 
-// Reset clears the RAM to power-on state (all zeros), sweeping only the
-// pages written since the previous Restore/Reset.
+// Reset rewinds the RAM to its baseline, or to zeros when it has none,
+// copying only the pages written since the previous Reset or Seal.
 func (r *RAM) Reset() {
-	r.dirty.sweep(r.Size(), func(lo, hi uint32) { clear(r.data[lo:hi]) })
+	r.dirty.each(func(p uint32) {
+		if b := r.baseline(p); b != nil {
+			*r.wr[p] = *b
+		} else {
+			clear(r.wr[p][:])
+		}
+	})
+	clear(r.dirty)
 }
 
-// CaptureDelta snapshots the pages written since the last Restore/Reset
-// sweep without disturbing the dirty map (the run keeps going after the
-// snapshot); ApplyDelta on a RAM in the swept-to state reproduces the
-// captured contents exactly.
+// CaptureDelta snapshots the pages written since the last Reset or Seal
+// without disturbing the dirty map (the run keeps going after the
+// snapshot); ApplyDelta on a RAM just Reset to the same baseline
+// reproduces the captured contents exactly.
 func (r *RAM) CaptureDelta() *PageDelta {
 	d := &PageDelta{}
-	r.dirty.pages(r.Size(), func(lo, hi uint32) {
+	r.dirty.each(func(p uint32) {
+		lo := p << pageBits
+		hi := min(lo+pageSize, r.size)
 		d.offs = append(d.offs, lo)
 		d.ends = append(d.ends, hi)
-		d.data = append(d.data, r.data[lo:hi]...)
+		d.data = append(d.data, r.wr[p][:hi-lo]...)
 	})
 	return d
 }
 
 // ApplyDelta overlays a captured page delta, marking the pages dirty so the
-// next sweep rewinds them.
+// next Reset rewinds them.
 func (r *RAM) ApplyDelta(d *PageDelta) {
 	pos := 0
 	for i, lo := range d.offs {
-		hi := d.ends[i]
-		n := int(hi - lo)
-		copy(r.data[lo:hi], d.data[pos:pos+n])
-		r.dirty.mark(lo, n)
+		n := int(d.ends[i] - lo)
+		r.Write(lo, d.data[pos:pos+n])
 		pos += n
 	}
 }
@@ -219,18 +306,28 @@ func (r *RAM) ApplyDelta(d *PageDelta) {
 // slightly, which is one reason the paper's "code position in memory"
 // scenario knob affects timing.
 //
-// The flash keeps backing bytes only for the range its programs were
-// loaded into, rounded out to whole host cache lines; every other offset
-// below Size reads as zeros, as unprogrammed flash would. A campaign's
-// programs take a few KiB of the 1 MiB device, and every SoC build would
-// otherwise allocate and zero all of it.
+// The flash keeps backing bytes only for the ranges its programs were
+// loaded into, each rounded out to whole host cache lines; every other
+// offset below Size reads as zeros, as unprogrammed flash would. A
+// campaign's programs take a few KiB of the 1 MiB device, and every SoC
+// build would otherwise allocate and zero all of it. Each program gets a
+// backing array of its own, allocated once, unless it overlaps one
+// already loaded.
 type Flash struct {
 	size     uint32
-	base     uint32 // offset of data[0]: the programmed range is [base, base+len(data))
-	data     []byte
+	progs    []flashRange // the programmed ranges, disjoint
 	bankSize uint32
 	lat      []int
 }
+
+// flashRange is a programmed range of the flash: its bytes start at
+// offset base.
+type flashRange struct {
+	base uint32
+	data []byte
+}
+
+func (r *flashRange) end() uint32 { return r.base + uint32(len(r.data)) }
 
 // NewFlash creates a flash of the given size split into equal banks; lat[i]
 // is the access latency of bank i and must be non-empty.
@@ -251,21 +348,29 @@ func NewFlash(size uint32, bankLatencies []int) *Flash {
 func (f *Flash) Size() uint32 { return f.size }
 
 // Read copies the flash bytes at off into dst, as far as the device
-// reaches: outside the programmed range they are zeros.
+// reaches: outside the programmed ranges they are zeros.
 func (f *Flash) Read(off uint32, dst []byte) {
+	end := off + uint32(len(dst))
+	for i := range f.progs {
+		if r := &f.progs[i]; off >= r.base && end <= r.end() {
+			copy(dst, r.data[off-r.base:])
+			return
+		}
+	}
+	f.readAcross(off, dst)
+}
+
+// readAcross is Read for a range no programmed range holds whole.
+func (f *Flash) readAcross(off uint32, dst []byte) {
 	if rest := f.size - off; uint32(len(dst)) > rest {
 		dst = dst[:rest]
 	}
-	end := off + uint32(len(dst))
-	lo, hi := f.base, f.base+uint32(len(f.data))
-	if off >= lo && end <= hi {
-		copy(dst, f.data[off-lo:])
-		return
-	}
 	clear(dst)
-	if off < hi && end > lo {
-		from, to := max(off, lo), min(end, hi)
-		copy(dst[from-off:to-off], f.data[from-lo:])
+	end := off + uint32(len(dst))
+	for _, r := range f.progs {
+		if lo, hi := max(off, r.base), min(end, r.end()); lo < hi {
+			copy(dst[lo-off:hi-off], r.data[lo-r.base:])
+		}
 	}
 }
 
@@ -282,7 +387,7 @@ func (f *Flash) AccessCycles(off uint32, _ int) int {
 }
 
 // LoadWords programs the flash image at the given offset (loader path, not
-// a bus access), widening the programmed range to cover it.
+// a bus access).
 func (f *Flash) LoadWords(off uint32, words []uint32) error {
 	end := uint64(off) + uint64(len(words))*4
 	if end > uint64(f.size) {
@@ -291,30 +396,41 @@ func (f *Flash) LoadWords(off uint32, words []uint32) error {
 	if len(words) == 0 {
 		return nil
 	}
-	f.cover(off, uint32(end))
+	r := f.cover(off, uint32(end))
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(f.data[off-f.base+uint32(i)*4:], w)
+		binary.LittleEndian.PutUint32(r.data[off-r.base+uint32(i)*4:], w)
 	}
 	return nil
 }
 
-// cover widens the programmed range to include [lo, hi), rounded out to
-// whole host lines within the device, keeping the bytes already loaded.
-func (f *Flash) cover(lo, hi uint32) {
+// cover returns the programmed range that holds [lo, hi). When none does,
+// it adds one, rounded out to whole host lines within the device, that
+// takes in every range it overlaps with the bytes already loaded there.
+func (f *Flash) cover(lo, hi uint32) *flashRange {
+	for i := range f.progs {
+		if r := &f.progs[i]; lo >= r.base && hi <= r.end() {
+			return r
+		}
+	}
 	lo = lo &^ (hostLine - 1)
 	hi = min(f.size, (hi+hostLine-1)&^(hostLine-1))
-	if len(f.data) != 0 {
-		end := f.base + uint32(len(f.data))
-		if lo >= f.base && hi <= end {
-			return
+	overlaps := func(r flashRange) bool { return r.base < hi && lo < r.end() }
+	for _, r := range f.progs {
+		if overlaps(r) {
+			lo, hi = min(lo, r.base), max(hi, r.end())
 		}
-		lo, hi = min(lo, f.base), max(hi, end)
 	}
-	data := make([]byte, hi-lo)
-	if len(f.data) != 0 {
-		copy(data[f.base-lo:], f.data)
+	merged := flashRange{base: lo, data: make([]byte, hi-lo)}
+	keep := f.progs[:0]
+	for _, r := range f.progs {
+		if overlaps(r) {
+			copy(merged.data[r.base-lo:], r.data)
+		} else {
+			keep = append(keep, r)
+		}
 	}
-	f.base, f.data = lo, data
+	f.progs = append(keep, merged)
+	return &f.progs[len(f.progs)-1]
 }
 
 // NewTCM returns a single-cycle tightly-coupled memory of the given size,

@@ -153,8 +153,10 @@ func TestFlashBankLatencyFullRange(t *testing.T) {
 	}
 }
 
-// TestFlashLoadRanges loads past the device end, which is refused, and
-// then a second program below the first one, which keeps both.
+// TestFlashLoadRanges loads past the device end, which is refused, then
+// a second program below the first one, which keeps both, then one inside
+// the first program's range and one overlapping its start, which merge
+// with it.
 func TestFlashLoadRanges(t *testing.T) {
 	f := NewFlash(FlashSize, []int{8, 9, 10, 9})
 	if err := f.LoadWords(FlashSize-4, []uint32{1, 2}); err == nil {
@@ -169,9 +171,16 @@ func TestFlashLoadRanges(t *testing.T) {
 	if err := f.LoadWords(0x1000, []uint32{0xcccc}); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.LoadWords(0x2_100c, []uint32{0xdddd}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LoadWords(0x2_0ff8, []uint32{0xeeee, 0xffff, 0x1111}); err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []struct{ off, v uint32 }{
-		{0x2_1000, 0xaaaa}, {0x2_1004, 0xbbbb}, {0x1000, 0xcccc},
-		{0x1004, 0}, {0x1_1000, 0}, {0x2_1008, 0}, {0xffc, 0},
+		{0x2_0ff8, 0xeeee}, {0x2_0ffc, 0xffff}, {0x2_1000, 0x1111}, {0x2_1004, 0xbbbb},
+		{0x2_100c, 0xdddd}, {0x1000, 0xcccc}, {0x1004, 0}, {0x1_1000, 0}, {0x2_1008, 0},
+		{0x2_0ff4, 0}, {0xffc, 0},
 	} {
 		if got := ReadWord(f, w.off); got != w.v {
 			t.Errorf("word at %#x = %#x, want %#x", w.off, got, w.v)

@@ -17,8 +17,8 @@ const hostLine = 64
 // TestHotStateOwnsCacheLines pins the layout of the state a SoC writes
 // every cycle: every object of the types below, the bus's per-master
 // request and statistics arrays, each cache's ways and line data, and
-// each memory's dirty-page map, starts on a 64-byte line and spans whole
-// lines, so no other object shares a line with it. Two arenas stepped on
+// each memory's page tables and dirty-page map, starts on a 64-byte line
+// and spans whole lines, so no other object shares a line with it. Two arenas stepped on
 // two CPUs otherwise slow each other down through lines they share,
 // depending only on the order their objects were allocated in.
 func TestHotStateOwnsCacheLines(t *testing.T) {
@@ -29,7 +29,7 @@ func TestHotStateOwnsCacheLines(t *testing.T) {
 	} {
 		owners[reflect.TypeOf(v)] = true
 	}
-	arrays := map[string]bool{"[]bus.Stats": true, "[]bus.request": true, "[]cache.line": true, "mem.dirtyMap": true}
+	arrays := map[string]bool{"[]bus.Stats": true, "[]bus.request": true, "[]cache.line": true, "mem.pageTable": true, "mem.dirtyMap": true}
 	found := map[string]int{}
 	check := func(what string, addr, size uintptr) {
 		found[what]++

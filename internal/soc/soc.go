@@ -106,16 +106,18 @@ type SoC struct {
 // Image is a loaded SoC's read-only memory content: the flash with its
 // programs and the sealed SRAM and TCM baselines Reset restores. Nothing
 // writes an Image once SealBaseline has taken it — the bus cannot write
-// flash (mem.Flash.Write ignores stores) and Reset and Restore only copy
-// from the baselines — so any number of SoCs, stepped on any goroutines,
-// may share one (see NewFromImage).
+// flash (mem.Flash.Write ignores stores), and a RAM copies a baseline
+// page into a page of its own before its first write to it — so any
+// number of SoCs, stepped on any goroutines, may share one (see
+// NewFromImage). The baselines hold only the pages written before the
+// seal: the loaded pattern tables, a few KiB.
 type Image struct {
 	// Flash is the programmed code flash.
 	Flash *mem.Flash
 	// SRAM is the sealed SRAM baseline.
-	SRAM []byte
+	SRAM *mem.Baseline
 	// TCM is each core's sealed ITCM and DTCM baseline, in that order.
-	TCM [NumCores][2][]byte
+	TCM [NumCores][2]*mem.Baseline
 }
 
 // Masters per core: instruction port then data port; replay masters at the
@@ -132,8 +134,8 @@ const (
 func New(cfg Config) *SoC { return build(cfg, nil) }
 
 // NewFromImage assembles an SoC over cfg that shares img read-only: the
-// flash is img's, the writable memories start as copies of img's baselines
-// and Reset restores those. The result runs exactly like the SoC img was
+// flash is img's, the writable memories read as img's baselines until
+// written, and Reset restores those. It copies no memory contents. The result runs exactly like the SoC img was
 // sealed on — built from the same cfg, with the same programs loaded —
 // after a Reset, without reassembling or reloading anything. cfg must be
 // the configuration that SoC was built with.
@@ -166,7 +168,7 @@ func build(cfg Config, img *Image) *SoC {
 	})
 	s := &SoC{Bus: b, Flash: flash, SRAM: sram, base: img}
 	for id := 0; id < NumCores; id++ {
-		var tcm [2][]byte
+		var tcm [2]*mem.Baseline
 		if img != nil {
 			tcm = img.TCM[id]
 		}
@@ -184,12 +186,12 @@ func build(cfg Config, img *Image) *SoC {
 
 // buildCore assembles core id's unit; tcm holds its ITCM and DTCM
 // baselines, or nils for zeroed TCMs.
-func buildCore(id int, setup CoreSetup, b *bus.Bus, tcm [2][]byte) *CoreUnit {
-	newTCM := func(img []byte) *mem.RAM {
-		if img == nil {
+func buildCore(id int, setup CoreSetup, b *bus.Bus, tcm [2]*mem.Baseline) *CoreUnit {
+	newTCM := func(base *mem.Baseline) *mem.RAM {
+		if base == nil {
 			return mem.NewTCM(mem.TCMSize)
 		}
-		return mem.NewRAMFrom(img, 1)
+		return mem.NewRAMFrom(base, 1)
 	}
 	u := &CoreUnit{
 		ITCM:  newTCM(tcm[0]),
@@ -295,13 +297,15 @@ func (s *SoC) listRunning() {
 // Cycle returns the global cycle count.
 func (s *SoC) Cycle() int64 { return s.cycle }
 
-// SealBaseline captures the current SRAM and TCM contents as the state
+// SealBaseline freezes the current SRAM and TCM contents as the state
 // Reset restores. Call it once after loading programs and pattern tables;
 // every later Reset rewinds the SoC to this point instead of power-on zero.
+// The pages written so far become the image's (mem.RAM.Seal), so sealing
+// copies nothing.
 func (s *SoC) SealBaseline() {
-	img := &Image{Flash: s.Flash, SRAM: s.SRAM.Snapshot()}
+	img := &Image{Flash: s.Flash, SRAM: s.SRAM.Seal()}
 	for id, u := range s.Cores {
-		img.TCM[id] = [2][]byte{u.ITCM.Snapshot(), u.DTCM.Snapshot()}
+		img.TCM[id] = [2]*mem.Baseline{u.ITCM.Seal(), u.DTCM.Seal()}
 	}
 	s.base = img
 }
@@ -324,19 +328,10 @@ func (s *SoC) Reset() {
 	for _, r := range s.replayers {
 		r.Reset()
 	}
-	if s.base != nil {
-		s.SRAM.Restore(s.base.SRAM)
-	} else {
-		s.SRAM.Reset()
-	}
-	for id, u := range s.Cores {
-		if s.base != nil {
-			u.ITCM.Restore(s.base.TCM[id][0])
-			u.DTCM.Restore(s.base.TCM[id][1])
-		} else {
-			u.ITCM.Reset()
-			u.DTCM.Reset()
-		}
+	s.SRAM.Reset()
+	for _, u := range s.Cores {
+		u.ITCM.Reset()
+		u.DTCM.Reset()
 		if u.ICache != nil {
 			u.ICache.Reset()
 		}
