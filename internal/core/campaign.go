@@ -66,18 +66,14 @@ func Record(cfg soc.Config, jobs [soc.NumCores]*CoreJob, underTest int, sites []
 	if underTest < 0 || underTest >= soc.NumCores || jobs[underTest] == nil {
 		return nil, fmt.Errorf("no job on core under test %d", underTest)
 	}
-	var progs [soc.NumCores]*asm.Program
-	if err := assembleJobs(jobs, &progs); err != nil {
-		return nil, fmt.Errorf("golden run: %w", err)
-	}
-	prog := progs[underTest]
 	var rec *bus.Recorder
-	results, _, err := runJobs(cfg, jobs, progs, maxGoldenCycles, func(s *soc.SoC) {
+	results, _, progs, err := runJobs(cfg, jobs, maxGoldenCycles, func(s *soc.SoC) {
 		rec = s.AttachRecorder(underTest)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)
 	}
+	prog := progs[underTest]
 	golden := results[underTest]
 	if !golden.OK {
 		return nil, fmt.Errorf("golden run failed on core %d", underTest)

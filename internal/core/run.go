@@ -59,16 +59,26 @@ func RunJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64) ([soc
 // cores start — the hook Record uses to attach the bus-traffic recorder
 // and the Figure 1 reproduction uses to attach a pipeline tracer.
 func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
-	return runJobs(cfg, jobs, [soc.NumCores]*asm.Program{}, maxCycles, setup)
+	results, s, _, err := runJobs(cfg, jobs, maxCycles, setup)
+	return results, s, err
 }
 
-// runJobs is RunJobsSetup with progs[id], where non-nil, as job id's
-// program already assembled, so Record assembles each program once for
-// its golden run and its fingerprint.
-func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*asm.Program, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, error) {
+// runJobs is RunJobsSetup that also returns the programs it loaded, which
+// it assembles through one builder, so Record fingerprints the program its
+// golden run ran without assembling it again.
+func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, [soc.NumCores]*asm.Program, error) {
 	var results [soc.NumCores]*RunResult
-	if err := assembleJobs(jobs, &progs); err != nil {
-		return results, nil, err
+	var progs [soc.NumCores]*asm.Program
+	b := asm.NewBuilder()
+	for id, job := range jobs {
+		if job == nil {
+			continue
+		}
+		prog, err := assemble(b, job)
+		if err != nil {
+			return results, nil, progs, fmt.Errorf("core%d: %w", id, err)
+		}
+		progs[id] = prog
 	}
 	for id, job := range jobs {
 		cfg.Cores[id].Active = job != nil
@@ -82,7 +92,7 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*a
 			continue
 		}
 		if err := s.Load(progs[id]); err != nil {
-			return results, nil, fmt.Errorf("core%d: %w", id, err)
+			return results, nil, progs, fmt.Errorf("core%d: %w", id, err)
 		}
 		for _, r := range job.routines() {
 			loadRoutineData(s, r)
@@ -102,7 +112,7 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, progs [soc.NumCores]*a
 		r := coreResult(u, u.Core.Done() && !res.TimedOut)
 		results[id] = &r
 	}
-	return results, s, nil
+	return results, s, progs, nil
 }
 
 // coreResult extracts core unit u's RunResult at the end of a run; done
@@ -134,26 +144,6 @@ func RunSingle(cfg soc.Config, id int, job *CoreJob, maxCycles int64) (*RunResul
 }
 
 func buildProgram(job *CoreJob) (*asm.Program, error) { return assemble(asm.NewBuilder(), job) }
-
-// assembleJobs assembles the program of every job that progs does not
-// hold one for yet, all through one builder.
-func assembleJobs(jobs [soc.NumCores]*CoreJob, progs *[soc.NumCores]*asm.Program) error {
-	var b *asm.Builder
-	for id, job := range jobs {
-		if job == nil || progs[id] != nil {
-			continue
-		}
-		if b == nil {
-			b = asm.NewBuilder()
-		}
-		prog, err := assemble(b, job)
-		if err != nil {
-			return fmt.Errorf("core%d: %w", id, err)
-		}
-		progs[id] = prog
-	}
-	return nil
-}
 
 // assemble emits job's program into b, emptied first, and assembles it.
 func assemble(b *asm.Builder, job *CoreJob) (*asm.Program, error) {

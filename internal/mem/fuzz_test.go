@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// ramOp is one operation of FuzzRAM's op stream.
+// The operations of FuzzRAM's op stream.
 const (
 	opWrite = iota
 	opRead

@@ -15,12 +15,13 @@ import (
 const hostLine = 64
 
 // TestHotStateOwnsCacheLines pins the layout of the state a SoC writes
-// every cycle: every object of the types below, the bus's per-master
-// request and statistics arrays, each cache's ways and line data, and
-// each memory's page tables and dirty-page map, starts on a 64-byte line
-// and spans whole lines, so no other object shares a line with it. Two arenas stepped on
-// two CPUs otherwise slow each other down through lines they share,
-// depending only on the order their objects were allocated in.
+// every cycle, and of the page tables every memory access reads: every
+// object of the types below, the bus's per-master request and statistics
+// arrays, each cache's ways and line data, and each memory's page tables
+// and dirty-page map, starts on a 64-byte line and spans whole lines, so
+// no other object shares a line with it. Two arenas stepped on two CPUs
+// otherwise slow each other down through lines they share, depending
+// only on the order their objects were allocated in.
 func TestHotStateOwnsCacheLines(t *testing.T) {
 	owners := map[reflect.Type]bool{}
 	for _, v := range []any{

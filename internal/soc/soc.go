@@ -135,10 +135,11 @@ func New(cfg Config) *SoC { return build(cfg, nil) }
 
 // NewFromImage assembles an SoC over cfg that shares img read-only: the
 // flash is img's, the writable memories read as img's baselines until
-// written, and Reset restores those. It copies no memory contents. The result runs exactly like the SoC img was
-// sealed on — built from the same cfg, with the same programs loaded —
-// after a Reset, without reassembling or reloading anything. cfg must be
-// the configuration that SoC was built with.
+// written, and Reset restores those; no memory contents are copied. The
+// result runs exactly like the SoC img was sealed on — built from the
+// same cfg, with the same programs loaded — after a Reset, without
+// reassembling or reloading anything. cfg must be the configuration that
+// SoC was built with.
 func NewFromImage(cfg Config, img *Image) *SoC { return build(cfg, img) }
 
 // build assembles an SoC, over img's memories when img is non-nil.
