@@ -528,9 +528,10 @@ func BenchmarkSpecBuild(b *testing.B) {
 
 // TestSoCNewAllocation pins what one soc.New of the replay configuration,
 // and one soc.NewFromImage over the image its campaign's capture seals,
-// allocate below 64 KiB: neither the 1 MiB flash, which backs only the
-// ranges its programs are loaded into, nor the 256 KiB SRAM and six
-// 16 KiB TCMs, whose pages are allocated on their first write.
+// allocate below 64 KiB: neither the 1 MiB flash, whose pages are
+// allocated when a program is first loaded into them, nor the 256 KiB
+// SRAM and six 16 KiB TCMs, whose pages are allocated on their first
+// write. Each memory allocates only its page table up front.
 func TestSoCNewAllocation(t *testing.T) {
 	c, err := replaySpec.Build()
 	if err != nil {

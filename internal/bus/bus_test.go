@@ -185,7 +185,11 @@ func TestRecorderAndReplayer(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Step()
 	}
-	ev := rec.Events()
+	logs := rec.EventsByMaster()
+	if len(logs) != 1 {
+		t.Fatalf("recorded %d masters, want 1", len(logs))
+	}
+	ev := logs[0]
 	if len(ev) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(ev))
 	}

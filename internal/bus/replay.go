@@ -19,55 +19,52 @@ type TrafficEvent struct {
 	N      int
 }
 
-// Recorder captures the requests submitted by a set of masters.
+// Recorder captures the requests submitted by a set of masters, one log
+// per master.
 type Recorder struct {
-	watch map[int]bool
-	log   []TrafficEvent
+	// at holds, for each master ID below its length, one more than the
+	// index of the master's log in logs, 0 for a watched master that has
+	// submitted nothing yet, and -1 for a master the recorder does not
+	// watch.
+	at   []int
+	logs [][]TrafficEvent // in the order the masters first submitted
 }
 
 // NewRecorder records transactions issued by the given master IDs.
 func NewRecorder(masters ...int) *Recorder {
-	w := make(map[int]bool, len(masters))
+	r := &Recorder{}
 	for _, m := range masters {
-		w[m] = true
-	}
-	return &Recorder{watch: w}
-}
-
-// Events returns the captured trace in submission order.
-func (r *Recorder) Events() []TrafficEvent { return r.log }
-
-// EventsByMaster splits the trace per originating master, preserving
-// order. Replaying each sub-trace on its own bus master reproduces the
-// original contention pattern (one shared port would serialise overlapping
-// requests and understate it).
-func (r *Recorder) EventsByMaster() [][]TrafficEvent {
-	byID := map[int][]TrafficEvent{}
-	var ids []int
-	for _, ev := range r.log {
-		if _, seen := byID[ev.Master]; !seen {
-			ids = append(ids, ev.Master)
+		for len(r.at) <= m {
+			r.at = append(r.at, -1)
 		}
-		byID[ev.Master] = append(byID[ev.Master], ev)
+		r.at[m] = 0
 	}
-	out := make([][]TrafficEvent, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, byID[id])
-	}
-	return out
+	return r
 }
+
+// EventsByMaster returns the trace of each master that submitted, in
+// submission order, the masters in the order they first submitted.
+// Replaying each sub-trace on its own bus master reproduces the original
+// contention pattern (one shared port would serialise overlapping
+// requests and understate it). The logs are the recorder's own, not
+// copies.
+func (r *Recorder) EventsByMaster() [][]TrafficEvent { return r.logs }
 
 // Attach installs the recorder on the bus. Only one recorder can be
 // attached at a time.
 func (b *Bus) Attach(r *Recorder) { b.recorder = r }
 
 func (b *Bus) record(id int, addr uint32, write bool, n int) {
-	if b.recorder == nil || !b.recorder.watch[id] {
+	r := b.recorder
+	if r == nil || id >= len(r.at) || r.at[id] < 0 {
 		return
 	}
-	b.recorder.log = append(b.recorder.log, TrafficEvent{
-		Cycle: b.cycle, Master: id, Addr: addr, Write: write, N: n,
-	})
+	if r.at[id] == 0 {
+		r.logs = append(r.logs, nil)
+		r.at[id] = len(r.logs)
+	}
+	log := &r.logs[r.at[id]-1]
+	*log = append(*log, TrafficEvent{Cycle: b.cycle, Master: id, Addr: addr, Write: write, N: n})
 }
 
 // Replayer drives one bus master through a recorded trace. Each event is

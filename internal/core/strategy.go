@@ -89,10 +89,11 @@ const chunkOverheadBytes = 24 * isa.InstBytes
 
 // Emit implements Strategy.
 func (s CacheBased) Emit(b *asm.Builder, r *sbst.Routine) error {
-	if err := s.Validate(r); err != nil {
+	size, err := s.validate(r)
+	if err != nil {
 		return err
 	}
-	chunks, err := s.partition(r)
+	chunks, err := s.partition(r, size)
 	if err != nil {
 		return err
 	}
@@ -106,31 +107,35 @@ func (s CacheBased) Emit(b *asm.Builder, r *sbst.Routine) error {
 
 // Validate checks the strategy's applicability rules (Section III).
 func (s CacheBased) Validate(r *sbst.Routine) error {
+	_, err := s.validate(r)
+	return err
+}
+
+// validate is Validate; it also returns the routine's size in bytes
+// (sbst.Routine.SizeBytes), which partition takes.
+func (s CacheBased) validate(r *sbst.Routine) (int, error) {
 	if !s.WriteAllocate && !s.DummyLoadsPresent {
-		return fmt.Errorf("core: routine %q targets a no-write-allocate data cache "+
+		return 0, fmt.Errorf("core: routine %q targets a no-write-allocate data cache "+
 			"but was generated without dummy loads after stores (rule 1)", r.Name)
 	}
 	if r.DataSize()+8 > s.dcacheBytes() {
-		return fmt.Errorf("core: routine %q data footprint %d bytes exceeds the "+
+		return 0, fmt.Errorf("core: routine %q data footprint %d bytes exceeds the "+
 			"%d-byte data cache", r.Name, r.DataSize(), s.dcacheBytes())
 	}
 	size, err := r.SizeBytes()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if r.NoSplit && size+chunkOverheadBytes > s.icacheBytes() {
-		return fmt.Errorf("core: routine %q (%d bytes) does not fit the %d-byte "+
+		return 0, fmt.Errorf("core: routine %q (%d bytes) does not fit the %d-byte "+
 			"instruction cache and cannot be split", r.Name, size, s.icacheBytes())
 	}
-	return nil
+	return size, nil
 }
 
-// partition groups blocks into chunks that fit the instruction cache.
-func (s CacheBased) partition(r *sbst.Routine) ([][]sbst.Block, error) {
-	size, err := r.SizeBytes()
-	if err != nil {
-		return nil, err
-	}
+// partition groups blocks into chunks that fit the instruction cache;
+// size is the routine's size in bytes (sbst.Routine.SizeBytes).
+func (s CacheBased) partition(r *sbst.Routine, size int) ([][]sbst.Block, error) {
 	if r.NoSplit || size+chunkOverheadBytes <= s.icacheBytes() {
 		return [][]sbst.Block{r.Blocks}, nil
 	}

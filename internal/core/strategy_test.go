@@ -221,7 +221,11 @@ func TestSplitChunksMatchSingleChunk(t *testing.T) {
 	// Force splitting with an artificially small partition budget; the
 	// physical cache stays 8 kB, so behaviour stays deterministic.
 	split := CacheBased{WriteAllocate: true, ICacheBytes: 1 << 10}
-	chunks, err := split.partition(fwdRoutine(0))
+	size, err := fwdRoutine(0).SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := split.partition(fwdRoutine(0), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +432,7 @@ func TestCachePartitionExactFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := CacheBased{WriteAllocate: true, ICacheBytes: size + chunkOverheadBytes}
-	chunks, err := exact.partition(r)
+	chunks, err := exact.partition(r, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +452,7 @@ func TestCachePartitionExactFit(t *testing.T) {
 		sumBlocks += bs
 	}
 	over := CacheBased{WriteAllocate: true, ICacheBytes: sumBlocks + chunkOverheadBytes - int(isa.InstBytes)}
-	chunks, err = over.partition(r)
+	chunks, err = over.partition(r, size)
 	if err != nil {
 		t.Fatal(err)
 	}

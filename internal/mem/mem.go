@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -65,9 +66,39 @@ type page [pageSize]byte
 // written. Nothing writes it.
 var zeroPage page
 
-// pageTable maps a RAM's page numbers to pages. Every access reads it, so
-// it owns its host cache lines.
+// pageTable maps a memory's page numbers to pages. Every access reads it,
+// so it owns its host cache lines.
 type pageTable []*page
+
+// newPageTable returns the table of a size-byte memory, every page of it
+// reading as zeroPage.
+func newPageTable(size uint32) pageTable {
+	t := WholeLines[*page](int(size+pageMask) >> pageBits)
+	for p := range t {
+		t[p] = &zeroPage
+	}
+	return t
+}
+
+// read copies the bytes at off into dst, as far as the table's pages
+// reach.
+func (t pageTable) read(off uint32, dst []byte) {
+	if o := off & pageMask; int(o)+len(dst) <= pageSize {
+		copy(dst, t[off>>pageBits][o:])
+		return
+	}
+	t.readAcross(off, dst)
+}
+
+// readAcross is read for a range that crosses a page boundary. It stops
+// after the table's last page, so a read that runs off a flash's end
+// fills only the bytes below its Size.
+func (t pageTable) readAcross(off uint32, dst []byte) {
+	for p := int(off >> pageBits); len(dst) > 0 && p < len(t); p++ {
+		n := copy(dst, t[p][off&pageMask:])
+		off, dst = off+uint32(n), dst[n:]
+	}
+}
 
 // dirtyMap tracks written pages of a byte-addressed device. Every store
 // writes it, so it is per-cycle state and owns its host cache lines.
@@ -81,18 +112,29 @@ func newDirtyMap(pages int) dirtyMap {
 // laid out for.
 const hostLine = 64
 
-// WholeLines returns n zero Ts over a backing array of whole 64-byte host
-// cache lines. For a T that holds no pointers the allocator starts such an
-// array on a line, so no other object shares a line with the per-cycle
-// state it holds. (An array with pointers of more than 512 bytes starts
-// 8 bytes into one, behind the allocator's type header.)
+// WholeLines returns n zero Ts over a backing array that starts on a
+// 64-byte host cache line and spans whole lines, so no other object
+// shares a line with the per-cycle state it holds. The allocator starts an
+// array of more than 512 bytes that holds pointers 8 bytes into a line,
+// behind its type header; the capacity append rounds up to the
+// allocator's size class leaves room to start the slice at the first
+// element on a line instead. No element of a pointer-holding T whose size
+// is a multiple of 16 bytes lands on a line there, so for such a T
+// WholeLines allocates over 32 KiB, which the allocator starts on a page.
 func WholeLines[T any](n int) []T {
 	size := int(unsafe.Sizeof(*new(T)))
 	c := n
 	for c*size%hostLine != 0 {
 		c++
 	}
-	return make([]T, n, c)
+	s := slices.Grow([]T(nil), c)
+	s = s[:cap(s)]
+	for k := range len(s) - c + 1 {
+		if uintptr(unsafe.Pointer(unsafe.SliceData(s[k:])))%hostLine == 0 {
+			return s[k : k+n : k+c]
+		}
+	}
+	return make([]T, max(c, 32<<10/size+1))[:n:c]
 }
 
 func (d dirtyMap) set(p uint32) { d[p/64] |= 1 << (p % 64) }
@@ -113,9 +155,8 @@ func (d dirtyMap) each(fn func(p uint32)) {
 // operations that clear the dirty map. Captured by RAM.CaptureDelta and
 // reapplied by RAM.ApplyDelta (checkpoint machinery).
 type PageDelta struct {
-	offs []uint32 // page range start offsets, ascending
-	ends []uint32 // matching page range end offsets (exclusive)
-	data []byte   // page contents, concatenated in offs order
+	pages []uint32 // page numbers, ascending
+	data  []page   // copies of those pages, in the same order
 }
 
 // RAM is simple SRAM with uniform latency; a core-private TCM is a RAM
@@ -166,7 +207,7 @@ func NewRAMFrom(b *Baseline, latency int) *RAM { return newRAM(b.size, latency, 
 func newRAM(size uint32, latency int, b *Baseline) *RAM {
 	n := int(size+pageMask) >> pageBits
 	r := &RAM{
-		rd:      WholeLines[*page](n),
+		rd:      newPageTable(size),
 		wr:      WholeLines[*page](n),
 		base:    b,
 		dirty:   newDirtyMap(n),
@@ -174,7 +215,6 @@ func newRAM(size uint32, latency int, b *Baseline) *RAM {
 		latency: latency,
 	}
 	for p := range r.rd {
-		r.rd[p] = &zeroPage
 		if pg := r.baseline(uint32(p)); pg != nil {
 			r.rd[p] = pg
 		}
@@ -194,21 +234,7 @@ func (r *RAM) Size() uint32 { return r.size }
 
 // Read copies the bytes at off into dst; off+len(dst) must not pass
 // Size.
-func (r *RAM) Read(off uint32, dst []byte) {
-	if o := off & pageMask; int(o)+len(dst) <= pageSize {
-		copy(dst, r.rd[off>>pageBits][o:])
-		return
-	}
-	r.readAcross(off, dst)
-}
-
-// readAcross is Read for a range that crosses a page boundary.
-func (r *RAM) readAcross(off uint32, dst []byte) {
-	for len(dst) > 0 {
-		n := copy(dst, r.rd[off>>pageBits][off&pageMask:])
-		off, dst = off+uint32(n), dst[n:]
-	}
-}
+func (r *RAM) Read(off uint32, dst []byte) { r.rd.read(off, dst) }
 
 // Write stores src at off; off+len(src) must not pass Size.
 func (r *RAM) Write(off uint32, src []byte) {
@@ -222,23 +248,27 @@ func (r *RAM) Write(off uint32, src []byte) {
 }
 
 // writeSlow is Write for a range that crosses a page boundary or reaches
-// a page the RAM has not written yet, which it first copies from the
-// baseline.
+// a page the RAM has not written yet.
 func (r *RAM) writeSlow(off uint32, src []byte) {
 	for len(src) > 0 {
 		p := off >> pageBits
-		w := r.wr[p]
-		if w == nil {
-			w = new(page)
-			if b := r.baseline(p); b != nil {
-				*w = *b
-			}
-			r.wr[p], r.rd[p] = w, w
-		}
 		r.dirty.set(p)
-		n := copy(w[off&pageMask:], src)
+		n := copy(r.own(p)[off&pageMask:], src)
 		off, src = off+uint32(n), src[n:]
 	}
+}
+
+// own returns the RAM's own page p, allocating it on first use as a copy
+// of the baseline's page.
+func (r *RAM) own(p uint32) *page {
+	if r.wr[p] == nil {
+		w := new(page)
+		if b := r.baseline(p); b != nil {
+			*w = *b
+		}
+		r.wr[p], r.rd[p] = w, w
+	}
+	return r.wr[p]
 }
 
 func (r *RAM) AccessCycles(uint32, int) int { return r.latency }
@@ -280,24 +310,20 @@ func (r *RAM) Reset() {
 // reproduces the captured contents exactly.
 func (r *RAM) CaptureDelta() *PageDelta {
 	d := &PageDelta{}
-	r.dirty.each(func(p uint32) {
-		lo := p << pageBits
-		hi := min(lo+pageSize, r.size)
-		d.offs = append(d.offs, lo)
-		d.ends = append(d.ends, hi)
-		d.data = append(d.data, r.wr[p][:hi-lo]...)
-	})
+	r.dirty.each(func(p uint32) { d.pages = append(d.pages, p) })
+	d.data = make([]page, len(d.pages))
+	for i, p := range d.pages {
+		d.data[i] = *r.wr[p]
+	}
 	return d
 }
 
 // ApplyDelta overlays a captured page delta, marking the pages dirty so the
 // next Reset rewinds them.
 func (r *RAM) ApplyDelta(d *PageDelta) {
-	pos := 0
-	for i, lo := range d.offs {
-		n := int(d.ends[i] - lo)
-		r.Write(lo, d.data[pos:pos+n])
-		pos += n
+	for i, p := range d.pages {
+		r.dirty.set(p)
+		*r.own(p) = d.data[i]
 	}
 }
 
@@ -306,31 +332,21 @@ func (r *RAM) ApplyDelta(d *PageDelta) {
 // slightly, which is one reason the paper's "code position in memory"
 // scenario knob affects timing.
 //
-// The flash keeps backing bytes only for the ranges its programs were
-// loaded into, each rounded out to whole host cache lines; every other
-// offset below Size reads as zeros, as unprogrammed flash would. A
+// The flash keeps its contents in 4 KiB pages behind a page table, as a
+// RAM does, each allocated when a program is first loaded into it; a page
+// no program reaches reads as zeros, as unprogrammed flash would. A
 // campaign's programs take a few KiB of the 1 MiB device, and every SoC
-// build would otherwise allocate and zero all of it. Each program gets a
-// backing array of its own, allocated once, unless it overlaps one
-// already loaded.
+// build would otherwise allocate and zero all of it.
 type Flash struct {
+	pages    pageTable // every page: its own if loaded, else zeroPage
 	size     uint32
-	progs    []flashRange // the programmed ranges, disjoint
 	bankSize uint32
 	lat      []int
 }
 
-// flashRange is a programmed range of the flash: its bytes start at
-// offset base.
-type flashRange struct {
-	base uint32
-	data []byte
-}
-
-func (r *flashRange) end() uint32 { return r.base + uint32(len(r.data)) }
-
-// NewFlash creates a flash of the given size split into equal banks; lat[i]
-// is the access latency of bank i and must be non-empty.
+// NewFlash creates a flash of the given size, a whole number of 4 KiB
+// pages, split into equal banks; lat[i] is the access latency of bank i
+// and must be non-empty.
 func NewFlash(size uint32, bankLatencies []int) *Flash {
 	if len(bankLatencies) == 0 {
 		panic("mem: flash needs at least one bank latency")
@@ -338,7 +354,11 @@ func NewFlash(size uint32, bankLatencies []int) *Flash {
 	if size%uint32(len(bankLatencies)) != 0 {
 		panic("mem: flash size not divisible by bank count")
 	}
+	if size%pageSize != 0 {
+		panic("mem: flash size not a whole number of pages")
+	}
 	return &Flash{
+		pages:    newPageTable(size),
 		size:     size,
 		bankSize: size / uint32(len(bankLatencies)),
 		lat:      append([]int(nil), bankLatencies...),
@@ -348,31 +368,8 @@ func NewFlash(size uint32, bankLatencies []int) *Flash {
 func (f *Flash) Size() uint32 { return f.size }
 
 // Read copies the flash bytes at off into dst, as far as the device
-// reaches: outside the programmed ranges they are zeros.
-func (f *Flash) Read(off uint32, dst []byte) {
-	end := off + uint32(len(dst))
-	for i := range f.progs {
-		if r := &f.progs[i]; off >= r.base && end <= r.end() {
-			copy(dst, r.data[off-r.base:])
-			return
-		}
-	}
-	f.readAcross(off, dst)
-}
-
-// readAcross is Read for a range no programmed range holds whole.
-func (f *Flash) readAcross(off uint32, dst []byte) {
-	if rest := f.size - off; uint32(len(dst)) > rest {
-		dst = dst[:rest]
-	}
-	clear(dst)
-	end := off + uint32(len(dst))
-	for _, r := range f.progs {
-		if lo, hi := max(off, r.base), min(end, r.end()); lo < hi {
-			copy(dst[lo-off:hi-off], r.data[lo-r.base:])
-		}
-	}
-}
+// reaches.
+func (f *Flash) Read(off uint32, dst []byte) { f.pages.read(off, dst) }
 
 // Write is ignored: flash is not bus-writable (mirrors real hardware, and
 // keeps wild stores from a faulty program from corrupting code).
@@ -393,44 +390,17 @@ func (f *Flash) LoadWords(off uint32, words []uint32) error {
 	if end > uint64(f.size) {
 		return fmt.Errorf("mem: flash image [%#x,%#x) exceeds size %#x", off, end, f.size)
 	}
-	if len(words) == 0 {
-		return nil
-	}
-	r := f.cover(off, uint32(end))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(r.data[off-r.base+uint32(i)*4:], w)
+	for _, w := range words {
+		for range 4 {
+			p := off >> pageBits
+			if f.pages[p] == &zeroPage {
+				f.pages[p] = new(page)
+			}
+			f.pages[p][off&pageMask] = byte(w)
+			off, w = off+1, w>>8
+		}
 	}
 	return nil
-}
-
-// cover returns the programmed range that holds [lo, hi). When none does,
-// it adds one, rounded out to whole host lines within the device, that
-// takes in every range it overlaps with the bytes already loaded there.
-func (f *Flash) cover(lo, hi uint32) *flashRange {
-	for i := range f.progs {
-		if r := &f.progs[i]; lo >= r.base && hi <= r.end() {
-			return r
-		}
-	}
-	lo = lo &^ (hostLine - 1)
-	hi = min(f.size, (hi+hostLine-1)&^(hostLine-1))
-	overlaps := func(r flashRange) bool { return r.base < hi && lo < r.end() }
-	for _, r := range f.progs {
-		if overlaps(r) {
-			lo, hi = min(lo, r.base), max(hi, r.end())
-		}
-	}
-	merged := flashRange{base: lo, data: make([]byte, hi-lo)}
-	keep := f.progs[:0]
-	for _, r := range f.progs {
-		if overlaps(r) {
-			copy(merged.data[r.base-lo:], r.data)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	f.progs = append(keep, merged)
-	return &f.progs[len(f.progs)-1]
 }
 
 // NewTCM returns a single-cycle tightly-coupled memory of the given size,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
 func TestRAMReadWrite(t *testing.T) {
@@ -185,5 +186,30 @@ func TestFlashLoadRanges(t *testing.T) {
 		if got := ReadWord(f, w.off); got != w.v {
 			t.Errorf("word at %#x = %#x, want %#x", w.off, got, w.v)
 		}
+	}
+}
+
+// TestWholeLines requires every array WholeLines returns to start on a
+// 64-byte host line and span whole lines: a pointer array over 512
+// bytes, such as the flash's 2 KiB page table, which the allocator starts
+// behind an 8-byte type header; pointer-free arrays; and arrays of
+// pointer-holding elements 16 and 24 bytes in size.
+func TestWholeLines(t *testing.T) {
+	for _, n := range []int{1, 3, 64, 65, 256, 1000} {
+		checkWholeLines[*page](t, n)
+		checkWholeLines[uint64](t, n)
+		checkWholeLines[byte](t, n)
+		checkWholeLines[string](t, n)
+		checkWholeLines[[]byte](t, n)
+	}
+}
+
+func checkWholeLines[T any](t *testing.T, n int) {
+	t.Helper()
+	s := WholeLines[T](n)
+	addr := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	size := uintptr(cap(s)) * unsafe.Sizeof(*new(T))
+	if len(s) != n || addr%hostLine != 0 || size%hostLine != 0 {
+		t.Errorf("WholeLines[%T](%d): %d elements at %#x, %d bytes of capacity", *new(T), n, len(s), addr, size)
 	}
 }

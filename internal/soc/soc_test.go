@@ -310,18 +310,22 @@ func TestAttachRecorderCapturesOtherCores(t *testing.T) {
 	if res := s.Run(100_000); res.TimedOut {
 		t.Fatal("timeout")
 	}
-	ev := rec.Events()
-	if len(ev) == 0 {
-		t.Fatal("nothing recorded")
-	}
-	for _, e := range ev {
-		if e.Master == 0 || e.Master == 1 {
-			t.Fatalf("recorded the excluded core's master %d", e.Master)
-		}
-	}
 	byMaster := rec.EventsByMaster()
 	if len(byMaster) < 2 {
 		t.Errorf("expected several source masters, got %d", len(byMaster))
+	}
+	for _, log := range byMaster {
+		if len(log) == 0 {
+			t.Fatal("an empty master log")
+		}
+		for _, e := range log {
+			if e.Master == 0 || e.Master == 1 {
+				t.Fatalf("recorded the excluded core's master %d", e.Master)
+			}
+			if e.Master != log[0].Master {
+				t.Fatalf("master %d's log holds an event of master %d", log[0].Master, e.Master)
+			}
+		}
 	}
 }
 
