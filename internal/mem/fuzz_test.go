@@ -187,10 +187,13 @@ func FuzzRAM(f *testing.F) {
 			t.Fatalf("Size %d, want %d", ram.Size(), fuzzRAMSize)
 		}
 		if flash != nil {
+			if flash.Size() != FlashSize {
+				t.Fatalf("flash Size %#x, want %#x", flash.Size(), FlashSize)
+			}
 			all := make([]byte, FlashSize)
 			flash.Read(0, all)
-			if i := firstDiff(all, flashModel); i >= 0 || flash.Size() != FlashSize {
-				t.Fatalf("flash byte %#x reads %#x, want %#x (Size %#x)", i, all[max(i, 0)], flashModel[max(i, 0)], flash.Size())
+			if i := firstDiff(all, flashModel); i >= 0 {
+				t.Fatalf("flash byte %#x reads %#x, want %#x", i, all[i], flashModel[i])
 			}
 		}
 	})
