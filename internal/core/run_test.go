@@ -10,10 +10,10 @@ import (
 
 // TestFlashPastProgramPinned runs a program that loads from the flash
 // 64 KiB past its own end, where nothing is programmed, folds the loaded
-// word into its signature and jumps there. The flash backs only its
-// programmed range, so these loads and the fetch at the jump target read
-// outside the backing bytes; the pinned result is the one a flash backing
-// all 1 MiB, unprogrammed bytes zero, gives.
+// word into its signature and jumps there. The flash allocates only the
+// pages its programs are loaded into, so these loads and the fetch at the
+// jump target read a page no program reaches; the pinned result is the
+// one a flash backing all 1 MiB, unprogrammed bytes zero, gives.
 func TestFlashPastProgramPinned(t *testing.T) {
 	job := &CoreJob{
 		Strategy: Plain{},

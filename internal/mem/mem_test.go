@@ -106,12 +106,12 @@ func TestFlashSizedReads(t *testing.T) {
 	}
 	for _, r := range []struct{ off, n uint32 }{
 		{0, 16},              // far before
-		{at - 64, 16},        // just before the rounded range
-		{at - 8, 8},          // before, inside the rounded range
+		{at - 64, 16},        // 64 bytes before, in the page below
+		{at - 8, 8},          // just before
 		{at - 4, 8},          // across the start
 		{at, 12},             // exactly the program
 		{at + 6, 16},         // across the end
-		{at + 12, 16},        // past the end, inside the rounded range
+		{at + 12, 16},        // just past the end
 		{at + 0x1_0000, 16},  // 64 KiB past the end
 		{0, FlashSize},       // the whole device
 		{FlashSize - 16, 16}, // the last line
@@ -156,8 +156,8 @@ func TestFlashBankLatencyFullRange(t *testing.T) {
 
 // TestFlashLoadRanges loads past the device end, which is refused, then
 // a second program below the first one, which keeps both, then one inside
-// the first program's range and one overlapping its start, which merge
-// with it.
+// the first program and one overlapping its start across a page
+// boundary, which replace only the words they load.
 func TestFlashLoadRanges(t *testing.T) {
 	f := NewFlash(FlashSize, []int{8, 9, 10, 9})
 	if err := f.LoadWords(FlashSize-4, []uint32{1, 2}); err == nil {
