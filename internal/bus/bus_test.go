@@ -2,6 +2,7 @@ package bus
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -212,6 +213,14 @@ func TestRecorderAndReplayer(t *testing.T) {
 	}
 	if b2.StatsFor(1).Transactions != 2 {
 		t.Errorf("replayed %d transactions", b2.StatsFor(1).Transactions)
+	}
+}
+
+// TestTrafficEventPacked pins a recorded transaction at 16 bytes: a
+// golden recording holds one per transaction of every recorded core.
+func TestTrafficEventPacked(t *testing.T) {
+	if n := unsafe.Sizeof(TrafficEvent{}); n != 16 {
+		t.Errorf("TrafficEvent is %d bytes, want 16", n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package bus
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Traffic recording and replay. Fault simulation needs thousands of runs of
 // a multi-core scenario; simulating all three cores for every fault would
@@ -10,13 +13,22 @@ import "math"
 // run then replays that recorded traffic through Replayer masters, so the
 // core under test sees the same deterministic contention.
 
-// TrafficEvent is one recorded bus transaction start.
+// TrafficEvent is one recorded bus transaction start, in 16 bytes: a
+// golden recording holds one for every transaction the recorded cores
+// issue.
 type TrafficEvent struct {
 	Cycle  int64 // bus cycle the request was submitted
-	Master int   // master that issued it
 	Addr   uint32
+	Master uint8 // master that issued it; a bus has a handful
 	Write  bool
-	N      int
+	N      uint8 // transfer size in bytes, at most a cache line
+}
+
+// String prints the event with its fields in the order content keys
+// encode them (core.CampaignFingerprint), which is not the order they are
+// declared in to pack the struct: {Cycle:c Master:m Addr:a Write:w N:n}.
+func (e TrafficEvent) String() string {
+	return fmt.Sprintf("{Cycle:%d Master:%d Addr:%d Write:%t N:%d}", e.Cycle, e.Master, e.Addr, e.Write, e.N)
 }
 
 // Recorder captures the requests submitted by a set of masters, one log
@@ -64,7 +76,7 @@ func (b *Bus) record(id int, addr uint32, write bool, n int) {
 		r.at[id] = len(r.logs)
 	}
 	log := &r.logs[r.at[id]-1]
-	*log = append(*log, TrafficEvent{Cycle: b.cycle, Master: id, Addr: addr, Write: write, N: n})
+	*log = append(*log, TrafficEvent{Cycle: b.cycle, Addr: addr, Master: uint8(id), Write: write, N: uint8(n)})
 }
 
 // Replayer drives one bus master through a recorded trace. Each event is
@@ -139,7 +151,7 @@ func (r *Replayer) poll(now int64) {
 	if ev.Write {
 		r.port.StartWrite(ev.Addr, r.buf[:ev.N])
 	} else {
-		r.port.StartRead(ev.Addr, ev.N)
+		r.port.StartRead(ev.Addr, int(ev.N))
 	}
 	r.next++
 }

@@ -39,8 +39,8 @@ func randomTrace(rng *rand.Rand, master, n int) []TrafficEvent {
 	for range n {
 		cycle += int64(rng.IntN(24))
 		log = append(log, TrafficEvent{
-			Cycle: cycle, Master: master, Addr: randomAddr(rng),
-			Write: rng.IntN(2) == 0, N: []int{1, 4, 8, 16}[rng.IntN(4)],
+			Cycle: cycle, Master: uint8(master), Addr: randomAddr(rng),
+			Write: rng.IntN(2) == 0, N: []uint8{1, 4, 8, 16}[rng.IntN(4)],
 		})
 	}
 	return log
@@ -183,7 +183,7 @@ func (r *pollReplayer) Step(now int64) {
 	if ev.Write {
 		r.port.StartWrite(ev.Addr, r.buf[:ev.N])
 	} else {
-		r.port.StartRead(ev.Addr, ev.N)
+		r.port.StartRead(ev.Addr, int(ev.N))
 	}
 	r.next++
 }

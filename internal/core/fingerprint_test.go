@@ -84,10 +84,10 @@ func randConfig(rng *rand.Rand) soc.Config {
 			for j := range cfg.Replay[i] {
 				e := bus.TrafficEvent{
 					Cycle:  randInt(rng),
-					Master: int(randInt(rng)),
 					Addr:   rng.Uint32(),
+					Master: uint8(rng.UintN(256)),
 					Write:  rng.IntN(2) == 0,
-					N:      int(randInt(rng)),
+					N:      uint8(rng.UintN(256)),
 				}
 				switch rng.IntN(3) {
 				case 0:
@@ -167,7 +167,7 @@ func TestKeyEncodedTypes(t *testing.T) {
 		typ    reflect.Type
 		fields []string
 	}{
-		{reflect.TypeFor[bus.TrafficEvent](), []string{"Cycle int64", "Master int", "Addr uint32", "Write bool", "N int"}},
+		{reflect.TypeFor[bus.TrafficEvent](), []string{"Cycle int64", "Addr uint32", "Master uint8", "Write bool", "N uint8"}},
 		{reflect.TypeFor[fault.Site](), []string{"Unit fault.Unit", "Signal fault.Signal", "Kind fault.Kind",
 			"Lane uint8", "Operand uint8", "Path uint8", "Bit uint8", "Stuck uint8"}},
 		{reflect.TypeFor[soc.Config](), []string{"Arbitration bus.Arbitration", "FlashBanks []int", "SRAMLatency int",

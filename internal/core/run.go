@@ -146,13 +146,29 @@ func RunSingle(cfg soc.Config, id int, job *CoreJob, maxCycles int64) (*RunResul
 func buildProgram(job *CoreJob) (*asm.Program, error) { return assemble(asm.NewBuilder(), job) }
 
 // assemble emits job's program into b, emptied first, and assembles it.
+// A staged strategy's parts are assembled in b before the program, which
+// then reuses the space they grew.
 func assemble(b *asm.Builder, job *CoreJob) (*asm.Program, error) {
+	routines := job.routines()
+	st, isStaged := job.Strategy.(staged)
+	var emits []func(*asm.Builder)
+	if isStaged {
+		for _, r := range routines {
+			emit, err := st.stage(b, r)
+			if err != nil {
+				return nil, err
+			}
+			emits = append(emits, emit)
+		}
+	}
 	b.Reset()
 	for pad := uint32(0); pad < job.AlignPad; pad += isa.InstBytes {
 		b.Nop()
 	}
-	for _, r := range job.routines() {
-		if err := job.Strategy.Emit(b, r); err != nil {
+	for i, r := range routines {
+		if isStaged {
+			emits[i](b)
+		} else if err := job.Strategy.Emit(b, r); err != nil {
 			return nil, err
 		}
 	}

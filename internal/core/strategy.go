@@ -22,6 +22,28 @@ type Strategy interface {
 	MemoryOverhead(r *sbst.Routine) (int, error)
 }
 
+// A staged strategy assembles part of a routine on its own before it
+// emits the routine: CacheBased sizes it, and TCMBased assembles the body
+// it embeds. assemble stages every routine of a job in the builder it
+// then assembles the job's program in, so the program reuses the space
+// the stages grew instead of each stage growing a builder of its own.
+type staged interface {
+	// stage assembles r's part in b, which it resets first, and returns
+	// the function that emits r with it.
+	stage(b *asm.Builder, r *sbst.Routine) (emit func(*asm.Builder), err error)
+}
+
+// emitStaged is a staged strategy's Emit: it stages r in a builder of its
+// own.
+func emitStaged(s staged, b *asm.Builder, r *sbst.Routine) error {
+	emit, err := s.stage(asm.NewBuilder(), r)
+	if err != nil {
+		return err
+	}
+	emit(b)
+	return nil
+}
+
 // Plain executes the routine in place, exactly as a single-core STL would:
 // no caches involved, no loop.
 type Plain struct{}
@@ -88,32 +110,37 @@ func (s CacheBased) iterations() int {
 const chunkOverheadBytes = 24 * isa.InstBytes
 
 // Emit implements Strategy.
-func (s CacheBased) Emit(b *asm.Builder, r *sbst.Routine) error {
-	size, err := s.validate(r)
+func (s CacheBased) Emit(b *asm.Builder, r *sbst.Routine) error { return emitStaged(s, b, r) }
+
+// stage validates r, sizing it in b, and partitions it into the chunks
+// its emit function emits.
+func (s CacheBased) stage(b *asm.Builder, r *sbst.Routine) (func(*asm.Builder), error) {
+	size, err := s.validate(b, r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	chunks, err := s.partition(r, size)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(chunks) == 1 {
-		s.emitSingleChunk(b, r)
-		return nil
-	}
-	s.emitMultiChunk(b, r, chunks)
-	return nil
+	return func(b *asm.Builder) {
+		if len(chunks) == 1 {
+			s.emitSingleChunk(b, r)
+		} else {
+			s.emitMultiChunk(b, r, chunks)
+		}
+	}, nil
 }
 
 // Validate checks the strategy's applicability rules (Section III).
 func (s CacheBased) Validate(r *sbst.Routine) error {
-	_, err := s.validate(r)
+	_, err := s.validate(asm.NewBuilder(), r)
 	return err
 }
 
-// validate is Validate; it also returns the routine's size in bytes
-// (sbst.Routine.SizeBytes), which partition takes.
-func (s CacheBased) validate(r *sbst.Routine) (int, error) {
+// validate is Validate, sizing the routine in b; it also returns the
+// routine's size in bytes (sbst.Routine.SizeBytes), which partition takes.
+func (s CacheBased) validate(b *asm.Builder, r *sbst.Routine) (int, error) {
 	if !s.WriteAllocate && !s.DummyLoadsPresent {
 		return 0, fmt.Errorf("core: routine %q targets a no-write-allocate data cache "+
 			"but was generated without dummy loads after stores (rule 1)", r.Name)
@@ -122,7 +149,7 @@ func (s CacheBased) validate(r *sbst.Routine) (int, error) {
 		return 0, fmt.Errorf("core: routine %q data footprint %d bytes exceeds the "+
 			"%d-byte data cache", r.Name, r.DataSize(), s.dcacheBytes())
 	}
-	size, err := r.SizeBytes()
+	size, err := r.SizeBytesIn(b)
 	if err != nil {
 		return 0, err
 	}

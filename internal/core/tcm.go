@@ -33,9 +33,10 @@ func (s TCMBased) tcmRoutine(r *sbst.Routine) *sbst.Routine {
 }
 
 // bodyProgram assembles the routine in its TCM-resident form (signature
-// reset, data base, body, return) at the core's ITCM base.
-func (s TCMBased) bodyProgram(r *sbst.Routine) (*asm.Program, error) {
-	sub := asm.NewBuilder()
+// reset, data base, body, return) at the core's ITCM base, in sub, which
+// it resets first.
+func (s TCMBased) bodyProgram(sub *asm.Builder, r *sbst.Routine) (*asm.Program, error) {
+	sub.Reset()
 	tr := s.tcmRoutine(r)
 	tr.EmitSigReset(sub)
 	sub.Nop()
@@ -61,14 +62,23 @@ func (s TCMBased) validate(r *sbst.Routine, body *asm.Program) error {
 }
 
 // Emit implements Strategy.
-func (s TCMBased) Emit(b *asm.Builder, r *sbst.Routine) error {
-	body, err := s.bodyProgram(r)
+func (s TCMBased) Emit(b *asm.Builder, r *sbst.Routine) error { return emitStaged(s, b, r) }
+
+// stage assembles r's body in b and validates it; its emit function
+// emits the body's image and the code that runs it.
+func (s TCMBased) stage(b *asm.Builder, r *sbst.Routine) (func(*asm.Builder), error) {
+	body, err := s.bodyProgram(b, r)
 	if err != nil {
-		return fmt.Errorf("core: assembling TCM body of %q: %w", r.Name, err)
+		return nil, fmt.Errorf("core: assembling TCM body of %q: %w", r.Name, err)
 	}
 	if err := s.validate(r, body); err != nil {
-		return err
+		return nil, err
 	}
+	return func(b *asm.Builder) { s.emitBody(b, r, body) }, nil
+}
+
+// emitBody emits the copy loops, the call into the ITCM and body's image.
+func (s TCMBased) emitBody(b *asm.Builder, r *sbst.Routine, body *asm.Program) {
 	imgLabel := b.AutoLabel("tcmimg")
 
 	// Copy the code image from flash into the ITCM, one cache-line-sized
@@ -118,7 +128,6 @@ func (s TCMBased) Emit(b *asm.Builder, r *sbst.Routine) error {
 		b.Word(w)
 	}
 	b.Label(after)
-	return nil
 }
 
 // MemoryOverhead implements Strategy: the TCM bytes reserved for the
@@ -128,7 +137,7 @@ func (s TCMBased) Emit(b *asm.Builder, r *sbst.Routine) error {
 // the TCMs has no overhead figure — it cannot be deployed this way — so the
 // same validation Emit applies rejects it here too.
 func (s TCMBased) MemoryOverhead(r *sbst.Routine) (int, error) {
-	body, err := s.bodyProgram(r)
+	body, err := s.bodyProgram(asm.NewBuilder(), r)
 	if err != nil {
 		return 0, err
 	}

@@ -91,8 +91,10 @@ func journalVerdicts(j *Journal) journalState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := journalState{settled: map[int]settledEntry{}}
-	for i, e := range j.settled {
-		st.settled[i] = e
+	for i := range j.table {
+		if e, ok := j.entry(i); ok {
+			st.settled[i] = e
+		}
 	}
 	if j.golden != nil {
 		st.golden, st.bound = *j.golden, true

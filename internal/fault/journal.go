@@ -108,19 +108,93 @@ type settledEntry struct {
 	msg, stack string
 }
 
+// verdict is one slot of a journal's verdict table: a site's signature
+// and its flags, 8 bytes.
+type verdict struct {
+	sig   uint32
+	flags uint8
+}
+
+// Verdict flags.
+const (
+	vSettled uint8 = 1 << iota
+	vDetected
+	vCrashed
+	vPanicked
+)
+
+// note is the message and stack a verdict carries, a panicked one's.
+type note struct{ msg, stack string }
+
 // Journal is an open verdict journal and the campaign's one verdict table:
-// it holds every verdict it loaded or recorded. Its methods are safe for
-// concurrent use (the campaign's worker pool reads and appends from many
+// it holds every verdict it loaded or recorded, in one slot per site of
+// the universe its header sizes, with the few messages and stacks (those
+// of panicked runs) beside the table. Its methods are safe for concurrent
+// use (the campaign's worker pool reads and appends from many
 // goroutines).
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
 	header  JournalHeader
-	settled map[int]settledEntry
+	table   []verdict
+	notes   map[int]note
+	n       int // settled slots
 	golden  *journalLine
 	dropped int   // truncated trailing lines discarded on load
 	keep    int64 // byte length of the well-formed journal prefix
+}
+
+// newJournal returns an empty table for header h's universe.
+func newJournal(path string, h JournalHeader) *Journal {
+	return &Journal{path: path, header: h, table: make([]verdict, max(h.Sites, 0))}
+}
+
+// entry returns site i's verdict, if the table settles it. Callers hold
+// j.mu or own j alone.
+func (j *Journal) entry(i int) (settledEntry, bool) {
+	if i < 0 || i >= len(j.table) || j.table[i].flags&vSettled == 0 {
+		return settledEntry{}, false
+	}
+	v := j.table[i]
+	e := settledEntry{res: SiteResult{
+		Signature: v.sig,
+		Detected:  v.flags&vDetected != 0,
+		Crashed:   v.flags&vCrashed != 0,
+		Panicked:  v.flags&vPanicked != 0,
+	}}
+	if nt, ok := j.notes[i]; ok {
+		e.msg, e.stack = nt.msg, nt.stack
+	}
+	return e, true
+}
+
+// set settles site i, within the table, with e. Callers hold j.mu or own
+// j alone.
+func (j *Journal) set(i int, e settledEntry) {
+	v := verdict{sig: e.res.Signature, flags: vSettled}
+	if e.res.Detected {
+		v.flags |= vDetected
+	}
+	if e.res.Crashed {
+		v.flags |= vCrashed
+	}
+	if e.res.Panicked {
+		v.flags |= vPanicked
+	}
+	if j.table[i].flags&vSettled == 0 {
+		j.n++
+	}
+	j.table[i] = v
+	switch {
+	case e.msg != "" || e.stack != "":
+		if j.notes == nil {
+			j.notes = map[int]note{}
+		}
+		j.notes[i] = note{e.msg, e.stack}
+	case j.notes != nil:
+		delete(j.notes, i)
+	}
 }
 
 // CreateJournal starts a fresh journal at path (truncating any previous
@@ -131,7 +205,8 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, header: h, settled: map[int]settledEntry{}}
+	j := newJournal(path, h)
+	j.f = f
 	if err := j.append(journalLine{Kind: "header", Header: &h}); err != nil {
 		f.Close()
 		return nil, err
@@ -158,7 +233,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: journal: %w", err)
 	}
-	j := &Journal{path: path, header: h, settled: map[int]settledEntry{}}
+	j := newJournal(path, h)
 	if err := j.load(blob); err != nil {
 		return nil, err
 	}
@@ -180,7 +255,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, error) {
 	return j, nil
 }
 
-// load parses the journal body into the settled map.
+// load parses the journal body into the verdict table.
 func (j *Journal) load(blob []byte) error {
 	lines := strings.Split(string(blob), "\n")
 	// A well-formed journal ends in a newline, leaving one empty trailer.
@@ -236,14 +311,14 @@ func (j *Journal) load(blob []byte) error {
 				msg:   ln.Msg,
 				stack: ln.Stack,
 			}
-			if prev, dup := j.settled[ln.Index]; dup {
+			if prev, dup := j.entry(ln.Index); dup {
 				if prev != e {
 					return fmt.Errorf("fault: journal %s: conflicting duplicate verdicts for site %d (%+v vs %+v)",
 						j.path, ln.Index, prev.res, e.res)
 				}
 				continue // identical duplicate: tolerated
 			}
-			j.settled[ln.Index] = e
+			j.set(ln.Index, e)
 		default:
 			return fmt.Errorf("fault: journal %s: line %d: unknown kind %q", j.path, n+1, ln.Kind)
 		}
@@ -295,7 +370,7 @@ func (j *Journal) BindGolden(sig uint32, ok bool) error {
 func (j *Journal) Settled(i int) (res SiteResult, msg, stack string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.settled[i]
+	e, ok := j.entry(i)
 	return e.res, e.msg, e.stack, ok
 }
 
@@ -303,7 +378,7 @@ func (j *Journal) Settled(i int) (res SiteResult, msg, stack string, ok bool) {
 func (j *Journal) SettledCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.settled)
+	return j.n
 }
 
 // Unsettled returns the sorted site indices within [lo, hi) that the
@@ -314,7 +389,7 @@ func (j *Journal) Unsettled(lo, hi int) []int {
 	defer j.mu.Unlock()
 	var out []int
 	for i := lo; i < hi; i++ {
-		if _, ok := j.settled[i]; !ok {
+		if _, ok := j.entry(i); !ok {
 			out = append(out, i)
 		}
 	}
@@ -339,10 +414,15 @@ func (j *Journal) Header() JournalHeader { return j.header }
 // Dropped returns how many torn trailing lines were discarded on load.
 func (j *Journal) Dropped() int { return j.dropped }
 
-// Record appends site i's verdict and adds it to the journal's table.
+// Record appends site i's verdict and adds it to the journal's table. An
+// index outside the header's universe is refused before anything is
+// written, as a resume would refuse its line.
 func (j *Journal) Record(i int, r SiteResult, msg, stack string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if i < 0 || i >= len(j.table) {
+		return fmt.Errorf("fault: journal %s: site index %d outside universe of %d", j.path, i, j.header.Sites)
+	}
 	err := j.append(journalLine{
 		Kind:     "site",
 		Index:    i,
@@ -358,7 +438,7 @@ func (j *Journal) Record(i int, r SiteResult, msg, stack string) error {
 		return err
 	}
 	r.Site = Site{}
-	j.settled[i] = settledEntry{res: r, msg: msg, stack: stack}
+	j.set(i, settledEntry{res: r, msg: msg, stack: stack})
 	return nil
 }
 

@@ -419,6 +419,39 @@ func TestJournalGoldenMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestJournalRecordRefusesIndexOutsideUniverse pins that Record refuses a
+// site index outside the header's universe before writing it, as a resume
+// would refuse its line, so the journal stays resumable with the verdicts
+// it took, a panicked one's message and stack included.
+func TestJournalRecordRefusesIndexOutsideUniverse(t *testing.T) {
+	sites := syntheticSites()[:4]
+	h := testHeader(sites)
+	path := filepath.Join(t.TempDir(), "j.journal")
+	j, err := CreateJournal(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{-1, len(sites)} {
+		if err := j.Record(i, SiteResult{Signature: 1, Detected: true}, "", ""); err == nil {
+			t.Errorf("Record(%d) of a %d-site universe accepted", i, len(sites))
+		}
+	}
+	want := SiteResult{Detected: true, Crashed: true, Panicked: true}
+	if err := j.Record(3, want, "boom", "stack"); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	r, err := ResumeJournal(path, h)
+	if err != nil {
+		t.Fatalf("journal refused after refused records: %v", err)
+	}
+	defer r.Close()
+	res, msg, stack, ok := r.Settled(3)
+	if n := r.SettledCount(); n != 1 || !ok || res != want || msg != "boom" || stack != "stack" {
+		t.Errorf("resumed %d verdicts, site 3: %+v %q %q %v", n, res, msg, stack, ok)
+	}
+}
+
 func TestJournalPanickedVerdictRoundTrips(t *testing.T) {
 	sites := syntheticSites()[:4]
 	bad := sites[2]

@@ -74,8 +74,11 @@ func (r *Routine) EmitPlain(b *asm.Builder) {
 
 // SizeBytes returns the assembled size of the plain form (prologue + body),
 // used by the strategies to decide whether the routine fits a cache.
-func (r *Routine) SizeBytes() (int, error) {
-	b := asm.NewBuilder()
+func (r *Routine) SizeBytes() (int, error) { return r.SizeBytesIn(asm.NewBuilder()) }
+
+// SizeBytesIn is SizeBytes assembling in b, which it resets first.
+func (r *Routine) SizeBytesIn(b *asm.Builder) (int, error) {
+	b.Reset()
 	r.EmitPlain(b)
 	p, err := b.Assemble(0)
 	if err != nil {

@@ -71,32 +71,58 @@ func newJobMetrics(reg *telemetry.Registry) jobMetrics {
 	}
 }
 
-// job is one submitted campaign: the built campaign, the store journal
-// that is its verdict table (settled set, verdicts and golden), the shard
-// table, and the job-scoped telemetry surface (event buffer + registry,
-// whose counters are the job's from-cache/simulated/detected tallies). All
-// mutable fields are guarded by the owning Server's mutex. A resubmission
-// of a finished job's spec shares that job's journal, shard table and
-// report, none of which changes once a job is done.
+// build is what the server keeps of a built campaign: the normalized
+// spec, its journal header and its fault universe. The recorded traffic
+// and programs a Build also holds are dropped at submission; only workers
+// simulate, and they build the spec themselves.
+type build struct {
+	spec   Spec
+	header fault.JournalHeader
+	sites  []fault.Site
+}
+
+// settleEntry is one entry of a job's settle log, 16 bytes: site i
+// settled at t (Unix nanoseconds), from the store or from a worker's
+// verdict.
+type settleEntry struct {
+	t         int64
+	i         int32
+	fromStore bool
+}
+
+// job is one submitted campaign: its build, the store journal that is its
+// verdict table (settled set, verdicts and golden), the shard table, the
+// settle log its event stream is rendered from, and the job-scoped
+// registry, whose counters are the job's from-cache/simulated/detected
+// tallies. All mutable fields are guarded by the owning Server's mutex. A
+// resubmission of a finished job's spec shares that job's build, journal,
+// shard table and report, none of which changes once a job is done.
 type job struct {
+	build
 	id      string
 	key     string
-	c       *Campaign
 	journal *fault.Journal
 	shards  []*shard
 
 	state jobState
 	err   string
-	// fullHit marks a job complete at submission: its event buffer holds
-	// only the start and finish events, and handleEvents renders the site
-	// events from the verdict table.
+	// fullHit marks a job complete at submission. Its settle log is
+	// implicit, and never stored: every site, in universe order, from the
+	// store at the job's start.
 	fullHit bool
+	// log is every other job's settle log, in settle order.
+	log []settleEntry
+	// closed ends the event stream of a job still running when the
+	// server closes.
+	closed bool
+	// changed, when a follower waits on it, is closed when the event
+	// stream next grows or ends.
+	changed chan struct{}
 
 	report []byte // final report JSON, rendered at completion or shared
 
-	events *telemetry.EventBuffer
-	reg    *telemetry.Registry
-	met    jobMetrics
+	reg *telemetry.Registry
+	met jobMetrics
 
 	created  time.Time
 	finished time.Time
@@ -123,10 +149,10 @@ func (j *job) status(now time.Time) JobStatus {
 	return JobStatus{
 		ID:         j.id,
 		Key:        j.key,
-		Spec:       j.c.Spec,
+		Spec:       j.spec,
 		State:      j.state.String(),
 		Error:      j.err,
-		Sites:      len(j.c.Sites),
+		Sites:      len(j.sites),
 		Settled:    j.journal.SettledCount(),
 		FromCache:  int(j.met.fromCache.Value()),
 		Simulated:  int(j.met.simulated.Value()),
@@ -137,9 +163,9 @@ func (j *job) status(now time.Time) JobStatus {
 	}
 }
 
-// settle counts one newly settled verdict and emits its site event, which
-// a full cache hit leaves to handleEvents. Caller holds the server mutex;
-// the verdict is already in the journal.
+// settle counts one newly settled verdict and logs it for the event
+// stream, which a full hit's implicit log covers. Caller holds the server
+// mutex; the verdict is already in the journal.
 func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 	if fromCache {
 		j.met.fromCache.Inc()
@@ -150,7 +176,59 @@ func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 		j.met.detected.Inc()
 	}
 	if !j.fullHit {
-		j.events.Emit(fault.SiteEvent(i, res, fromCache))
+		j.log = append(j.log, settleEntry{t: time.Now().UnixNano(), i: int32(i), fromStore: fromCache})
+		j.wake()
+	}
+}
+
+// follow returns a channel that is closed when the job's event stream
+// next grows or ends. Caller holds the server mutex.
+func (j *job) follow() <-chan struct{} {
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return j.changed
+}
+
+// wake releases the followers waiting on the event stream. Caller holds
+// the server mutex.
+func (j *job) wake() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
+}
+
+// startEvent renders the job's start event.
+func (j *job) startEvent() telemetry.Event {
+	return telemetry.Event{Kind: telemetry.EventStart, T: j.created.UnixNano(), Sites: len(j.sites)}
+}
+
+// siteEvent renders entry k of the job's settle log, of which log is what
+// the caller read under the server mutex, from the universe and the
+// verdict table.
+func (j *job) siteEvent(log []settleEntry, k int) telemetry.Event {
+	e := settleEntry{t: j.created.UnixNano(), i: int32(k), fromStore: true}
+	if !j.fullHit {
+		e = log[k]
+	}
+	res, _, _, _ := j.journal.Settled(int(e.i))
+	res.Site = j.sites[e.i]
+	ev := fault.SiteEvent(int(e.i), res, e.fromStore)
+	ev.T = e.t
+	return ev
+}
+
+// finishEvent renders a done job's finish event. Caller holds the server
+// mutex.
+func (j *job) finishEvent() telemetry.Event {
+	return telemetry.Event{
+		Kind:          telemetry.EventFinish,
+		T:             j.finished.UnixNano(),
+		Sites:         len(j.sites),
+		Settled:       int64(j.journal.SettledCount()),
+		DetectedTotal: j.met.detected.Value(),
+		ElapsedNs:     j.finished.Sub(j.created).Nanoseconds(),
 	}
 }
 
@@ -162,10 +240,10 @@ func (j *job) assembleReport() fault.Report {
 	rep := fault.Report{
 		Golden:   sig,
 		GoldenOK: ok,
-		Total:    len(j.c.Sites),
-		Results:  make([]fault.SiteResult, len(j.c.Sites)),
+		Total:    len(j.sites),
+		Results:  make([]fault.SiteResult, len(j.sites)),
 	}
-	for i, site := range j.c.Sites {
+	for i, site := range j.sites {
 		res, _, _, _ := j.journal.Settled(i)
 		res.Site = site
 		rep.Results[i] = res

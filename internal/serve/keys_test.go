@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -103,6 +106,59 @@ func TestBenchSpecKeysPinned(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("%+v:\n built  %+v key %s\n pinned %+v key %s",
 				got[i].Spec, got[i].Header, got[i].Key, want[i].Header, want[i].Key)
+		}
+	}
+}
+
+// benchReferenceFile is cmd/bench's table of reference-mode report
+// digests by spec key, which the benchmark checks every report against.
+// The tests here only read it.
+const benchReferenceFile = "../../cmd/bench/reference.json"
+
+// benchSpecKey names spec the way benchReferenceFile does.
+func benchSpecKey(s Spec) string {
+	mc := "sc"
+	if s.Multicore {
+		mc = "mc"
+	}
+	return fmt.Sprintf("%s/c%d/%s/%s/bs%d/%s", s.Routine, s.Core, s.Strategy, mc, s.BitStep, s.Faults)
+}
+
+// TestBenchReportDigestsPinned runs a fast slice of the benchmark specs in
+// the optimized engine and requires each report's SHA-256 to be the
+// reference-mode digest benchReferenceFile holds for it. cmd/bench is its
+// own module, so `go test ./...` checks no other report digest. The slice
+// is every core-0, bitstep-8, single-core forwarding spec under both fault
+// models, the HDCU under the cache strategy and the ICU under the TCM
+// strategy.
+func TestBenchReportDigestsPinned(t *testing.T) {
+	blob, err := os.ReadFile(benchReferenceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs map[string]string
+	if err := json.Unmarshal(blob, &refs); err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	for _, faults := range []string{"stuckat", "transition"} {
+		for _, st := range []string{"plain", "cache", "tcm"} {
+			specs = append(specs, Spec{Routine: "forwarding", Strategy: st, BitStep: 8, Faults: faults})
+		}
+	}
+	specs = append(specs,
+		Spec{Routine: "hdcu", Strategy: "cache", BitStep: 8, Faults: "stuckat"},
+		Spec{Routine: "icu", Strategy: "tcm", BitStep: 1, Faults: "stuckat"})
+	for _, spec := range specs {
+		key := benchSpecKey(spec)
+		want, ok := refs[key]
+		if !ok {
+			t.Errorf("%s: %s has no digest", key, benchReferenceFile)
+			continue
+		}
+		sum := sha256.Sum256(directReport(t, spec))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: report digest %s, reference mode's %s", key, got, want)
 		}
 	}
 }

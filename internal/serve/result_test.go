@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -281,5 +283,79 @@ func TestLeaseSkipsFinishedJobs(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("lease order:\n got %v\nwant %v", got, want)
+	}
+}
+
+// liveHeap returns the bytes of the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// drainCold runs specs cold to completion through a new server over a
+// fresh store. It returns the live heap with the empty server, the live
+// heap with the server and its finished jobs but not their reports,
+// nothing else of the run reachable, and the jobs' settled sites.
+func drainCold(t *testing.T, specs []Spec) (empty, held uint64, sites int) {
+	t.Helper()
+	srv, err := New(Config{StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty = liveHeap()
+	hs := httptest.NewServer(srv)
+	for _, spec := range specs {
+		submit(t, hs.URL, spec, "")
+	}
+	if err := (&Worker{Server: hs.URL, Name: "w1", Workers: 2, Drain: true}).Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	hs.Close()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	srv.mu.Lock()
+	for _, j := range srv.order {
+		if j.state != jobDone {
+			t.Fatalf("job %s: state %v", j.id, j.state)
+		}
+		sites += j.journal.SettledCount()
+		j.report = nil
+	}
+	srv.mu.Unlock()
+	held = liveHeap()
+	runtime.KeepAlive(srv)
+	return empty, held, sites
+}
+
+// maxHeldBytesPerSite bounds the live bytes finished jobs hold per settled
+// site beyond their report bytes. A job keeps 8 bytes of verdict table, 16
+// of settle log and 8 of universe per site, and a fixed share (job,
+// journal, registry, shard table) spread over its sites:
+// TestFinishedJobsHoldLittlePerSite measures 54-76 bytes on a 2-CPU x86-64
+// host, with or without the race detector. A server that stored a
+// telemetry.Event per site, kept verdicts in a map and held each job's
+// built campaign measured 719-738 bytes; any one of the three alone
+// exceeds the bound.
+const maxHeldBytesPerSite = 112
+
+// TestFinishedJobsHoldLittlePerSite drains three cold multicore specs
+// through an in-process server and bounds what their finished jobs hold
+// beyond the report bytes that cache hits serve: the live heap the server
+// keeps reachable, with the reports dropped, beyond what it holds empty,
+// per settled site.
+func TestFinishedJobsHoldLittlePerSite(t *testing.T) {
+	specs := []Spec{
+		{Routine: "forwarding", Strategy: "plain", Multicore: true, BitStep: 8},
+		{Routine: "forwarding", Strategy: "cache", Multicore: true, BitStep: 8, Faults: "transition"},
+		{Routine: "icu", Strategy: "tcm", Multicore: true, BitStep: 1},
+	}
+	drainCold(t, specs) // warms the process-wide caches the first run fills
+	empty, held, sites := drainCold(t, specs)
+	perSite := (float64(held) - float64(empty)) / float64(sites)
+	t.Logf("%d sites: finished jobs hold %d B beyond their reports, %.1f B per site", sites, int64(held)-int64(empty), perSite)
+	if perSite > maxHeldBytesPerSite {
+		t.Errorf("finished jobs hold %.1f B per settled site beyond their reports, want at most %d", perSite, maxHeldBytesPerSite)
 	}
 }

@@ -20,9 +20,10 @@ import (
 
 // TestResubmitReusesBuiltCampaign pins build reuse on submission: a spec
 // the server already holds a job for — finished, and equal only after
-// normalization — gets that job's built campaign instead of a new
-// Spec.Build, counted in serve_builds_reused_total, and its report stays
-// byte-identical to the direct run.
+// normalization — gets that job's build (spec, header and the universe,
+// shared in memory) instead of a new Spec.Build, counted in
+// serve_builds_reused_total, and its report stays byte-identical to the
+// direct run.
 func TestResubmitReusesBuiltCampaign(t *testing.T) {
 	spec := quickSpec()
 	want := directReport(t, spec)
@@ -41,7 +42,8 @@ func TestResubmitReusesBuiltCampaign(t *testing.T) {
 			t.Fatalf("resubmission %d: state %q simulated %d, want a full cache hit", k+1, st.State, st.Simulated)
 		}
 		srv.mu.Lock()
-		reused := srv.jobs[st.ID].c == srv.jobs[first.ID].c
+		a, b := srv.jobs[st.ID].build, srv.jobs[first.ID].build
+		reused := a.spec == b.spec && a.header == b.header && &a.sites[0] == &b.sites[0]
 		srv.mu.Unlock()
 		if !reused {
 			t.Errorf("resubmission %d built its own campaign", k+1)

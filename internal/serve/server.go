@@ -178,7 +178,8 @@ func (s *Server) Close() error {
 		if err := j.journal.Close(); err != nil && first == nil {
 			first = err
 		}
-		j.events.Close()
+		j.closed = true
+		j.wake()
 	}
 	return first
 }
@@ -248,25 +249,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	prev := s.bySpec[spec]
 	s.mu.Unlock()
-	var c *Campaign
+	var b build
 	if prev != nil {
-		c = prev.c
+		b = prev.build
 		s.met.buildsReused.Inc()
 	} else {
 		// Build outside the lock: the golden traffic-recording run is
 		// milliseconds of simulation, and it never touches job state.
 		t0 := time.Now()
-		c, err = spec.Build()
+		c, err := spec.Build()
 		s.met.buildNs.Observe(time.Since(t0).Nanoseconds())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		b = build{spec: c.Spec, header: c.Header, sites: c.Sites}
 	}
 
 	s.mu.Lock()
 	s.met.jobsSubmitted.Inc()
-	key := c.Header.Key()
+	key := b.header.Key()
 	j, attached := s.byKey[key]
 	status := http.StatusCreated
 	switch {
@@ -276,7 +278,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case prev != nil && prev.state == jobDone:
 		j = s.reuseResult(prev)
 	default:
-		j, err = s.newJob(c, key)
+		j, err = s.newJob(b, key)
 		if err != nil {
 			s.mu.Unlock()
 			httpError(w, http.StatusInternalServerError, "%v", err)
@@ -299,50 +301,50 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
-// addJob registers a job for campaign c with the next job ID, its verdict
-// table journal and its start event. Caller holds the server mutex.
-func (s *Server) addJob(c *Campaign, key string, journal *fault.Journal) *job {
+// addJob registers a job for build b with the next job ID and its verdict
+// table journal. Caller holds the server mutex.
+func (s *Server) addJob(b build, key string, journal *fault.Journal) *job {
 	s.seq++
 	reg := telemetry.NewRegistry()
 	j := &job{
+		build:   b,
 		id:      fmt.Sprintf("j%03d-%s", s.seq, key[:8]),
 		key:     key,
-		c:       c,
 		journal: journal,
-		events:  telemetry.NewEventBuffer(),
 		reg:     reg,
 		met:     newJobMetrics(reg),
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
-	j.met.sites.Set(int64(len(c.Sites)))
-	j.events.Emit(telemetry.Event{Kind: telemetry.EventStart, T: j.created.UnixNano(), Sites: len(c.Sites)})
+	j.met.sites.Set(int64(len(b.sites)))
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.bySpec[c.Spec] = j
+	s.bySpec[b.spec] = j
 	return j
 }
 
-// newJob creates a job for the built campaign c, folding the store's
-// journaled verdicts in as cache hits; a fully settled store completes the
-// job before it ever reaches a worker. Caller holds the server mutex.
-func (s *Server) newJob(c *Campaign, key string) (*job, error) {
-	journal, err := fault.ResumeJournal(filepath.Join(s.cfg.StoreDir, key+".journal"), c.Header)
+// newJob creates a job for build b, folding the store's journaled
+// verdicts in as cache hits; a fully settled store completes the job
+// before it ever reaches a worker. Caller holds the server mutex.
+func (s *Server) newJob(b build, key string) (*job, error) {
+	journal, err := fault.ResumeJournal(filepath.Join(s.cfg.StoreDir, key+".journal"), b.header)
 	if err != nil {
 		return nil, err
 	}
-	j := s.addJob(c, key, journal)
-	for _, r := range fault.ShardRanges(len(c.Sites), s.cfg.ShardSize) {
+	j := s.addJob(b, key, journal)
+	for _, r := range fault.ShardRanges(len(b.sites), s.cfg.ShardSize) {
 		j.shards = append(j.shards, &shard{r: r})
 	}
 	j.met.shards.Set(int64(len(j.shards)))
-	full := journal.SettledCount() == len(c.Sites)
+	full := journal.SettledCount() == len(b.sites)
 	_, _, bound := journal.Golden()
-	// A full cache hit stores no site events: handleEvents renders them
-	// from the verdict table on read.
+	// A full cache hit logs no settles: its implicit log is the universe.
 	j.fullHit = full && bound
+	if !j.fullHit {
+		j.log = make([]settleEntry, 0, len(b.sites))
+	}
 
-	for i, site := range c.Sites {
+	for i, site := range b.sites {
 		if res, _, _, ok := journal.Settled(i); ok {
 			res.Site = site
 			j.settle(i, res, true)
@@ -374,16 +376,16 @@ func (s *Server) newJob(c *Campaign, key string) (*job, error) {
 }
 
 // reuseResult creates the job of a resubmission from prev, the finished
-// job of the same normalized spec: it shares prev's campaign, closed
-// verdict table, all-done shard table and rendered report, so it opens no
-// journal and renders no report, and it is done at submission. Caller
-// holds the server mutex; prev is done.
+// job of the same normalized spec: it shares prev's build, closed verdict
+// table, all-done shard table and rendered report, so it opens no journal
+// and renders no report, and it is done at submission. Caller holds the
+// server mutex; prev is done.
 func (s *Server) reuseResult(prev *job) *job {
-	j := s.addJob(prev.c, prev.key, prev.journal)
+	j := s.addJob(prev.build, prev.key, prev.journal)
 	j.shards = prev.shards
 	j.report = prev.report
 	j.fullHit = true
-	sites, shards := int64(len(j.c.Sites)), int64(len(j.shards))
+	sites, shards := int64(len(j.sites)), int64(len(j.shards))
 	j.met.shards.Set(shards)
 	j.met.shardsDone.Set(shards)
 	j.met.fromCache.Add(sites)
@@ -412,14 +414,7 @@ func (s *Server) finishJob(j *job) {
 func (s *Server) completeJob(j *job) {
 	j.state = jobDone
 	j.finished = time.Now()
-	j.events.Emit(telemetry.Event{
-		Kind:          telemetry.EventFinish,
-		Sites:         len(j.c.Sites),
-		Settled:       int64(j.journal.SettledCount()),
-		DetectedTotal: j.met.detected.Value(),
-		ElapsedNs:     j.finished.Sub(j.created).Nanoseconds(),
-	})
-	j.events.Close()
+	j.wake()
 	_ = j.journal.Close()
 	s.retireJob(j)
 	s.met.jobsCompleted.Inc()
@@ -434,7 +429,7 @@ func (s *Server) failJob(j *job, format string, args ...any) {
 	j.state = jobFailed
 	j.err = fmt.Sprintf(format, args...)
 	j.finished = time.Now()
-	j.events.Close()
+	j.wake()
 	_ = j.journal.Close()
 	s.retireJob(j)
 	s.met.jobsFailed.Inc()
@@ -526,64 +521,60 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // NDJSON — full replay from the first event, then live follow until the
 // job finishes or the client disconnects. The lines decode with
 // telemetry.DecodeEvents, the same strict schema as faultsim -events.
+// Every event is rendered on read: the start event and the finish event
+// from the job, and each site event from its settle log entry, the
+// universe and the verdict table, stamped with the time the site settled.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.findJob(w, r)
+	s.mu.Unlock()
 	if j == nil {
-		s.mu.Unlock()
 		return
 	}
-	buf, fullHit := j.events, j.fullHit
-	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	if fullHit {
-		// A job complete at submission stores only its start and finish
-		// events. Its site events come from the verdict table, which no
-		// one writes once the job is done, stamped with the start time.
-		evs := buf.Events()
-		if err := enc.Encode(evs[0]); err != nil {
-			return
-		}
-		for i, site := range j.c.Sites {
-			res, _, _, _ := j.journal.Settled(i)
-			res.Site = site
-			e := fault.SiteEvent(i, res, true)
-			e.T = evs[0].T
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		for _, e := range evs[1:] {
-			_ = enc.Encode(e)
-		}
+	flusher, _ := w.(http.Flusher)
+	if err := enc.Encode(j.startEvent()); err != nil {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	from := 0
-	for {
-		batch, open := buf.Next(from, r.Context().Done())
-		for _, e := range batch {
-			if err := enc.Encode(e); err != nil {
+	for sent := 0; ; {
+		s.mu.Lock()
+		log, n := j.log, len(j.log)
+		if j.fullHit {
+			n = len(j.sites)
+		}
+		state, open := j.state, j.state == jobRunning && !j.closed
+		var finish telemetry.Event
+		if state == jobDone {
+			finish = j.finishEvent()
+		}
+		var more <-chan struct{}
+		if open && n == sent {
+			more = j.follow()
+		}
+		s.mu.Unlock()
+
+		for ; sent < n; sent++ {
+			if err := enc.Encode(j.siteEvent(log, sent)); err != nil {
 				return
 			}
 		}
-		from += len(batch)
-		if flusher != nil && len(batch) > 0 {
-			flusher.Flush()
-		}
 		if !open {
+			if state == jobDone {
+				_ = enc.Encode(finish)
+			}
 			return
 		}
-		if len(batch) == 0 {
-			// Next returned without progress and the stream is still open:
-			// the client context was canceled.
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if more != nil {
 			select {
+			case <-more:
 			case <-r.Context().Done():
 				return
-			default:
 			}
 		}
 	}
@@ -643,7 +634,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			}
 			lease := Lease{
 				Job:     j.id,
-				Spec:    j.c.Spec,
+				Spec:    j.spec,
 				Shard:   sh.r,
 				Settled: settled,
 				Key:     j.key,
@@ -763,7 +754,7 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		res := fault.SiteResult{
-			Site:      j.c.Sites[v.I],
+			Site:      j.sites[v.I],
 			Detected:  v.Detected,
 			Signature: v.Sig,
 			Crashed:   v.Crashed,
@@ -797,7 +788,7 @@ func (s *Server) completeShard(j *job, sh *shard) {
 	sh.worker = ""
 	s.met.shardsCompleted.Inc()
 	j.met.shardsDone.Set(int64(j.shardsDone()))
-	if j.journal.SettledCount() == len(j.c.Sites) {
+	if j.journal.SettledCount() == len(j.sites) {
 		s.finishJob(j)
 	}
 }
