@@ -28,16 +28,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var strat core.Strategy
-	switch *strategyName {
-	case "plain":
-		strat = core.Plain{}
-	case "cache":
-		strat = core.CacheBased{WriteAllocate: true}
-	case "tcm":
-		strat = core.TCMBased{CoreID: *coreID}
-	default:
-		fmt.Fprintf(os.Stderr, "stlgen: unknown strategy %q\n", *strategyName)
+	strat, err := core.StrategyByName(*strategyName, *coreID)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stlgen:", err)
 		os.Exit(2)
 	}
 

@@ -271,26 +271,6 @@ func TestParseCaseAndComments(t *testing.T) {
 	}
 }
 
-func TestAppendTo(t *testing.T) {
-	a := NewBuilder()
-	a.Label("a0")
-	a.Nop()
-	bb := NewBuilder()
-	bb.Label("b0")
-	bb.Halt()
-	bb.AppendTo(a) // a = [nop, halt]
-	p, err := a.Assemble(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Words) != 2 {
-		t.Fatalf("merged len = %d", len(p.Words))
-	}
-	if addr, _ := p.Addr("b0"); addr != 4 {
-		t.Errorf("b0 = 0x%x, want 4", addr)
-	}
-}
-
 func TestSpaceAndOrg(t *testing.T) {
 	b, err := Parse(`
 		nop

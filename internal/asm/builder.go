@@ -351,18 +351,3 @@ func (p *Program) Listing() string {
 	}
 	return sb.String()
 }
-
-// AppendTo appends all of other's items to b. Labels from other are merged
-// and must not collide with b's.
-func (b *Builder) AppendTo(other *Builder) {
-	offset := len(other.items)
-	for name, idx := range b.labels {
-		if _, dup := other.labels[name]; dup {
-			other.errs = append(other.errs, fmt.Errorf("asm: duplicate label %q in merge", name))
-			continue
-		}
-		other.labels[name] = idx + offset
-	}
-	other.items = append(other.items, b.items...)
-	other.errs = append(other.errs, b.errs...)
-}

@@ -98,9 +98,6 @@ func New(nMasters int, policy Arbitration, regions []Region) *Bus {
 	return b
 }
 
-// NumMasters returns the number of master ports.
-func (b *Bus) NumMasters() int { return len(b.reqs) }
-
 // Reset restores the bus to power-on state: all requests dropped, statistics
 // cleared, arbitration state rewound and any attached recorder detached. The
 // regions and master ports survive, so the bus can immediately serve a fresh

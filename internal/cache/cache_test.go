@@ -228,10 +228,6 @@ func TestBypassLineBufferTiming(t *testing.T) {
 	if cyc, v := drive(t, b, cl, 0x10, false, 0, 4); cyc < 9 || v != 5 {
 		t.Errorf("next-line fetch cyc=%d v=%d", cyc, v)
 	}
-	cl.InvalidateBuffer()
-	if cyc, _ := drive(t, b, cl, 0x10, false, 0, 4); cyc < 9 {
-		t.Errorf("fetch after invalidate took %d cycles", cyc)
-	}
 }
 
 func TestBypassUnbufferedDataPath(t *testing.T) {

@@ -236,10 +236,6 @@ func NewBypass(port *bus.Port, lineBuffer bool) *Bypass {
 	return &Bypass{port: port, lineBuffer: lineBuffer}
 }
 
-// InvalidateBuffer drops the prefetch buffer (called on control-flow
-// redirects so stale lines are not reused; harmless to call when disabled).
-func (b *Bypass) InvalidateBuffer() { b.bufValid = false }
-
 // SetCoverage attaches a coverage map recording barrier flag-line accesses
 // (nil detaches). The attachment survives Reset.
 func (b *Bypass) SetCoverage(m *coverage.Map) { b.cov = m }

@@ -186,17 +186,18 @@ func schedShapeFor(seed int64) schedShape {
 	return sh
 }
 
-// schedStrategy resolves a strategy name into the per-core factory
-// Plan.Jobs consumes, plus whether the SoC needs caches on.
+// schedStrategy resolves one of schedShape's strategy names into the
+// per-core factory Plan.Jobs consumes, plus whether the SoC needs caches on.
 func schedStrategy(name string) (func(int) core.Strategy, bool) {
-	switch name {
-	case "cache":
-		return func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, true
-	case "tcm":
-		return func(id int) core.Strategy { return core.TCMBased{CoreID: id} }, false
-	default:
-		return func(int) core.Strategy { return core.Plain{} }, false
+	strat := func(id int) core.Strategy {
+		s, err := core.StrategyByName(name, id)
+		if err != nil {
+			panic(err) // schedShapeFor draws only known names
+		}
+		return s
 	}
+	_, cached := strat(0).(core.CacheBased)
+	return strat, cached
 }
 
 // checkSched runs one task set through the multi-core scheduled boot and

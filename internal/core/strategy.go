@@ -22,6 +22,21 @@ type Strategy interface {
 	MemoryOverhead(r *sbst.Routine) (int, error)
 }
 
+// StrategyByName returns the strategy whose Name is name, in the form the
+// paper runs it, for the routine of core coreID: "plain" is Plain, "cache"
+// a write-allocate CacheBased and "tcm" TCMBased on coreID's TCMs.
+func StrategyByName(name string, coreID int) (Strategy, error) {
+	switch name {
+	case "plain":
+		return Plain{}, nil
+	case "cache":
+		return CacheBased{WriteAllocate: true}, nil
+	case "tcm":
+		return TCMBased{CoreID: coreID}, nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q (want plain, cache or tcm)", name)
+}
+
 // A staged strategy assembles part of a routine on its own before it
 // emits the routine: CacheBased sizes it, and TCMBased assembles the body
 // it embeds. assemble stages every routine of a job in the builder it
@@ -65,10 +80,10 @@ func (Plain) MemoryOverhead(*sbst.Routine) (int, error) { return 0, nil }
 
 // CacheBased is the paper's strategy.
 type CacheBased struct {
-	// ICacheBytes/DCacheBytes bound the footprint checks; zero values use
-	// the paper's geometry (8 kB / 4 kB).
+	// ICacheBytes bounds the code-footprint checks; zero uses the paper's
+	// 8 kB instruction cache. The data footprint is always checked against
+	// the paper's 4 kB data cache.
 	ICacheBytes int
-	DCacheBytes int
 	// WriteAllocate describes the data-cache policy the routine will run
 	// under. With no-write-allocate the routine must carry dummy loads.
 	WriteAllocate bool
@@ -89,13 +104,6 @@ func (s CacheBased) icacheBytes() int {
 		return s.ICacheBytes
 	}
 	return cache.ICacheConfig().SizeBytes
-}
-
-func (s CacheBased) dcacheBytes() int {
-	if s.DCacheBytes > 0 {
-		return s.DCacheBytes
-	}
-	return cache.DCacheConfig(true).SizeBytes
 }
 
 func (s CacheBased) iterations() int {
@@ -145,9 +153,9 @@ func (s CacheBased) validate(b *asm.Builder, r *sbst.Routine) (int, error) {
 		return 0, fmt.Errorf("core: routine %q targets a no-write-allocate data cache "+
 			"but was generated without dummy loads after stores (rule 1)", r.Name)
 	}
-	if r.DataSize()+8 > s.dcacheBytes() {
+	if dcache := cache.DCacheConfig(true).SizeBytes; r.DataSize()+8 > dcache {
 		return 0, fmt.Errorf("core: routine %q data footprint %d bytes exceeds the "+
-			"%d-byte data cache", r.Name, r.DataSize(), s.dcacheBytes())
+			"%d-byte data cache", r.Name, r.DataSize(), dcache)
 	}
 	size, err := r.SizeBytesIn(b)
 	if err != nil {

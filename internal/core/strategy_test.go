@@ -55,6 +55,21 @@ func icuRoutine(coreID int) *sbst.Routine {
 	return sbst.NewICUTest(sbst.ICUOptions{DataBase: dataBaseFor(coreID)})
 }
 
+// TestStrategyByName pins StrategyByName as the inverse of Strategy.Name:
+// each strategy's name resolves to it in the form the paper runs it, on
+// the given core, and an unknown name is an error.
+func TestStrategyByName(t *testing.T) {
+	for _, want := range []Strategy{Plain{}, CacheBased{WriteAllocate: true}, TCMBased{CoreID: 2}} {
+		got, err := StrategyByName(want.Name(), 2)
+		if err != nil || got != want {
+			t.Errorf("StrategyByName(%q, 2) = %#v, %v; want %#v", want.Name(), got, err, want)
+		}
+	}
+	if s, err := StrategyByName("dram", 0); err == nil {
+		t.Errorf(`StrategyByName("dram", 0) = %#v, want an error`, s)
+	}
+}
+
 func TestPlainSingleCoreStable(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		res, _, err := RunSingle(cfg(1, false, true, [3]int{}), 0,

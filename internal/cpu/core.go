@@ -330,13 +330,6 @@ func (c *Core) Done() bool {
 // Reg returns architectural register r.
 func (c *Core) Reg(r uint8) uint32 { return c.regs[r&31] }
 
-// SetReg writes architectural register r (test harness use).
-func (c *Core) SetReg(r uint8, v uint32) {
-	if r&31 != 0 {
-		c.regs[r&31] = v
-	}
-}
-
 // Counter returns the raw value of performance counter id (fault.Cnt*).
 func (c *Core) Counter(id int) uint64 { return c.counters[id] }
 

@@ -296,7 +296,7 @@ func TestMinMax(t *testing.T) {
 	r1 := Report{Total: 100, Detected: 60}
 	r2 := Report{Total: 100, Detected: 75}
 	mm := NewMinMax([]Report{r1, r2})
-	if mm.Min != 60 || mm.Max != 75 || mm.Spread() != 15 {
+	if mm.Min != 60 || mm.Max != 75 {
 		t.Errorf("minmax %+v", mm)
 	}
 }

@@ -424,9 +424,6 @@ func NewMinMax(reports []Report) MinMax {
 	return mm
 }
 
-// Spread returns Max-Min in coverage points.
-func (m MinMax) Spread() float64 { return m.Max - m.Min }
-
 // SortSites orders a fault list deterministically (useful for stable
 // sub-sampling in tests).
 func SortSites(sites []Site) {

@@ -283,9 +283,6 @@ const (
 	RegLink = 31 // subroutine link
 )
 
-// RegName returns the canonical name of register r.
-func RegName(r uint8) string { return fmt.Sprintf("r%d", r) }
-
 // CINV selector values (Imm field of OpCINV).
 const (
 	CinvI    = 1

@@ -49,28 +49,6 @@ func (s jobState) String() string {
 	return "?"
 }
 
-// jobMetrics is a job's resolved per-job registry handles.
-type jobMetrics struct {
-	sites      *telemetry.Gauge
-	shards     *telemetry.Gauge
-	shardsDone *telemetry.Gauge
-	fromCache  *telemetry.Counter
-	simulated  *telemetry.Counter
-	detected   *telemetry.Counter
-}
-
-// newJobMetrics resolves the per-job metric names on reg.
-func newJobMetrics(reg *telemetry.Registry) jobMetrics {
-	return jobMetrics{
-		sites:      reg.Gauge("serve_job_sites"),
-		shards:     reg.Gauge("serve_job_shards"),
-		shardsDone: reg.Gauge("serve_job_shards_done"),
-		fromCache:  reg.Counter("serve_job_sites_from_cache_total"),
-		simulated:  reg.Counter("serve_job_sites_simulated_total"),
-		detected:   reg.Counter("serve_job_verdicts_detected_total"),
-	}
-}
-
 // build is what the server keeps of a built campaign: the normalized
 // spec, its journal header and its fault universe. The recorded traffic
 // and programs a Build also holds are dropped at submission; only workers
@@ -92,11 +70,11 @@ type settleEntry struct {
 
 // job is one submitted campaign: its build, the store journal that is its
 // verdict table (settled set, verdicts and golden), the shard table, the
-// settle log its event stream is rendered from, and the job-scoped
-// registry, whose counters are the job's from-cache/simulated/detected
-// tallies. All mutable fields are guarded by the owning Server's mutex. A
-// resubmission of a finished job's spec shares that job's build, journal,
-// shard table and report, none of which changes once a job is done.
+// settle log its event stream is rendered from, and the tallies its status
+// and per-job metrics render from. All mutable fields are guarded by the
+// owning Server's mutex. A resubmission of a finished job's spec shares
+// that job's build, journal, shard table and report, none of which
+// changes once a job is done.
 type job struct {
 	build
 	id      string
@@ -121,8 +99,10 @@ type job struct {
 
 	report []byte // final report JSON, rendered at completion or shared
 
-	reg *telemetry.Registry
-	met jobMetrics
+	// fromCache, simulated and detected count the settled verdicts that
+	// came from the store, those that came from workers, and the detected
+	// ones.
+	fromCache, simulated, detected int
 
 	created  time.Time
 	finished time.Time
@@ -154,9 +134,9 @@ func (j *job) status(now time.Time) JobStatus {
 		Error:      j.err,
 		Sites:      len(j.sites),
 		Settled:    j.journal.SettledCount(),
-		FromCache:  int(j.met.fromCache.Value()),
-		Simulated:  int(j.met.simulated.Value()),
-		Detected:   int(j.met.detected.Value()),
+		FromCache:  j.fromCache,
+		Simulated:  j.simulated,
+		Detected:   j.detected,
 		Shards:     len(j.shards),
 		ShardsDone: j.shardsDone(),
 		ElapsedNs:  elapsed.Nanoseconds(),
@@ -168,12 +148,12 @@ func (j *job) status(now time.Time) JobStatus {
 // mutex; the verdict is already in the journal.
 func (j *job) settle(i int, res fault.SiteResult, fromCache bool) {
 	if fromCache {
-		j.met.fromCache.Inc()
+		j.fromCache++
 	} else {
-		j.met.simulated.Inc()
+		j.simulated++
 	}
 	if res.Detected {
-		j.met.detected.Inc()
+		j.detected++
 	}
 	if !j.fullHit {
 		j.log = append(j.log, settleEntry{t: time.Now().UnixNano(), i: int32(i), fromStore: fromCache})
@@ -227,7 +207,7 @@ func (j *job) finishEvent() telemetry.Event {
 		T:             j.finished.UnixNano(),
 		Sites:         len(j.sites),
 		Settled:       int64(j.journal.SettledCount()),
-		DetectedTotal: j.met.detected.Value(),
+		DetectedTotal: int64(j.detected),
 		ElapsedNs:     j.finished.Sub(j.created).Nanoseconds(),
 	}
 }

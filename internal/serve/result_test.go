@@ -332,7 +332,7 @@ func drainCold(t *testing.T, specs []Spec) (empty, held uint64, sites int) {
 // maxHeldBytesPerSite bounds the live bytes finished jobs hold per settled
 // site beyond their report bytes. A job keeps 8 bytes of verdict table, 16
 // of settle log and 8 of universe per site, and a fixed share (job,
-// journal, registry, shard table) spread over its sites:
+// journal, shard table) spread over its sites:
 // TestFinishedJobsHoldLittlePerSite measures 54-76 bytes on a 2-CPU x86-64
 // host, with or without the race detector. A server that stored a
 // telemetry.Event per site, kept verdicts in a map and held each job's
@@ -357,5 +357,37 @@ func TestFinishedJobsHoldLittlePerSite(t *testing.T) {
 	t.Logf("%d sites: finished jobs hold %d B beyond their reports, %.1f B per site", sites, int64(held)-int64(empty), perSite)
 	if perSite > maxHeldBytesPerSite {
 		t.Errorf("finished jobs hold %.1f B per settled site beyond their reports, want at most %d", perSite, maxHeldBytesPerSite)
+	}
+}
+
+// maxFullHitBytes bounds the live bytes one full-hit resubmission of a
+// finished spec adds to the server: its job (which shares the finished
+// job's build, verdict table, shard table and report), its ID, its done
+// channel and its entries in the job table and the submission order.
+// TestFullHitsHoldLittle measures 591-614 bytes per job on a 2-CPU x86-64
+// host (598-664 with the race detector); a job that kept its own
+// telemetry.Registry of six per-job metrics measured 1,343-1,364.
+const maxFullHitBytes = 1000
+
+// TestFullHitsHoldLittle resubmits a finished spec 200 times to an
+// in-process server, each resubmission a full hit, and bounds the live
+// heap each one adds. The server keeps every job for its life, so this is
+// the growth per full hit.
+func TestFullHitsHoldLittle(t *testing.T) {
+	spec := quickSpec()
+	srv, base, _ := finishedServer(t, t.TempDir(), spec)
+	submit(t, base, spec, "") // warms the reuse path
+	const n = 200
+	before := liveHeap()
+	for range n {
+		if st := submit(t, base, spec, ""); st.State != "done" || st.Simulated != 0 {
+			t.Fatalf("resubmission: state %q, %d simulated, want a full hit", st.State, st.Simulated)
+		}
+	}
+	perJob := (float64(liveHeap()) - float64(before)) / n
+	runtime.KeepAlive(srv)
+	t.Logf("a full hit holds %.0f B", perJob)
+	if perJob > maxFullHitBytes {
+		t.Errorf("a full hit holds %.0f B, want at most %d", perJob, maxFullHitBytes)
 	}
 }

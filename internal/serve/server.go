@@ -305,18 +305,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // table journal. Caller holds the server mutex.
 func (s *Server) addJob(b build, key string, journal *fault.Journal) *job {
 	s.seq++
-	reg := telemetry.NewRegistry()
 	j := &job{
 		build:   b,
 		id:      fmt.Sprintf("j%03d-%s", s.seq, key[:8]),
 		key:     key,
 		journal: journal,
-		reg:     reg,
-		met:     newJobMetrics(reg),
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
-	j.met.sites.Set(int64(len(b.sites)))
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.bySpec[b.spec] = j
@@ -335,7 +331,6 @@ func (s *Server) newJob(b build, key string) (*job, error) {
 	for _, r := range fault.ShardRanges(len(b.sites), s.cfg.ShardSize) {
 		j.shards = append(j.shards, &shard{r: r})
 	}
-	j.met.shards.Set(int64(len(j.shards)))
 	full := journal.SettledCount() == len(b.sites)
 	_, _, bound := journal.Golden()
 	// A full cache hit logs no settles: its implicit log is the universe.
@@ -350,14 +345,13 @@ func (s *Server) newJob(b build, key string) (*job, error) {
 			j.settle(i, res, true)
 		}
 	}
-	s.met.sitesFromCache.Add(j.met.fromCache.Value())
+	s.met.sitesFromCache.Add(int64(j.fromCache))
 	for _, sh := range j.shards {
 		if len(journal.Unsettled(sh.r.Lo, sh.r.Hi)) == 0 {
 			sh.state = shardDone
 			s.met.shardsCached.Inc()
 		}
 	}
-	j.met.shardsDone.Set(int64(j.shardsDone()))
 
 	s.byKey[key] = j
 	s.met.jobsRunning.Set(int64(len(s.byKey)))
@@ -385,13 +379,10 @@ func (s *Server) reuseResult(prev *job) *job {
 	j.shards = prev.shards
 	j.report = prev.report
 	j.fullHit = true
-	sites, shards := int64(len(j.sites)), int64(len(j.shards))
-	j.met.shards.Set(shards)
-	j.met.shardsDone.Set(shards)
-	j.met.fromCache.Add(sites)
-	j.met.detected.Add(prev.met.detected.Value())
-	s.met.sitesFromCache.Add(sites)
-	s.met.shardsCached.Add(shards)
+	j.fromCache = len(j.sites)
+	j.detected = prev.detected
+	s.met.sitesFromCache.Add(int64(len(j.sites)))
+	s.met.shardsCached.Add(int64(len(j.shards)))
 	s.met.resultsReused.Inc()
 	s.completeJob(j)
 	return j
@@ -418,7 +409,7 @@ func (s *Server) completeJob(j *job) {
 	_ = j.journal.Close()
 	s.retireJob(j)
 	s.met.jobsCompleted.Inc()
-	if j.met.simulated.Value() == 0 {
+	if j.simulated == 0 {
 		s.met.jobsFullyCached.Inc()
 	}
 }
@@ -580,8 +571,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobMetrics is GET /v1/jobs/{id}/metrics: the job-scoped registry
-// in the Prometheus text format (the pool registry lives at /metrics).
+// handleJobMetrics is GET /v1/jobs/{id}/metrics: six of the job's status
+// fields as metrics in the Prometheus text format (the pool registry
+// lives at /metrics), rendered on read.
 func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.findJob(w, r)
@@ -589,8 +581,15 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	reg := j.reg
+	st := j.status(time.Now())
 	s.mu.Unlock()
+	reg := telemetry.NewRegistry()
+	reg.Gauge("serve_job_sites").Set(int64(st.Sites))
+	reg.Gauge("serve_job_shards").Set(int64(st.Shards))
+	reg.Gauge("serve_job_shards_done").Set(int64(st.ShardsDone))
+	reg.Counter("serve_job_sites_from_cache_total").Add(int64(st.FromCache))
+	reg.Counter("serve_job_sites_simulated_total").Add(int64(st.Simulated))
+	reg.Counter("serve_job_verdicts_detected_total").Add(int64(st.Detected))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = reg.WriteProm(w)
 }
@@ -787,7 +786,6 @@ func (s *Server) completeShard(j *job, sh *shard) {
 	sh.state = shardDone
 	sh.worker = ""
 	s.met.shardsCompleted.Inc()
-	j.met.shardsDone.Set(int64(j.shardsDone()))
 	if j.journal.SettledCount() == len(j.sites) {
 		s.finishJob(j)
 	}

@@ -54,10 +54,8 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.Core < 0 || s.Core >= soc.NumCores {
 		return s, fmt.Errorf("serve: core %d outside 0..%d", s.Core, soc.NumCores-1)
 	}
-	switch s.Strategy {
-	case "plain", "cache", "tcm":
-	default:
-		return s, fmt.Errorf("serve: unknown strategy %q", s.Strategy)
+	if _, err := core.StrategyByName(s.Strategy, s.Core); err != nil {
+		return s, fmt.Errorf("serve: %w", err)
 	}
 	switch s.Faults {
 	case "stuckat":
@@ -102,17 +100,11 @@ func (s Spec) Build() (*Campaign, error) {
 			TriggerReps: 2,
 		})
 	}
-	var strat core.Strategy
-	cached := false
-	switch spec.Strategy {
-	case "plain":
-		strat = core.Plain{}
-	case "cache":
-		strat = core.CacheBased{WriteAllocate: true}
-		cached = true
-	case "tcm":
-		strat = core.TCMBased{CoreID: spec.Core}
+	strat, err := core.StrategyByName(spec.Strategy, spec.Core)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	_, cached := strat.(core.CacheBased)
 
 	bits := 32
 	if spec.Core == 2 {

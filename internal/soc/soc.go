@@ -453,17 +453,6 @@ func (s *SoC) AttachRecorder(exceptID int) *bus.Recorder {
 	return rec
 }
 
-// ActiveCount returns how many cores are configured active.
-func (s *SoC) ActiveCount() int {
-	n := 0
-	for _, u := range s.Cores {
-		if u.setup.Active {
-			n++
-		}
-	}
-	return n
-}
-
 // router dispatches memory accesses by address region: the core-private
 // TCMs bypass the bus entirely; accesses to the uncached SRAM alias bypass
 // the cache; everything else goes to the default path (cache controller or

@@ -286,9 +286,6 @@ func TestActiveCountAndCycle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores[2].Active = false
 	s := New(cfg)
-	if s.ActiveCount() != 2 {
-		t.Errorf("ActiveCount = %d", s.ActiveCount())
-	}
 	loadAndStart(t, s, 0, "halt", CodeLow)
 	s.Run(1000)
 	if s.Cycle() == 0 {
