@@ -433,9 +433,18 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkSoCStep measures the simulator's per-cycle cost, the layer
 // under every fault run. Per strategy it runs a reference-mode arena (no
 // early exit, no checkpoints, no shortcuts) of the multicore forwarding
-// campaign, serving the fault-free golden replay and one stuck-at
-// forwarding-mux data site, both full replays from cycle 0, and reports
-// ns per simulated cycle and allocations per run.
+// campaign, serving the fault-free golden replay, one stuck-at
+// forwarding-mux data site and, where the campaign has one, the first
+// stuck-at site whose run the cycle budget cuts, all full replays from
+// cycle 0, and reports ns per simulated cycle and allocations per run.
+// The budget rows (cache/budget and tcm/budget; the plain campaign's runs
+// all finish) cover the budget-cut runs, which step over a third of the
+// cycles of a forwarding stuck-at census, nearly all on the TCM specs:
+// tcm/budget is a diverged loop stalled on fetch and data memory most
+// cycles (IPC 0.2), the mix of those runs, and cache/budget a diverged
+// loop that runs from the caches at an IPC of 1.8. Like every cut run in
+// a campaign, each is followed by the golden health check, whose cycles
+// it counts.
 func BenchmarkSoCStep(b *testing.B) {
 	for _, strategy := range []string{"plain", "cache", "tcm"} {
 		c, err := serve.Spec{Routine: "forwarding", Strategy: strategy, Multicore: true, BitStep: 8}.Build()
@@ -446,17 +455,27 @@ func BenchmarkSoCStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		i := slices.IndexFunc(c.Sites, func(s fault.Site) bool { return s.Signal == fault.SigMuxData })
-		for _, run := range []struct {
+		type row struct {
 			name  string
 			plane fault.Plane
-		}{{"golden", fault.None}, {"muxdata", fault.PlaneFor(c.Sites[i])}} {
+			cut   int64 // cycles a run steps before the SoC's count restarts for its health check
+		}
+		i := slices.IndexFunc(c.Sites, func(s fault.Site) bool { return s.Signal == fault.SigMuxData })
+		rows := []row{{"golden", fault.None, 0}, {"muxdata", fault.PlaneFor(c.Sites[i]), 0}}
+		if j := slices.IndexFunc(c.Sites, func(s fault.Site) bool {
+			checks := a.Stats().HealthChecks
+			a.Run(fault.PlaneFor(s))
+			return a.Stats().HealthChecks > checks
+		}); j >= 0 {
+			rows = append(rows, row{"budget", fault.PlaneFor(c.Sites[j]), c.Budget})
+		}
+		for _, run := range rows {
 			b.Run(strategy+"/"+run.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var cycles int64
 				for range b.N {
 					a.Run(run.plane)
-					cycles += a.SoC().Cycle()
+					cycles += run.cut + a.SoC().Cycle()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 			})

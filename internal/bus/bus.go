@@ -68,8 +68,9 @@ type Bus struct {
 // State is the bus's dynamic state — in-flight requests, arbitration
 // position and statistics — as one value. Regions, policy and attachments
 // (recorder, coverage) stay outside it. The request and statistics slices
-// are the bus's own, sized at New: replayers hold pointers into the request
-// slots, so Snapshot copies them out and Restore copies them back.
+// are the bus's own, sized at New: ports and replayers hold pointers into
+// the request slots, so Reset clears them in place, Snapshot copies them
+// out and Restore copies them back.
 type State struct {
 	reqs  []request
 	stats []Stats
@@ -272,9 +273,13 @@ func (b *Bus) complete(id int) {
 	b.stats[id].Transactions++
 }
 
-// Port gives one master a handle on its bus slot.
+// Port gives one master a handle on its bus slot. It holds a pointer to
+// the slot: the request array is allocated once by New, and Reset clears
+// it and Restore copies a snapshot into it in place, so the pointer stays
+// valid for the bus's life.
 type Port struct {
 	bus *Bus
+	req *request
 	id  int
 }
 
@@ -283,7 +288,7 @@ func (b *Bus) PortFor(id int) *Port {
 	if id < 0 || id >= len(b.reqs) {
 		panic(fmt.Sprintf("bus: no master %d", id))
 	}
-	return &Port{bus: b, id: id}
+	return &Port{bus: b, req: &b.reqs[id], id: id}
 }
 
 // ID returns the master identifier of this port.
@@ -294,17 +299,14 @@ func (p *Port) ID() int { return p.id }
 func (p *Port) InService() bool { return p.bus.owner == p.id }
 
 // Busy reports whether a request is outstanding (issued and not yet taken).
-func (p *Port) Busy() bool { return p.bus.reqs[p.id].active }
+func (p *Port) Busy() bool { return p.req.active }
 
 // Done reports whether the outstanding request has completed.
-func (p *Port) Done() bool {
-	r := &p.bus.reqs[p.id]
-	return r.active && r.done
-}
+func (p *Port) Done() bool { return p.req.active && p.req.done }
 
 // StartRead submits a read of n bytes at addr. The port must be idle.
 func (p *Port) StartRead(addr uint32, n int) {
-	r := &p.bus.reqs[p.id]
+	r := p.req
 	if r.active {
 		panic("bus: StartRead on busy port")
 	}
@@ -320,7 +322,7 @@ func (p *Port) StartRead(addr uint32, n int) {
 // StartWrite submits a write of len(data) bytes at addr. The port must be
 // idle. data is copied.
 func (p *Port) StartWrite(addr uint32, data []byte) {
-	r := &p.bus.reqs[p.id]
+	r := p.req
 	if r.active {
 		panic("bus: StartWrite on busy port")
 	}
@@ -339,7 +341,7 @@ func (p *Port) StartWrite(addr uint32, data []byte) {
 // aliases the port's transaction buffer and is only valid until the next
 // request is submitted on this port.
 func (p *Port) Take() []byte {
-	r := &p.bus.reqs[p.id]
+	r := p.req
 	if !r.active || !r.done {
 		panic("bus: Take before completion")
 	}
@@ -354,7 +356,7 @@ func (p *Port) Take() []byte {
 // panics if the request is currently being served (real bus masters cannot
 // retract a granted burst).
 func (p *Port) Cancel() {
-	r := &p.bus.reqs[p.id]
+	r := p.req
 	if !r.active {
 		return
 	}

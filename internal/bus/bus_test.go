@@ -336,3 +336,30 @@ func TestNoStarvationUnderRoundRobin(t *testing.T) {
 		t.Errorf("round robin unfair: %v", done)
 	}
 }
+
+// TestPortSlotsStayPut pins what ports and replayers rely on when they hold
+// a pointer to their request slot: Reset and Restore rewrite the slots in
+// place, so a request submitted through a port after either is the one the
+// bus serves, and a snapshot's in-flight request is the port's after
+// Restore.
+func TestPortSlotsStayPut(t *testing.T) {
+	b, ram := testBus(2, RoundRobin)
+	mem.WriteWord(ram, 8, 0xCAFEF00D)
+	p := b.PortFor(1)
+	slot := &b.reqs[1]
+	p.StartRead(0x2000_0008, 4)
+	b.Step()
+	saved := b.Snapshot()
+	b.Reset()
+	if p.req != slot || p.Busy() {
+		t.Fatal("Reset moved or kept the port's request slot")
+	}
+	b.Restore(saved)
+	if p.req != slot || !p.Busy() {
+		t.Fatal("Restore did not bring the in-flight request back into the port's slot")
+	}
+	runUntilDone(t, b, p, 10)
+	if got := p.Take(); got[0] != 0x0D || got[3] != 0xCA {
+		t.Errorf("restored read returned % x", got)
+	}
+}

@@ -102,7 +102,7 @@ type Replayer struct {
 
 // NewReplayer builds a replayer for port over the given trace.
 func NewReplayer(port *Port, log []TrafficEvent) *Replayer {
-	return &Replayer{port: port, req: &port.bus.reqs[port.id], log: log}
+	return &Replayer{port: port, req: port.req, log: log}
 }
 
 // Reset rewinds the replayer to the start of its trace. The caller must

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -253,7 +254,7 @@ func TestSharedImageSurvivesWildStores(t *testing.T) {
 // first time. One arena of a Run call, a clone over the capture's image,
 // serves the wild sites (stores into flash, SRAM and TCM) and a campaign
 // slice twice, in both engine modes, and the second pass makes no heap
-// allocation at all. runtime.MemStats.Mallocs counts each one, where
+// allocation at all. runAllocs counts each one, where
 // testing.AllocsPerRun would divide a few first-touch pages over many
 // runs down to zero.
 func TestArenaFirstTouchAllocation(t *testing.T) {
@@ -276,14 +277,82 @@ func TestArenaFirstTouchAllocation(t *testing.T) {
 			}
 		}
 		pass()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		pass()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Errorf("reference=%v: second pass over %d sites made %d heap allocations, want 0", ref, len(sites), n)
+		for stk, n := range runAllocs(pass) {
+			t.Errorf("reference=%v: second pass over %d sites made %d heap allocations at %s, want none", ref, len(sites), n, stk)
 		}
 	}
+}
+
+// runAllocs returns the heap allocations pass makes under Arena.Run, by
+// allocating stack. It records every allocation in the memory profile
+// (runtime.MemProfileRate 1) while pass runs and counts the records whose
+// stack passes through Arena.Run. runtime.MemStats.Mallocs would count
+// the whole process instead: the runtime's own goroutines allocate at any
+// time (the background scavenger grows its timer heap, the unique
+// package's map cleanup runs after a GC), and read around a pass they
+// showed as 1 to 6 allocations in about one run in twelve. Left out too
+// are the runtime's per-call-site caches of interface type assertions and
+// switches (fault.ResetPlaneState asserts one per run), which the runtime
+// rebuilds on about one in a thousand misses, at random, until they hold
+// every type the site has seen.
+func runAllocs(pass func()) map[string]int64 {
+	runtime.GC() // publish the allocations made so far
+	before := arenaRunAllocs()
+	runtime.GC() // empty the tiny-allocator blocks, so the pass starts its own
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	pass()
+	runtime.MemProfileRate = rate
+	runtime.GC() // publish the pass's allocations
+	made := arenaRunAllocs()
+	for stk, n := range made {
+		if n -= before[stk]; n == 0 {
+			delete(made, stk)
+		} else {
+			made[stk] = n
+		}
+	}
+	return made
+}
+
+// arenaRunAllocs returns the memory profile's allocation counts of the
+// records whose stack passes through Arena.Run, keyed by the stack's
+// function names.
+func arenaRunAllocs() map[string]int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	counts := map[string]int64{}
+	for _, r := range recs[:n] {
+		var stk []string
+		under := false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			stk = append(stk, f.Function)
+			under = under || f.Function == "repro/internal/core.(*Arena).Run"
+		}
+		if under && !typeCaches[stk[0]] {
+			counts[strings.Join(stk, " < ")] += r.AllocObjects
+		}
+	}
+	return counts
+}
+
+// typeCaches names the runtime functions that fill the per-call-site
+// caches of interface type assertions and switches.
+var typeCaches = map[string]bool{
+	"runtime.typeAssert":                true,
+	"runtime.buildTypeAssertCache":      true,
+	"runtime.interfaceSwitch":           true,
+	"runtime.buildInterfaceSwitchCache": true,
 }
 
 // TestArenasFirstWriteSharedBaselinePage pins copy-on-write over a shared

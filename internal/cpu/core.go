@@ -30,6 +30,10 @@ func CoreC() Config { return Config{CoreID: 2, Has64: true} }
 // fetchQCap is the fetch queue depth in instructions.
 const fetchQCap = 6
 
+// fetchQSize is the length of the fetch queue's ring: the power of two at
+// or above fetchQCap, so a position wraps with a mask.
+const fetchQSize = 8
+
 // fetched is a fetch-queue entry. It carries its decoded record by value:
 // the decode-cache entry the record came from can be evicted while the
 // word still waits in the queue.
@@ -112,7 +116,17 @@ type uop struct {
 
 type packet [2]uop
 
-func (p packet) any() bool { return p[0].valid || p[1].valid }
+func (p *packet) any() bool { return p[0].valid || p[1].valid }
+
+// retire empties the packet for reuse as a latch. An empty lane's valid
+// flag and result word are all the pipeline reads of it: a faulty
+// forwarding-mux select reads the result of an empty latch, so the result
+// is zeroed too, and mkUop overwrites the rest when it issues into the
+// lane.
+func (p *packet) retire() {
+	p[0].valid, p[0].result = false, 0
+	p[1].valid, p[1].result = false, 0
+}
 
 // Counters indexes the performance counters (mirrors fault.Cnt* and the CSR
 // numbers).
@@ -199,8 +213,9 @@ type CoreState struct {
 	skipBelow    uint32 // discard fetched words below this PC (redirects)
 	fetchBusy    bool
 	discardFetch bool
-	fetchQ       [fetchQCap]fetched
-	fetchN       int // queued entries, fetchQ[:fetchN]
+	fetchQ       [fetchQSize]fetched // a ring: fetchN entries from fetchHead
+	fetchHead    uint8
+	fetchN       int
 	nextIssuePC  uint32
 
 	// Pipeline latches: the EX packet is latches[exIdx], MEM and WB the
@@ -390,12 +405,12 @@ func (c *Core) redirect(target uint32) {
 	}
 }
 
-// Step advances the core one clock cycle. The SoC must step the bus first
-// so in-flight memory transactions complete before the pipeline observes
-// them.
-func (c *Core) Step() {
+// Step advances the core one clock cycle and reports whether it is done
+// (Done) after it. The SoC must step the bus first so in-flight memory
+// transactions complete before the pipeline observes them.
+func (c *Core) Step() (done bool) {
 	if c.Done() && !c.fetchBusy {
-		return
+		return true
 	}
 	c.cycle++
 	c.bump(fault.CntCycle)
@@ -435,7 +450,7 @@ func (c *Core) Step() {
 		spare := c.wbPkt
 		c.wbPkt = c.memPkt
 		c.memPkt = c.exPkt
-		*spare = packet{}
+		spare.retire()
 		c.exPkt = spare
 		c.exIdx = (c.exIdx + 2) % 3
 		c.memLane = -1
@@ -447,7 +462,7 @@ func (c *Core) Step() {
 		// load-use hazard source.
 		c.stepIssue(c.memPkt)
 	} else {
-		*c.wbPkt = packet{}
+		c.wbPkt.retire()
 		if c.exPkt.any() || c.memPkt.any() {
 			c.bump(fault.CntMemStall)
 			c.cov.Inc(coverage.FeatStallMem)
@@ -466,6 +481,7 @@ func (c *Core) Step() {
 		c.inj.Tick(retired, c.ICU.Raise)
 	}
 	c.ICU.Tick(retired)
+	return c.Done()
 }
 
 func (c *Core) writeBack(u *uop) {

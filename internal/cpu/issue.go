@@ -45,7 +45,7 @@ func (c *Core) enqueue(chunk uint64) {
 		if !e.valid || e.word != word {
 			*e = decEntry{word: word, valid: true, decoded: decode(word)}
 		}
-		c.fetchQ[c.fetchN] = fetched{pc: pc, decoded: e.decoded}
+		c.fetchQ[(int(c.fetchHead)+c.fetchN)&(fetchQSize-1)] = fetched{pc: pc, decoded: e.decoded}
 		c.fetchN++
 		if c.trace != nil {
 			c.emit(TraceEvent{Kind: "fetch", PC: pc, Inst: e.inst, Lane: c.fetchN})
@@ -53,9 +53,13 @@ func (c *Core) enqueue(chunk uint64) {
 	}
 }
 
-// popFetch removes the first n queue entries.
-func (c *Core) popFetch(n int) {
-	c.fetchN = copy(c.fetchQ[:], c.fetchQ[n:c.fetchN])
+// headFetch returns the first queue entry; the queue must not be empty.
+func (c *Core) headFetch() *fetched { return &c.fetchQ[c.fetchHead&(fetchQSize-1)] }
+
+// popFetch removes the first queue entry.
+func (c *Core) popFetch() {
+	c.fetchHead = (c.fetchHead + 1) & (fetchQSize - 1)
+	c.fetchN--
 }
 
 // stepIssue forms the next issue packet into exPkt. exOld is the packet
@@ -81,7 +85,7 @@ func (c *Core) stepIssue(exOld *packet) {
 		}
 		return
 	}
-	i0 := &c.fetchQ[0]
+	i0 := c.headFetch()
 	if i0.bad {
 		c.wedged = true
 		c.wedgePC = i0.pc
@@ -104,7 +108,7 @@ func (c *Core) stepIssue(exOld *packet) {
 
 	first := &c.exPkt[0]
 	c.mkUop(first, i0)
-	c.popFetch(1)
+	c.popFetch()
 	c.nextIssuePC = first.pc + 4
 	c.cov.Inc(coverage.FeatIssue1)
 	if c.trace != nil {
@@ -117,7 +121,7 @@ func (c *Core) stepIssue(exOld *packet) {
 	if c.fetchN == 0 {
 		return
 	}
-	i1 := &c.fetchQ[0]
+	i1 := c.headFetch()
 	ok, casA, casB := c.canDualIssue(exOld, &first.decoded, &i1.decoded)
 	if !ok {
 		return
@@ -126,7 +130,7 @@ func (c *Core) stepIssue(exOld *packet) {
 	c.mkUop(second, i1)
 	second.cascadeA = casA
 	second.cascadeB = casB
-	c.popFetch(1)
+	c.popFetch()
 	c.nextIssuePC = second.pc + 4
 	c.bump(fault.CntIssued2)
 	if c.cov != nil {

@@ -93,6 +93,7 @@ type SoC struct {
 
 	replayers []*bus.Replayer
 	running   []*CoreUnit // active started cores, in core-ID order
+	live      int         // running cores not yet done; Step, Start and Restore count them
 	cycle     int64
 
 	// base is the sealed image Reset restores (nil until SealBaseline).
@@ -100,7 +101,7 @@ type SoC struct {
 
 	// _ fills SoC out to whole 64-byte host cache lines (128
 	// bytes); see soc.TestHotStateOwnsCacheLines.
-	_ [16]byte
+	_ [8]byte
 }
 
 // Image is a loaded SoC's read-only memory content: the flash with its
@@ -288,9 +289,13 @@ func (s *SoC) Start(id int, entry uint32) {
 // core-ID order, whatever order they were started or restored in.
 func (s *SoC) listRunning() {
 	s.running = s.running[:0]
+	s.live = 0
 	for _, u := range s.Cores {
 		if u.started && u.setup.Active {
 			s.running = append(s.running, u)
+			if !u.Core.Done() {
+				s.live++
+			}
 		}
 	}
 }
@@ -325,6 +330,7 @@ func (s *SoC) Image() *Image { return s.base }
 func (s *SoC) Reset() {
 	s.cycle = 0
 	s.running = s.running[:0]
+	s.live = 0
 	s.Bus.Reset()
 	for _, r := range s.replayers {
 		r.Reset()
@@ -392,7 +398,8 @@ func (s *SoC) SetCoverage(m *coverage.Map) {
 }
 
 // Done reports whether every active started core has halted and drained.
-func (s *SoC) Done() bool { return s.allDone() }
+// Step counts the cores that are not, so asking costs no walk over them.
+func (s *SoC) Done() bool { return s.live == 0 }
 
 // Step advances the whole system one clock cycle.
 func (s *SoC) Step() {
@@ -401,12 +408,14 @@ func (s *SoC) Step() {
 	for _, r := range s.replayers {
 		r.Step(s.Bus.Cycle())
 	}
+	live := 0
 	for _, u := range s.running {
-		if s.cycle <= int64(u.setup.StartDelay) {
-			continue
+		// A core held in reset has not run, so it is not done.
+		if s.cycle <= int64(u.setup.StartDelay) || !u.Core.Step() {
+			live++
 		}
-		u.Core.Step()
 	}
+	s.live = live
 }
 
 // Result summarises a run.
@@ -420,21 +429,12 @@ type Result struct {
 func (s *SoC) Run(maxCycles int64) Result {
 	start := s.cycle
 	for s.cycle-start < maxCycles {
-		if s.allDone() {
+		if s.Done() {
 			return Result{Cycles: s.cycle - start}
 		}
 		s.Step()
 	}
-	return Result{Cycles: s.cycle - start, TimedOut: !s.allDone()}
-}
-
-func (s *SoC) allDone() bool {
-	for _, u := range s.running {
-		if !u.Core.Done() {
-			return false
-		}
-	}
-	return true
+	return Result{Cycles: s.cycle - start, TimedOut: !s.Done()}
 }
 
 // AttachRecorder installs a bus-traffic recorder that captures the
@@ -456,7 +456,9 @@ func (s *SoC) AttachRecorder(exceptID int) *bus.Recorder {
 // router dispatches memory accesses by address region: the core-private
 // TCMs bypass the bus entirely; accesses to the uncached SRAM alias bypass
 // the cache; everything else goes to the default path (cache controller or
-// uncached bus client).
+// uncached bus client). It calls the client of the access in flight
+// through the cache.Client interface: a switch over the three concrete
+// client types in its place saved no self time in traced profiles.
 type router struct {
 	tcm      *cache.TCMClient
 	tcmBase  uint32
