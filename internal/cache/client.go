@@ -12,7 +12,9 @@ import (
 // and calls Tick once per subsequent cycle until done. Accesses are
 // naturally aligned to their size by the client (hardware truncates low
 // address bits), which keeps faulty address computations from wedging the
-// model.
+// model. In a SoC the core drives a soc.router, which calls the client of
+// each access through this interface as well; a switch over the three
+// concrete clients below measured no faster (see soc.router).
 //
 // The clients below keep everything that changes at run time in one
 // embedded state value (CtrlState, BypassState, TCMState): its Reset

@@ -290,11 +290,7 @@ func TestArenaFirstTouchAllocation(t *testing.T) {
 // the whole process instead: the runtime's own goroutines allocate at any
 // time (the background scavenger grows its timer heap, the unique
 // package's map cleanup runs after a GC), and read around a pass they
-// showed as 1 to 6 allocations in about one run in twelve. Left out too
-// are the runtime's per-call-site caches of interface type assertions and
-// switches (fault.ResetPlaneState asserts one per run), which the runtime
-// rebuilds on about one in a thousand misses, at random, until they hold
-// every type the site has seen.
+// showed as 1 to 6 allocations in about one run in twelve.
 func runAllocs(pass func()) map[string]int64 {
 	runtime.GC() // publish the allocations made so far
 	before := arenaRunAllocs()
@@ -339,20 +335,11 @@ func arenaRunAllocs() map[string]int64 {
 			stk = append(stk, f.Function)
 			under = under || f.Function == "repro/internal/core.(*Arena).Run"
 		}
-		if under && !typeCaches[stk[0]] {
+		if under {
 			counts[strings.Join(stk, " < ")] += r.AllocObjects
 		}
 	}
 	return counts
-}
-
-// typeCaches names the runtime functions that fill the per-call-site
-// caches of interface type assertions and switches.
-var typeCaches = map[string]bool{
-	"runtime.typeAssert":                true,
-	"runtime.buildTypeAssertCache":      true,
-	"runtime.interfaceSwitch":           true,
-	"runtime.buildInterfaceSwitchCache": true,
 }
 
 // TestArenasFirstWriteSharedBaselinePage pins copy-on-write over a shared

@@ -75,9 +75,16 @@ func Hooks(p Plane) HookSet {
 // Transition's edge history, recursively through Composite components.
 // Stateless planes are untouched. Engines call it before serving a fresh
 // run from cycle 0 with a plane object that may already have executed.
+// The switch names the stateful plane types, as Hooks names the planes it
+// knows: a switch over concrete types compares type words and never
+// fills the runtime's type-assertion caches, which allocate, so a run
+// stays allocation-free.
 func ResetPlaneState(p Plane) {
-	if r, ok := p.(interface{ ResetState() }); ok {
-		r.ResetState()
+	switch f := p.(type) {
+	case *Transition:
+		f.ResetState()
+	case *Composite:
+		f.ResetState()
 	}
 }
 
