@@ -436,7 +436,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // campaign, serving the fault-free golden replay, one stuck-at
 // forwarding-mux data site and, where the campaign has one, the first
 // stuck-at site whose run the cycle budget cuts, all full replays from
-// cycle 0, and reports ns per simulated cycle and allocations per run.
+// cycle 0, and reports ns per simulated cycle, allocations per run and
+// skipped/cycle: the share of the simulated cycles soc.SoC.Advance skipped
+// as quiet.
 // The budget rows (cache/budget and tcm/budget; the plain campaign's runs
 // all finish) cover the budget-cut runs, which step over a third of the
 // cycles of a forwarding stuck-at census, nearly all on the TCM specs:
@@ -473,11 +475,13 @@ func BenchmarkSoCStep(b *testing.B) {
 			b.Run(strategy+"/"+run.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var cycles int64
+				skipped := a.SoC().SkippedCycles()
 				for range b.N {
 					a.Run(run.plane)
 					cycles += run.cut + a.SoC().Cycle()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+				b.ReportMetric(float64(a.SoC().SkippedCycles()-skipped)/float64(cycles), "skipped/cycle")
 			})
 		}
 	}

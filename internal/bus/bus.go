@@ -2,6 +2,7 @@ package bus
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -136,6 +137,9 @@ func (b *Bus) Restore(st *State) {
 // the attachment survives Reset — coverage spans many runs of one bus.
 func (b *Bus) SetCoverage(m *coverage.Map) { b.cov = m }
 
+// Masters returns the number of master ports.
+func (b *Bus) Masters() int { return len(b.reqs) }
+
 // StatsFor returns the accumulated statistics of master id, including the
 // wait of a request still queued.
 func (b *Bus) StatsFor(id int) Stats {
@@ -178,6 +182,33 @@ func (b *Bus) Step() {
 	}
 	if b.owner < 0 {
 		b.grantNext()
+	}
+}
+
+// Quiet returns how many of the next Steps only count: the cycles of the
+// transfer in service before its completing one, or every cycle while
+// the bus is idle with nothing queued (math.MaxInt64). It is 0 when the
+// next Step completes a transfer or grants a request.
+func (b *Bus) Quiet() int64 {
+	if b.owner >= 0 {
+		return int64(b.remaining - 1)
+	}
+	if b.pending == 0 {
+		return math.MaxInt64
+	}
+	return 0
+}
+
+// Skip applies n quiet Steps (n <= Quiet()) at once: the cycle count and,
+// with a transfer in service, its countdown and the busy statistics. A
+// queued request's wait is charged from its issue cycle when it is
+// granted, so it needs nothing here.
+func (b *Bus) Skip(n int64) {
+	b.cycle += n
+	if b.owner >= 0 {
+		b.totalBusy += n
+		b.stats[b.owner].BusyCycles += int(n)
+		b.remaining -= int(n)
 	}
 }
 

@@ -156,5 +156,21 @@ func (r *Replayer) poll(now int64) {
 	r.next++
 }
 
+// QuietUntil returns the first bus cycle whose Step does more than
+// return: the due cycle of the next event while the replayer is idle, and
+// math.MaxInt64 while its request waits on the bus, whose completion ends
+// a quiet window on the bus side. A request completed and not yet taken
+// is due at once (0). Steps of earlier cycles change nothing, so a
+// cycle-skipping caller leaves them out.
+func (r *Replayer) QuietUntil() int64 {
+	if r.req.active {
+		if r.req.done {
+			return 0
+		}
+		return math.MaxInt64
+	}
+	return r.wake
+}
+
 // Done reports whether the whole trace has been replayed and retired.
 func (r *Replayer) Done() bool { return r.next >= len(r.log) && !r.port.Busy() }

@@ -32,11 +32,18 @@ type Client interface {
 	// already in service; the caller must then keep Ticking until done and
 	// discard the result.
 	TryAbort() bool
+	// Waiting reports that the next Tick returns false, and changes
+	// nothing, until the bus completes the client's outstanding request:
+	// the access is a bus transfer queued or in service. A cycle-skipping
+	// caller (soc.SoC.Advance) may then leave the Ticks of the cycles
+	// before that completion out. A TCM access is never waiting.
+	Waiting() bool
 }
 
 func alignTo(addr uint32, size int) uint32 { return addr &^ uint32(size-1) }
 
-// ctrlState is the cache controller's refill state machine.
+// ctrlState is the cache controller's refill state machine. The states
+// from ctrlWB on have a bus request outstanding (Waiting).
 type ctrlState uint8
 
 const (
@@ -81,6 +88,11 @@ func (c *Ctrl) Cache() *Cache { return c.cache }
 
 // Busy reports whether an access is in flight.
 func (c *Ctrl) Busy() bool { return c.state != ctrlIdle }
+
+// Waiting implements Client: a write-back, refill or write-through whose
+// bus request has not completed. Once the write-back completes, the Tick
+// that sees it issues the refill; that is the completion's cycle.
+func (c *Ctrl) Waiting() bool { return c.state >= ctrlWB && !c.port.Done() }
 
 // Start begins an access. The controller must be idle.
 func (c *Ctrl) Start(addr uint32, write bool, wdata uint64, size int) {
@@ -263,6 +275,10 @@ func (b *Bypass) coverFlagRead(v uint64) {
 // Busy reports whether an access is in flight.
 func (b *Bypass) Busy() bool { return b.state != ctrlIdle }
 
+// Waiting implements Client: a read or write whose bus request has not
+// completed.
+func (b *Bypass) Waiting() bool { return b.state >= ctrlWB && !b.port.Done() }
+
 // Start begins an access.
 func (b *Bypass) Start(addr uint32, write bool, wdata uint64, size int) {
 	if b.state != ctrlIdle {
@@ -393,6 +409,9 @@ func (t *TCMClient) SetCoverage(m *coverage.Map, readFeat, writeFeat coverage.Fe
 
 // Busy reports whether an access is in flight (never across cycles).
 func (t *TCMClient) Busy() bool { return t.pending }
+
+// Waiting implements Client: a TCM access never waits on the bus.
+func (t *TCMClient) Waiting() bool { return false }
 
 // Start begins an access; it completes on the same cycle's Tick.
 func (t *TCMClient) Start(addr uint32, write bool, wdata uint64, size int) {

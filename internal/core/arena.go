@@ -170,7 +170,12 @@ type arenaMetrics struct {
 	healthChecks *telemetry.Counter
 	quarantines  *telemetry.Counter
 	prefix       *telemetry.Counter
+	skipped      *telemetry.Counter
 }
+
+// skippedCyclesMetric counts the quiet cycles the arenas' SoCs skipped
+// (soc.SoC.Advance) in golden captures, fault runs and health checks.
+const skippedCyclesMetric = "arena_skipped_cycles_total"
 
 // newArenaMetrics resolves the arena metric names once. The arenas of one
 // Run call share the registry, so they land on the same atomic handles and
@@ -188,6 +193,7 @@ func newArenaMetrics(reg *telemetry.Registry) arenaMetrics {
 	m.healthChecks = reg.Counter("arena_health_checks_total")
 	m.quarantines = reg.Counter("arena_quarantines_total")
 	m.prefix = reg.Counter("arena_prefix_cycles_total")
+	m.skipped = reg.Counter(skippedCyclesMetric)
 	return m
 }
 
@@ -298,6 +304,7 @@ func newCapture(cfg soc.Config, id int, job *CoreJob, prog *asm.Program, budget 
 	}
 	g.ckpts = g.goldenPass(s, g.probe, budget, at)
 	opt.Telemetry.Counter("arena_golden_captures_total").Inc()
+	opt.Telemetry.Counter(skippedCyclesMetric).Add(s.SkippedCycles())
 	g.res = coreResult(s.Cores[id], s.Done())
 	if g.ok = g.res.OK; !g.ok {
 		g.probe, g.ckpts = nil, nil
@@ -325,7 +332,11 @@ func (g *capture) goldenPass(s *soc.SoC, probe *fault.Probe, stop int64, at []in
 	s.SetPlane(g.id, plane)
 	s.Start(g.id, g.entry)
 	for s.Cycle() < stop && !s.Done() {
-		s.Step()
+		limit := stop
+		if len(at) > 0 {
+			limit = min(limit, at[0])
+		}
+		s.Advance(limit)
 		if len(at) > 0 && s.Cycle() == at[0] {
 			at = at[1:]
 			if !s.Done() {
@@ -550,19 +561,28 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 	return a.stepRun()
 }
 
-// stepRun steps the prepared SoC (reset or checkpoint-restored, plane set,
-// monitor state primed) to completion and extracts the verdict. The cycle
-// budget is absolute: a checkpoint-restored run is charged for the skipped
-// prefix, so its verdict matches the full replay's exactly.
+// stepRun advances the prepared SoC (reset or checkpoint-restored, plane
+// set, monitor state primed) to completion and extracts the verdict. The
+// cycle budget is absolute: a checkpoint-restored run is charged for the
+// skipped prefix, so its verdict matches the full replay's exactly. Each
+// Advance stops at the budget and at the cycle the hang watchdog would
+// fire at if no store completed first (stores end quiet windows), so the
+// watchdogs see every cycle they can fire at. The quiet cycles Advance
+// skips are added to arena_skipped_cycles_total.
 func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 	s, g := a.s, a.gold
 	aborted := false
+	skipped := s.SkippedCycles()
 	cycles := s.Cycle()
 	for cycles < g.budget {
 		if s.Done() {
 			break
 		}
-		s.Step()
+		limit := g.budget
+		if g.early {
+			limit = min(limit, a.lastObs+g.hangLimit+1)
+		}
+		s.Advance(limit)
 		cycles = s.Cycle()
 		if g.early {
 			if cycles-a.lastObs > g.hangLimit || (a.diverged && a.count > g.floodCap) {
@@ -574,6 +594,7 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 		}
 	}
 
+	a.met.skipped.Add(s.SkippedCycles() - skipped)
 	done := s.Done() && !aborted
 	a.last = coreResult(s.Cores[g.id], done)
 	return a.last.Signature, a.last.OK, !done

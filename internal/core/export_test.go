@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/soc"
+
 // CheckpointPlacement runs c's golden capture with the auto checkpoint
 // interval, as a Campaign.Run of c.Sites on n arenas does, and returns the
 // cycles of the uniform checkpoints its capture run took, the activation
@@ -35,3 +37,14 @@ func ReferenceArenas(c *Campaign, n int) ([]*Arena, error) {
 	}
 	return c.arenas(prog, ArenaOptions{Reference: true}, 0, c.Sites, nil, n)
 }
+
+// LoadJobs is loadJobs: the SoC RunJobsSetup runs, loaded and with the
+// jobs' cores started, before it runs.
+func LoadJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, setup func(*soc.SoC)) (*soc.SoC, error) {
+	s, _, err := loadJobs(cfg, jobs, setup)
+	return s, err
+}
+
+// ResultOf is core id's RunResult at the end of a run of s, done when s
+// is.
+func ResultOf(s *soc.SoC, id int) RunResult { return coreResult(s.Cores[id], s.Done()) }

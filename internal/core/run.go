@@ -68,6 +68,27 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 // golden run ran without assembling it again.
 func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup func(*soc.SoC)) ([soc.NumCores]*RunResult, *soc.SoC, [soc.NumCores]*asm.Program, error) {
 	var results [soc.NumCores]*RunResult
+	s, progs, err := loadJobs(cfg, jobs, setup)
+	if err != nil {
+		return results, nil, progs, err
+	}
+	res := s.Run(maxCycles)
+	for id, job := range jobs {
+		if job == nil {
+			continue
+		}
+		u := s.Cores[id]
+		r := coreResult(u, u.Core.Done() && !res.TimedOut)
+		results[id] = &r
+	}
+	return results, s, progs, nil
+}
+
+// loadJobs assembles each job through one builder and loads it, with its
+// routines' data, into a fresh SoC of cfg whose active cores are the
+// jobs', calling setup on the SoC first; it returns the SoC with the jobs'
+// cores started, and their programs.
+func loadJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, setup func(*soc.SoC)) (*soc.SoC, [soc.NumCores]*asm.Program, error) {
 	var progs [soc.NumCores]*asm.Program
 	b := asm.NewBuilder()
 	for id, job := range jobs {
@@ -76,7 +97,7 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup
 		}
 		prog, err := assemble(b, job)
 		if err != nil {
-			return results, nil, progs, fmt.Errorf("core%d: %w", id, err)
+			return nil, progs, fmt.Errorf("core%d: %w", id, err)
 		}
 		progs[id] = prog
 	}
@@ -92,7 +113,7 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup
 			continue
 		}
 		if err := s.Load(progs[id]); err != nil {
-			return results, nil, progs, fmt.Errorf("core%d: %w", id, err)
+			return nil, progs, fmt.Errorf("core%d: %w", id, err)
 		}
 		for _, r := range job.routines() {
 			loadRoutineData(s, r)
@@ -103,16 +124,7 @@ func runJobs(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, setup
 			s.Start(id, progs[id].Base)
 		}
 	}
-	res := s.Run(maxCycles)
-	for id, job := range jobs {
-		if job == nil {
-			continue
-		}
-		u := s.Cores[id]
-		r := coreResult(u, u.Core.Done() && !res.TimedOut)
-		results[id] = &r
-	}
-	return results, s, progs, nil
+	return s, progs, nil
 }
 
 // coreResult extracts core unit u's RunResult at the end of a run; done

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/archint"
 	"repro/internal/cache"
@@ -176,6 +177,13 @@ type Core struct {
 	memPkt *packet
 	wbPkt  *packet
 
+	// stalled is set by a Step that ends in a MEM stall, ends in an IF
+	// stall with the packets ahead drained, or finds the core halted, and
+	// cleared by any other Step, Reset and Restore: only after such a Step
+	// can the next cycles be quiet, so soc.SoC.Advance asks Quiet only
+	// then.
+	stalled bool
+
 	// decCache memoises decode, which is pure in the fetched word: loop
 	// bodies re-decode the same handful of words every iteration (and
 	// every fault run of a reusable arena re-decodes the same program).
@@ -269,6 +277,7 @@ func New(cfg Config, imem, dmem cache.Client, invalidate func(sel int32), plane 
 func (c *Core) Reset(pc uint32) {
 	c.CoreState = CoreState{memLane: -1}
 	c.stages()
+	c.stalled = false
 	c.ICU.Reset()
 	if c.inj != nil {
 		c.inj.Reset()
@@ -293,6 +302,7 @@ func (c *Core) Snapshot() (CoreState, icu.State) { return c.CoreState, c.ICU.Sna
 func (c *Core) Restore(st CoreState, ist icu.State) {
 	c.CoreState = st
 	c.stages()
+	c.stalled = false
 	c.ICU.Restore(ist)
 }
 
@@ -410,6 +420,7 @@ func (c *Core) redirect(target uint32) {
 // transactions complete before the pipeline observes them.
 func (c *Core) Step() (done bool) {
 	if c.Done() && !c.fetchBusy {
+		c.stalled = true
 		return true
 	}
 	c.cycle++
@@ -438,23 +449,14 @@ func (c *Core) Step() (done bool) {
 
 	// MEM: progress the packet's memory accesses.
 	memDone := c.stepMEM()
+	c.stalled = !memDone
 
 	if memDone {
 		// EX: execute the packet entering MEM next cycle, reading
 		// forwarding sources from the pre-cycle MEM/WB latches.
 		c.stepEX(c.exPkt, c.memPkt, &memRes, c.wbPkt)
 
-		// Advance latches by rotating the packet buffers: the retired
-		// MEM/WB packet becomes the cleared new issue slot, and exIdx
-		// follows it.
-		spare := c.wbPkt
-		c.wbPkt = c.memPkt
-		c.memPkt = c.exPkt
-		spare.retire()
-		c.exPkt = spare
-		c.exIdx = (c.exIdx + 2) % 3
-		c.memLane = -1
-		c.memStarted = false
+		c.rotate()
 
 		// Issue: form the next packet (may be squashed by redirects that
 		// stepEX performed, since redirect cleared the fetch queue).
@@ -482,6 +484,96 @@ func (c *Core) Step() (done bool) {
 	}
 	c.ICU.Tick(retired)
 	return c.Done()
+}
+
+// rotate advances the latches by rotating the packet buffers: the retired
+// MEM/WB packet becomes the cleared new issue slot, and exIdx follows it.
+func (c *Core) rotate() {
+	spare := c.wbPkt
+	c.wbPkt = c.memPkt
+	c.memPkt = c.exPkt
+	spare.retire()
+	c.exPkt = spare
+	c.exIdx = (c.exIdx + 2) % 3
+	c.memLane = -1
+	c.memStarted = false
+}
+
+// watchedHooks are the plane hooks a quiet cycle would call: the cycle
+// and stall counters' increment gates and the ICU's event-line poll.
+const watchedHooks = 1<<fault.SigCntInc | 1<<fault.SigEvLine
+
+// Stalled reports whether the last Step ended in a MEM stall, ended in an
+// IF stall with the packets ahead drained, or found the core halted: the
+// only Steps after which Quiet can be non-zero.
+func (c *Core) Stalled() bool { return c.stalled }
+
+// Quiet returns how many of the next Steps only count, provided the bus
+// completes no transfer meanwhile: math.MaxInt64 for a done core or for a
+// wait only the bus ends, fewer when the ICU's recognition countdown
+// matures first during an IF stall, and 0 when the next Step does more.
+// Such a Step either finds the core done, or advances a core that waits
+// on a bus transfer: a MEM stage waiting on its access (the first stall
+// cycle has retired the WB packet), or an empty pipeline waiting on a
+// fetch with an empty fetch queue, or halted; in both, the fetch side
+// waits on its transfer or does not fetch. Nothing may watch the cycle:
+// no tracer, coverage map or interrupt injector, and no plane hook on
+// counter increments or event lines.
+func (c *Core) Quiet() int64 {
+	if c.Done() && !c.fetchBusy {
+		return math.MaxInt64
+	}
+	if c.trace != nil || c.cov != nil || c.inj != nil || c.hooks&watchedHooks != 0 || c.wbPkt.any() {
+		return 0
+	}
+	if c.fetchBusy {
+		if !c.imem.Waiting() {
+			return 0
+		}
+	} else if !c.halted && c.fetchN <= fetchQCap-2 {
+		return 0
+	}
+	if c.memLane >= 0 {
+		if c.memStarted && c.dmem.Waiting() {
+			return math.MaxInt64
+		}
+		return 0
+	}
+	if c.exPkt.any() || c.memPkt.any() {
+		return 0
+	}
+	if c.halted {
+		return math.MaxInt64
+	}
+	if c.fetchN != 0 {
+		return 0
+	}
+	return c.ICU.QuietIssues()
+}
+
+// Skip applies n quiet Steps (n <= Quiet()) at once: the cycle count and
+// its counter, and the MEM stall count of a MEM stall (whose first cycle,
+// a Step, has retired the WB packet already), or the latch rotation and
+// the IF stall count of an empty pipeline; then the ICU's countdown.
+func (c *Core) Skip(n int64) {
+	if c.Done() && !c.fetchBusy {
+		return
+	}
+	c.cycle += n
+	c.counters[fault.CntCycle] += uint64(n)
+	if c.memLane >= 0 {
+		c.counters[fault.CntMemStall] += uint64(n)
+	} else {
+		// Three rotations retire every latch and bring the stage
+		// pointers back, so n rotations come to min(n, 3+n%3).
+		for range min(n, 3+n%3) {
+			c.rotate()
+		}
+		if !c.halted {
+			c.counters[fault.CntIFStall] += uint64(n)
+		}
+	}
+	c.ICU.Skip(n)
 }
 
 func (c *Core) writeBack(u *uop) {

@@ -69,6 +69,7 @@ func (c *Core) popFetch() {
 // forward yet, which is the load-use hazard).
 func (c *Core) stepIssue(exOld *packet) {
 	if c.halted {
+		c.stalled = true
 		return
 	}
 	if c.ICU.WantInterrupt() {
@@ -79,7 +80,9 @@ func (c *Core) stepIssue(exOld *packet) {
 	}
 	if c.fetchN == 0 {
 		// The pipeline wanted to issue but fetch could not supply: this is
-		// the instruction-side stall the paper's Table I counts.
+		// the instruction-side stall the paper's Table I counts. The next
+		// cycle can be quiet once the packets ahead have drained.
+		c.stalled = !exOld.any() && !c.wbPkt.any()
 		c.bump(fault.CntIFStall)
 		c.cov.Inc(coverage.FeatStallIF)
 		if c.trace != nil {

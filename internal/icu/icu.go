@@ -1,6 +1,8 @@
 package icu
 
 import (
+	"math"
+
 	"repro/internal/coverage"
 	"repro/internal/fault"
 )
@@ -184,12 +186,8 @@ func (u *ICU) WantInterrupt() bool {
 	if u.inHandler || !u.counting || u.countdown > 0 {
 		return false
 	}
-	c := u.encodeCause()
-	enable := u.enable
-	if u.hooks.Has(fault.SigEnable) {
-		enable = u.plane.Enable(enable)
-	}
-	if c&enable == 0 {
+	c, enabled := u.recognised()
+	if !enabled {
 		if c != 0 && !u.maskedNoted {
 			u.cov.Inc(coverage.FeatIntMaskedPend)
 			u.maskedNoted = true
@@ -197,6 +195,42 @@ func (u *ICU) WantInterrupt() bool {
 		return false
 	}
 	return true
+}
+
+// recognised returns the encoded cause and whether the enable mask, as
+// the recognition logic sees it, passes any of it.
+func (u *ICU) recognised() (cause uint32, enabled bool) {
+	c := u.encodeCause()
+	enable := u.enable
+	if u.hooks.Has(fault.SigEnable) {
+		enable = u.plane.Enable(enable)
+	}
+	return c, c&enable != 0
+}
+
+// QuietIssues returns how many of the next issue attempts WantInterrupt
+// answers false without changing anything, provided the pending lines
+// and the enable mask stay as they are and each attempt is followed by a
+// Tick that retires nothing: math.MaxInt64 outside a recognition episode
+// or when the matured episode stays masked, else the cycles the
+// countdown has left.
+func (u *ICU) QuietIssues() int64 {
+	if u.inHandler || !u.counting {
+		return math.MaxInt64
+	}
+	if c, enabled := u.recognised(); !enabled && (c == 0 || u.maskedNoted) {
+		return math.MaxInt64
+	}
+	return int64(u.countdown)
+}
+
+// Skip applies n Ticks that retire nothing (n within QuietIssues when
+// the core issues meanwhile): the recognition countdown. The event lines
+// must not be hooked, since Tick polls them.
+func (u *ICU) Skip(n int64) {
+	if u.counting {
+		u.countdown = int(max(int64(u.countdown)-n, 0))
+	}
 }
 
 // TakeInterrupt commits the interrupt: latches cause/distance/EPC, clears

@@ -10,8 +10,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -245,6 +248,201 @@ func FuzzVerdictBatch(f *testing.F) {
 		}
 		if now := settled(); now < was || now != journaled {
 			t.Fatalf("%q: settled count %d after %d, with %d verdicts journaled", body, now, was, journaled)
+		}
+	})
+}
+
+// leaseShardSize is the shard width of FuzzLeaseRequest's servers: the
+// quick spec's universe splits into several shards.
+const leaseShardSize = 16
+
+// leaseJob boots a server over dir with leaseShardSize shards, submits the
+// quick spec, and leases its first shard to worker "w" and its second to
+// worker "other"; the rest stay pending.
+func leaseJob(t testing.TB, dir string) (*Server, JobStatus) {
+	t.Helper()
+	s, err := New(Config{StoreDir: dir, ShardSize: leaseShardSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(quickSpec())
+	code, reply := call(s, http.MethodPost, "/v1/jobs", spec)
+	var st JobStatus
+	if err := json.Unmarshal(reply, &st); err != nil || code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, reply)
+	}
+	for _, w := range []string{"w", "other"} {
+		req, _ := json.Marshal(LeaseRequest{Worker: w})
+		if code, reply := call(s, http.MethodPost, "/v1/lease", req); code != http.StatusOK {
+			t.Fatalf("lease for %s: %d %s", w, code, reply)
+		}
+	}
+	return s, st
+}
+
+// workerLeasePost returns the first lease request with a renew list that
+// a real Worker posts, as it went over the wire, for a fresh job of
+// leaseJob's server config. The shard's verdict posts are held until that
+// request arrives, so the worker still runs its first shard when its one
+// arena runs out of sites and leases the next.
+func workerLeasePost(f *testing.F) []byte {
+	s, err := New(Config{StoreDir: f.TempDir(), ShardSize: leaseShardSize})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	spec, _ := json.Marshal(quickSpec())
+	if code, reply := call(s, http.MethodPost, "/v1/jobs", spec); code != http.StatusCreated {
+		f.Fatalf("submit: %d %s", code, reply)
+	}
+	var mu sync.Mutex
+	var post []byte
+	renewed := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/lease":
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req LeaseRequest
+			if json.Unmarshal(body, &req) == nil && len(req.Renew) > 0 {
+				mu.Lock()
+				if post == nil {
+					post = body
+					close(renewed)
+				}
+				mu.Unlock()
+			}
+		case strings.HasSuffix(r.URL.Path, "/verdicts"):
+			select {
+			case <-renewed:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	w := &Worker{Server: hs.URL, Name: "w", Workers: 1, Drain: true}
+	if err := w.Run(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	if post == nil {
+		f.Fatal("the worker posted no lease request with a renew list")
+	}
+	return post
+}
+
+// shardTable copies the shard table of job id. Caller must not hold s.mu.
+func shardTable(s *Server, id string) []shard {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []shard
+	for _, sh := range s.jobs[id].shards {
+		out = append(out, *sh)
+	}
+	return out
+}
+
+// FuzzLeaseRequest posts arbitrary bytes as a lease request to a server
+// whose quick-spec job has its first shard leased to worker "w", its
+// second to worker "other" and the rest pending. The reply is 200, 204,
+// 400 or 413; a refused body changes no shard; an accepted one moves the
+// deadline only of shards the requester holds and lists in its renew
+// list, and never backwards; a leased shard stays with its worker, so no
+// shard is ever leased to two; a 200 grants exactly one pending shard to
+// the requester, the one its reply names, and a 204 none; and the job's
+// settled count does not change. The seeds are a real Worker's lease post
+// with a renew list, renewals of an unknown job, an unknown shard,
+// another worker's shard and a duplicated shard, the post followed by a
+// second JSON value, and a request with an unknown field; they run under
+// plain `go test`.
+func FuzzLeaseRequest(f *testing.F) {
+	post := workerLeasePost(f)
+	f.Add(post)
+	var real LeaseRequest
+	if err := json.Unmarshal(post, &real); err != nil {
+		f.Fatal(err)
+	}
+	ref := real.Renew[0]
+	other := ShardRef{Job: ref.Job, Shard: fault.ShardRange{Lo: leaseShardSize, Hi: 2 * leaseShardSize}}
+	for _, renew := range [][]ShardRef{
+		{{Job: "j999-deadbeef", Shard: ref.Shard}},
+		{{Job: ref.Job, Shard: fault.ShardRange{Lo: ref.Shard.Lo + 1, Hi: ref.Shard.Hi}}},
+		{other},
+		{ref, ref, other, ref},
+	} {
+		body, _ := json.Marshal(LeaseRequest{Worker: real.Worker, Renew: renew})
+		f.Add(body)
+	}
+	f.Add(append(append([]byte(nil), post...), post...))
+	f.Add([]byte(`{"worker":"w","renew":[],"bogus":1}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, st := leaseJob(t, t.TempDir())
+		defer s.Close()
+		settled := func() int {
+			var now JobStatus
+			if _, reply := call(s, http.MethodGet, "/v1/jobs/"+st.ID, nil); json.Unmarshal(reply, &now) != nil {
+				t.Fatalf("status: %s", reply)
+			}
+			return now.Settled
+		}
+		before, was := shardTable(s, st.ID), settled()
+
+		code, reply := call(s, http.MethodPost, "/v1/lease", body)
+		after := shardTable(s, st.ID)
+		switch code {
+		case http.StatusOK, http.StatusNoContent:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if !slices.EqualFunc(before, after, func(a, b shard) bool {
+				return a.r == b.r && a.state == b.state && a.worker == b.worker && a.deadline.Equal(b.deadline)
+			}) {
+				t.Fatalf("%q: refused with %d, the shard table changed", body, code)
+			}
+		default:
+			t.Fatalf("%q: status %d: %s", body, code, reply)
+		}
+		if now := settled(); now != was {
+			t.Fatalf("%q: settled count %d after %d", body, now, was)
+		}
+		if code >= http.StatusBadRequest {
+			return
+		}
+		var req LeaseRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%q: accepted, but does not decode: %v", body, err)
+		}
+		listed := func(r fault.ShardRange) bool {
+			return slices.Contains(req.Renew, ShardRef{Job: st.ID, Shard: r})
+		}
+		var granted []fault.ShardRange
+		for i, b := range before {
+			a := after[i]
+			switch {
+			case b.state == shardLeased && (a.state != shardLeased || a.worker != b.worker):
+				t.Fatalf("%q: shard %s leased to %q is now %d to %q", body, b.r, b.worker, a.state, a.worker)
+			case b.state == shardLeased && !a.deadline.Equal(b.deadline):
+				if b.worker != req.Worker || !listed(b.r) || a.deadline.Before(b.deadline) {
+					t.Fatalf("%q: worker %q moved the deadline of shard %s held by %q from %v to %v",
+						body, req.Worker, b.r, b.worker, b.deadline, a.deadline)
+				}
+			case b.state == shardPending && a.state != shardPending:
+				if a.state != shardLeased || a.worker != req.Worker {
+					t.Fatalf("%q: pending shard %s is now %d to %q", body, b.r, a.state, a.worker)
+				}
+				granted = append(granted, b.r)
+			case b.state != a.state:
+				t.Fatalf("%q: shard %s went from %d to %d", body, b.r, b.state, a.state)
+			}
+		}
+		switch {
+		case code == http.StatusNoContent && len(granted) != 0,
+			code == http.StatusOK && len(granted) != 1:
+			t.Fatalf("%q: status %d granted shards %v", body, code, granted)
+		case code == http.StatusOK:
+			var l Lease
+			if err := json.Unmarshal(reply, &l); err != nil || l.Job != st.ID || l.Shard != granted[0] {
+				t.Fatalf("%q: granted %v, the reply names %s/%s (%v)", body, granted, l.Job, l.Shard, err)
+			}
 		}
 	})
 }

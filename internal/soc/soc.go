@@ -99,9 +99,10 @@ type SoC struct {
 	// base is the sealed image Reset restores (nil until SealBaseline).
 	base *Image
 
-	// _ fills SoC out to whole 64-byte host cache lines (128
-	// bytes); see soc.TestHotStateOwnsCacheLines.
-	_ [8]byte
+	// skipped counts the cycles Advance skipped over the SoC's life; Reset
+	// and Restore keep it. With it the SoC fills exactly two 64-byte host
+	// cache lines (128 bytes); see soc.TestHotStateOwnsCacheLines.
+	skipped int64
 }
 
 // Image is a loaded SoC's read-only memory content: the flash with its
@@ -401,7 +402,9 @@ func (s *SoC) SetCoverage(m *coverage.Map) {
 // Step counts the cores that are not, so asking costs no walk over them.
 func (s *SoC) Done() bool { return s.live == 0 }
 
-// Step advances the whole system one clock cycle.
+// Step advances the whole system one clock cycle. It is the one-cycle
+// primitive Advance ends with; Run and the campaign engine advance a SoC
+// through Advance.
 func (s *SoC) Step() {
 	s.cycle++
 	s.Bus.Step()
@@ -424,15 +427,78 @@ type Result struct {
 	TimedOut bool
 }
 
-// Run steps until every active started core is done (halted and drained) or
-// maxCycles elapse.
+// Advance advances the SoC at least one cycle and at most to cycle limit.
+// Before its one Step it skips, at once, every cycle in which no
+// component would do more than count (a quiet window; see "soc quiet
+// cycles" in docs/ARCHITECTURE.md), applying what those Steps would have
+// changed: the cycle counts, the cores' cycle and stall counters, the
+// latch rotation of an IF stall, the ICU countdown, and the bus's busy
+// and per-master statistics. The result is the SoC that Steps to the
+// same cycle would leave. A cycle is quiet when each running core is done or
+// waits on a bus transfer (cpu.Core.Quiet), the bus counts down a
+// transfer or is idle with nothing queued (bus.Bus.Quiet), and each
+// replayer is idle before its next event or waits on its transfer
+// (bus.Replayer.QuietUntil). Nothing is skipped while a core is held in
+// reset, or while a tracer, coverage map, interrupt injector or a plane
+// hooking counter increments or event lines watches a core's cycles.
+func (s *SoC) Advance(limit int64) {
+	if s.stalled() {
+		s.skip(limit - s.cycle - 1)
+	}
+	s.Step()
+}
+
+// stalled reports whether every running core's last Step left its stall
+// flag set (cpu.Core.Stalled), the only state after which the next cycle
+// can be quiet. A core held in reset has not stepped since its Reset, so
+// it keeps the window shut.
+func (s *SoC) stalled() bool {
+	for _, u := range s.running {
+		if !u.Core.Stalled() {
+			return false
+		}
+	}
+	return true
+}
+
+// skip skips the quiet cycles ahead, at most max: the fewest any
+// component allows, the bus and replayers asked first, as they are the
+// cheapest to ask.
+func (s *SoC) skip(max int64) {
+	n := min(max, s.Bus.Quiet())
+	for _, r := range s.replayers {
+		n = min(n, r.QuietUntil()-s.cycle-1)
+	}
+	for _, u := range s.running {
+		if n <= 0 {
+			return
+		}
+		n = min(n, u.Core.Quiet())
+	}
+	if n <= 0 {
+		return
+	}
+	s.cycle += n
+	s.skipped += n
+	s.Bus.Skip(n)
+	for _, u := range s.running {
+		u.Core.Skip(n)
+	}
+}
+
+// SkippedCycles returns how many cycles Advance has skipped since the SoC
+// was built, across Reset and Restore.
+func (s *SoC) SkippedCycles() int64 { return s.skipped }
+
+// Run advances until every active started core is done (halted and
+// drained) or maxCycles elapse.
 func (s *SoC) Run(maxCycles int64) Result {
 	start := s.cycle
 	for s.cycle-start < maxCycles {
 		if s.Done() {
 			return Result{Cycles: s.cycle - start}
 		}
-		s.Step()
+		s.Advance(start + maxCycles)
 	}
 	return Result{Cycles: s.cycle - start, TimedOut: !s.Done()}
 }
@@ -494,6 +560,8 @@ func (r *router) pick(addr uint32, write bool) cache.Client {
 }
 
 func (r *router) Busy() bool { return r.cur != nil && r.cur.Busy() }
+
+func (r *router) Waiting() bool { return r.cur != nil && r.cur.Waiting() }
 
 func (r *router) Start(addr uint32, write bool, wdata uint64, size int) {
 	r.cur = r.pick(addr, write)
